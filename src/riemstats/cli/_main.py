@@ -148,6 +148,12 @@ def _cmd_learn(args):
 
     manifold, metric, codec = _manifold_from_args(args)
     estimator = args.estimator
+    # Iteration limits the user did not give fall back to the estimator's own defaults.
+    limits = {
+        key: value
+        for key, value in (("max_iter", args.max_iter), ("tol", args.tol))
+        if value is not None
+    }
     points = weights = None
     if args.data is not None:
         points, _, weights = load_dataset(args.data, manifold, codec)
@@ -156,12 +162,7 @@ def _cmd_learn(args):
 
     if estimator == "mean":
         result = frechet_mean(
-            metric,
-            points,
-            weights=weights,
-            max_iter=args.max_iter,
-            tol=args.tol,
-            step_size=args.step_size,
+            metric, points, weights=weights, step_size=args.step_size, **limits
         )
         if not result.converged and not args.allow_unconverged:
             raise ConvergenceError(
@@ -196,9 +197,7 @@ def _cmd_learn(args):
     elif estimator == "kmeans":
         if args.n_clusters is None:
             raise SchemaError("kmeans needs --n-clusters")
-        model = RiemannianKMeans(
-            metric, args.n_clusters, max_iter=args.max_iter, tol=args.tol, seed=args.seed
-        ).fit(points)
+        model = RiemannianKMeans(metric, args.n_clusters, seed=args.seed, **limits).fit(points)
         if not model.converged_ and not args.allow_unconverged:
             raise ConvergenceError("k-means did not converge within --max-iter")
         _emit(
@@ -241,8 +240,7 @@ def _cmd_learn(args):
             x0,
             metric=metric,
             learning_rate=args.learning_rate,
-            max_iter=args.max_iter,
-            tol=args.tol,
+            **limits,
         )
         if not result.converged and not args.allow_unconverged:
             raise ConvergenceError("gradient descent did not converge within --max-iter")
@@ -352,15 +350,6 @@ def build_parser():
     return parser
 
 
-_LEARN_DEFAULTS = {
-    "mean": {"max_iter": 64, "tol": 1e-7},
-    "tpca": {"max_iter": 64, "tol": 1e-7},
-    "kmeans": {"max_iter": 100, "tol": 1e-6},
-    "online-kmeans": {"max_iter": 100, "tol": 1e-6},
-    "rgrad": {"max_iter": 200, "tol": 1e-8},
-}
-
-
 def _fail(code, message, exit_code):
     sys.stderr.write(
         json.dumps({"error": {"code": code, "message": " ".join(str(message).split())}}) + "\n"
@@ -372,12 +361,6 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) == "learn":
-            defaults = _LEARN_DEFAULTS[args.estimator]
-            if args.max_iter is None:
-                args.max_iter = defaults["max_iter"]
-            if args.tol is None:
-                args.tol = defaults["tol"]
         return args.func(args)
     except _CliError as exc:
         return _fail(exc.code, exc, exc.exit_code)

@@ -26,6 +26,11 @@ def _rng(seed_or_rng):
     return np.random.default_rng(seed_or_rng)
 
 
+def _sample_shape(n_samples, shape):
+    """Array shape of ``n_samples`` draws of ``shape``; one draw stays unbatched."""
+    return (n_samples,) + tuple(shape) if n_samples != 1 else tuple(shape)
+
+
 class Manifold(ABC):
     """A smooth manifold with an explicit point representation.
 
@@ -92,8 +97,14 @@ class RiemannianMetric(ABC):
     """Riemannian metric: inner products, exp/log, distances, transport.
 
     Subclasses implement the closed forms they have; the base class supplies
-    the generic identities (norm from inner product, dist from log, pole
-    ladder for parallel transport).
+    the generic identities (norm from inner product, squared distance from
+    log, distance from squared distance, pole ladder for parallel transport).
+
+    Subclass contract: implement ``inner_product``, ``exp`` and ``log``. A
+    closed-form distance overrides ``squared_dist``, or ``dist`` when the
+    closed form is the distance itself. A closed-form transport overrides
+    the ``_transport`` hook, never ``parallel_transport``, which validates
+    the arguments for every metric.
     """
 
     def __init__(self, manifold):
@@ -130,8 +141,7 @@ class RiemannianMetric(ABC):
         """Gaussian ambient noise projected to the tangent space."""
         rng = _rng(rng)
         base_point = np.asarray(base_point, dtype=float)
-        shape = (n_samples,) + self.tangent_shape if n_samples != 1 else self.tangent_shape
-        raw = rng.standard_normal(shape)
+        raw = rng.standard_normal(_sample_shape(n_samples, self.tangent_shape))
         return self.to_tangent(raw, base_point)
 
     # Core operations -----------------------------------------------------
@@ -169,12 +179,27 @@ class RiemannianMetric(ABC):
         return Geodesic(self, initial_point, initial_tangent_vec)
 
     def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
-        """Transport ``tangent_vec`` along the geodesic toward ``direction``.
+        """Transport ``tangent_vec`` along the geodesic from ``base_point``.
 
-        Metrics without a closed form inherit this pole-ladder fallback.
+        The geodesic is given by exactly one of its initial velocity
+        ``direction`` or its ``end_point``. A single vector broadcasts over
+        a batch of directions or end points.
         """
         if (direction is None) == (end_point is None):
             raise ValueError("provide exactly one of direction / end_point")
+        base_point = np.asarray(base_point, dtype=float)
+        tangent_vec = self._check_tangent(tangent_vec, base_point)
+        if direction is not None:
+            direction = self._check_tangent(direction, base_point)
+        else:
+            end_point = np.asarray(end_point, dtype=float)
+        return self._transport(tangent_vec, base_point, direction, end_point)
+
+    def _transport(self, tangent_vec, base_point, direction, end_point):
+        """Transport hook; exactly one of ``direction``/``end_point`` is given.
+
+        Metrics without a closed form inherit this pole-ladder fallback.
+        """
         if end_point is None:
             end_point = self.exp(direction, base_point)
         from .numerical import transport_by_ladder

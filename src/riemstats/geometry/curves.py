@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, ShapeError
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
+from .euclidean import EuclideanMetric
 
 # Squared-velocity threshold under which the SRV transform is undefined.
 _MIN_SPEED = 1e-10
@@ -67,7 +68,7 @@ class DiscretizedCurves(Manifold):
     def random_point(self, n_samples=1, rng=None):
         """Random walks: generic curves with nonvanishing velocities."""
         rng = _rng(rng)
-        shape = (n_samples,) + self.point_shape if n_samples != 1 else self.point_shape
+        shape = _sample_shape(n_samples, self.point_shape)
         steps = rng.standard_normal(shape) / np.sqrt(self.k_sampling_points)
         return np.cumsum(steps, axis=-2)
 
@@ -84,7 +85,7 @@ class DiscretizedCurves(Manifold):
         return SRVMetric(self)
 
 
-class CurvesL2Metric(RiemannianMetric):
+class CurvesL2Metric(EuclideanMetric):
     """Flat L2 metric with trapezoid quadrature on the sample grid."""
 
     def __init__(self, manifold):
@@ -101,17 +102,6 @@ class CurvesL2Metric(RiemannianMetric):
             axis=-1,
         )
         return np.sum(self._weights * dots, axis=-1)
-
-    def exp(self, tangent_vec, base_point):
-        return np.asarray(base_point, dtype=float) + np.asarray(tangent_vec, dtype=float)
-
-    def log(self, point, base_point):
-        return np.asarray(point, dtype=float) - np.asarray(base_point, dtype=float)
-
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
-        target = end_point if end_point is not None else direction
-        vec, _ = np.broadcast_arrays(np.asarray(tangent_vec, dtype=float), target)
-        return vec.copy()
 
 
 class SRVMetric(RiemannianMetric):
@@ -163,12 +153,14 @@ class SRVMetric(RiemannianMetric):
         k = self.manifold.k_sampling_points
         return np.sum(diff**2, axis=(-2, -1)) / (k - 1.0)
 
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
-
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
-        # The chart is flat and shared between base points.
-        return self.to_tangent(tangent_vec, base_point).copy()
+    def _transport(self, tangent_vec, base_point, direction, end_point):
+        # The chart is flat and shared between base points; the vector
+        # broadcasts over the batch axes of the direction or end point, whose
+        # trailing two axes are a tangent or a curve shape respectively.
+        vec = self.to_tangent(tangent_vec, base_point)
+        target = end_point if end_point is not None else direction
+        batch = np.broadcast_shapes(vec.shape[:-2], target.shape[:-2])
+        return np.broadcast_to(vec, batch + vec.shape[-2:]).copy()
 
     def injectivity_radius(self, base_point):
         """Chart distance from the base to the nearest vanishing-velocity curve."""

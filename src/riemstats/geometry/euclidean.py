@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 
 def minkowski_inner(vec_a, vec_b):
@@ -33,8 +33,7 @@ class Euclidean(Manifold):
 
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
-        shape = (n_samples, self.n) if n_samples != 1 else (self.n,)
-        return rng.standard_normal(shape)
+        return rng.standard_normal(_sample_shape(n_samples, self.point_shape))
 
     @property
     def default_metric(self):
@@ -42,6 +41,8 @@ class Euclidean(Manifold):
 
 
 class EuclideanMetric(RiemannianMetric):
+    """Flat metric: exp is addition, log subtraction, transport the identity."""
+
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         return np.sum(
             np.asarray(tangent_vec_a, dtype=float) * np.asarray(tangent_vec_b, dtype=float),
@@ -54,13 +55,13 @@ class EuclideanMetric(RiemannianMetric):
     def log(self, point, base_point):
         return np.asarray(point, dtype=float) - np.asarray(base_point, dtype=float)
 
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         target = end_point if end_point is not None else direction
-        vec, _ = np.broadcast_arrays(np.asarray(tangent_vec, dtype=float), target)
+        vec, _ = np.broadcast_arrays(tangent_vec, target)
         return vec.copy()
 
 
-class Minkowski(Manifold):
+class Minkowski(Euclidean):
     """R^n as a flat pseudo-Riemannian space, signature (-, +, ..., +).
 
     The first coordinate is the timelike one; there is no membership
@@ -70,28 +71,15 @@ class Minkowski(Manifold):
     def __init__(self, n):
         if n < 2:
             raise ValueError("Minkowski space needs n >= 2")
-        super().__init__(n, (n,), "minkowski")
-        self.n = n
-
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
-        finite = np.all(np.isfinite(point), axis=-1)
-        return np.where(finite, 0.0, np.inf)
-
-    def to_tangent(self, vector, base_point):
-        return np.asarray(vector, dtype=float)
-
-    def random_point(self, n_samples=1, rng=None):
-        rng = _rng(rng)
-        shape = (n_samples, self.n) if n_samples != 1 else (self.n,)
-        return rng.standard_normal(shape)
+        super().__init__(n)
+        self.name = "minkowski"
 
     @property
     def default_metric(self):
         return MinkowskiMetric(self)
 
 
-class MinkowskiMetric(RiemannianMetric):
+class MinkowskiMetric(EuclideanMetric):
     """Flat metric of signature (-, +, ..., +): exp is addition, log subtraction.
 
     ``squared_dist`` is the signed squared interval; ``dist`` is only defined
@@ -102,12 +90,6 @@ class MinkowskiMetric(RiemannianMetric):
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         return minkowski_inner(tangent_vec_a, tangent_vec_b)
 
-    def exp(self, tangent_vec, base_point):
-        return np.asarray(base_point, dtype=float) + np.asarray(tangent_vec, dtype=float)
-
-    def log(self, point, base_point):
-        return np.asarray(point, dtype=float) - np.asarray(base_point, dtype=float)
-
     def squared_dist(self, point_a, point_b):
         diff = self.log(point_b, point_a)
         return minkowski_inner(diff, diff)
@@ -117,8 +99,3 @@ class MinkowskiMetric(RiemannianMetric):
         if np.any(sq < -1e-12):
             raise DomainError("timelike separation has no real Minkowski distance")
         return np.sqrt(np.clip(sq, 0.0, None))
-
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
-        target = end_point if end_point is not None else direction
-        vec, _ = np.broadcast_arrays(np.asarray(tangent_vec, dtype=float), target)
-        return vec.copy()

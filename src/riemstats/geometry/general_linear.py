@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 _DET_ATOL = 1e-10
 
@@ -61,8 +61,8 @@ class GeneralLinear(Manifold):
 
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
-        shape = (n_samples,) + self.point_shape if n_samples != 1 else self.point_shape
-        return linalg.matrix_exp(0.4 * rng.standard_normal(shape))
+        raw = rng.standard_normal(_sample_shape(n_samples, self.point_shape))
+        return linalg.matrix_exp(0.4 * raw)
 
     @property
     def default_metric(self):
@@ -93,9 +93,6 @@ class GLGroupMetric(RiemannianMetric):
         )
         log = linalg.matrix_log(relative)
         return np.sum(log**2, axis=(-2, -1))
-
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
 
     def injectivity_radius(self, base_point):
         # Conservative: within log(2) of the identity in the body chart the

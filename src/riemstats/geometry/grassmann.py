@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import CutLocusError, ShapeError
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 _CUT_ANGLE_ATOL = 1e-6
 
@@ -56,7 +56,7 @@ class Grassmann(Manifold):
 
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
-        shape = (n_samples, self.n, self.p) if n_samples != 1 else (self.n, self.p)
+        shape = _sample_shape(n_samples, (self.n, self.p))
         return projector_from_basis(rng.standard_normal(shape))
 
     @property
@@ -96,9 +96,6 @@ class GrassmannMetric(RiemannianMetric):
         angles = self.principal_angles(point_a, point_b)
         return np.sum(angles**2, axis=-1)
 
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
-
     def exp(self, tangent_vec, base_point):
         tangent_vec = self._check_tangent(tangent_vec, base_point)
         base_point = np.asarray(base_point, dtype=float)
@@ -121,16 +118,10 @@ class GrassmannMetric(RiemannianMetric):
         omega = 0.5 * linalg.skew(linalg.matrix_log(rot))
         return omega @ base_point - base_point @ omega
 
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         """Conjugation by the geodesic rotation e^Omega."""
-        base_point = np.asarray(base_point, dtype=float)
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
         if direction is None:
-            if end_point is None:
-                raise ValueError("provide exactly one of direction / end_point")
             direction = self.log(end_point, base_point)
-        else:
-            direction = self._check_tangent(direction, base_point)
         omega = direction @ base_point - base_point @ direction
         rot = linalg.matrix_exp(omega)
         return rot @ tangent_vec @ linalg.transpose(rot)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 from .euclidean import minkowski_inner
 
 _SERIES_THRESHOLD = 1e-7
@@ -81,9 +81,8 @@ class Hyperboloid(Manifold):
 
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
-        shape = (n_samples, self.dim) if n_samples != 1 else (self.dim,)
-        spatial = rng.standard_normal(shape)
-        tangent = np.concatenate([np.zeros(shape[:-1] + (1,)), spatial], axis=-1)
+        spatial = rng.standard_normal(_sample_shape(n_samples, (self.dim,)))
+        tangent = np.concatenate([np.zeros(spatial.shape[:-1] + (1,)), spatial], axis=-1)
         return self.default_metric.exp(tangent, self.origin())
 
     @property
@@ -132,14 +131,9 @@ class HyperboloidMetric(RiemannianMetric):
     def squared_dist(self, point_a, point_b):
         return self.dist(point_a, point_b) ** 2
 
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
-        base_point = np.asarray(base_point, dtype=float)
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         if direction is None:
-            if end_point is None:
-                raise ValueError("provide exactly one of direction / end_point")
-            direction = self.log(end_point, base_point)
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        direction = self._check_tangent(direction, base_point)
+            direction = self._check_tangent(self.log(end_point, base_point), base_point)
 
         r = np.sqrt(np.clip(minkowski_inner(direction, direction), 0.0, None))
         safe = np.where(r > 0.0, r, 1.0)
@@ -203,15 +197,13 @@ class PoincareBallMetric(RiemannianMetric):
     def squared_dist(self, point_a, point_b):
         return self.dist(point_a, point_b) ** 2
 
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         base = ball_to_hyperboloid(base_point)
         vec = ball_to_hyperboloid_tangent(tangent_vec, base_point)
         if direction is not None:
             direction = ball_to_hyperboloid_tangent(direction, base_point)
             end = self._hyperboloid.exp(direction, base)
         else:
-            if end_point is None:
-                raise ValueError("provide exactly one of direction / end_point")
             end = ball_to_hyperboloid(end_point)
         moved = self._hyperboloid.parallel_transport(vec, base, end_point=end)
         return hyperboloid_to_ball_tangent(moved, end)

@@ -3,9 +3,10 @@
 A left- (or right-) invariant metric is determined by an SPD inner-product
 matrix on the Lie algebra, expressed in a Frobenius-orthonormal basis.
 Geodesics solve the Euler-Poincare equation for the body (resp. spatial)
-velocity, reconstructed on the group by RK4; logarithms are obtained by
-shooting. Groups with extra structure (bi-invariance, product splittings)
-should prefer their closed forms; this class is the generic fallback.
+velocity, reconstructed on the group by RK4 (:func:`numerical.rk4`);
+logarithms are obtained by shooting. Groups with extra structure
+(bi-invariance, product splittings) should prefer their closed forms; this
+class is the generic fallback.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .. import linalg
 from ..errors import DomainError
 from .base import RiemannianMetric
-from .numerical import log_by_shooting
+from .numerical import log_by_shooting, rk4
 
 
 class InvariantMetric(RiemannianMetric):
@@ -85,10 +86,8 @@ class InvariantMetric(RiemannianMetric):
         """Geodesic endpoint by Euler-Poincare + reconstruction (RK4)."""
         tangent_vec = self._check_tangent(tangent_vec, base_point)
         base_point = np.asarray(base_point, dtype=float)
-        group = self.manifold
         xi0 = self._body_coords(tangent_vec, base_point)
-        batch = xi0.shape[:-1]
-        g = np.broadcast_to(base_point, batch + base_point.shape[-2:]).copy()
+        g = np.broadcast_to(base_point, xi0.shape[:-1] + base_point.shape[-2:])
         mu = xi0 @ self.inner_matrix
 
         def rates(g, mu):
@@ -97,15 +96,8 @@ class InvariantMetric(RiemannianMetric):
             dg = g @ xi_hat if self.side == "left" else xi_hat @ g
             return dg, self._momentum_rate(mu, xi)
 
-        h = 1.0 / self.n_steps
-        for _ in range(self.n_steps):
-            k1g, k1m = rates(g, mu)
-            k2g, k2m = rates(g + 0.5 * h * k1g, mu + 0.5 * h * k1m)
-            k3g, k3m = rates(g + 0.5 * h * k2g, mu + 0.5 * h * k2m)
-            k4g, k4m = rates(g + h * k3g, mu + h * k3m)
-            g = g + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-            mu = mu + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        return group.project_to_group(g)
+        g, _ = rk4(rates, (g, mu), self.n_steps)
+        return self.manifold.project_to_group(g)
 
     def _tangent_basis_at(self, base_point):
         base_point = np.asarray(base_point, dtype=float)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 
 class Landmarks(Manifold):
@@ -37,8 +37,7 @@ class Landmarks(Manifold):
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
         flat = self.base_manifold.random_point(n_samples * self.k_landmarks, rng)
-        shape = (n_samples,) + self.point_shape if n_samples != 1 else self.point_shape
-        return flat.reshape(shape)
+        return flat.reshape(_sample_shape(n_samples, self.point_shape))
 
     @property
     def default_metric(self):
@@ -69,10 +68,7 @@ class LandmarksMetric(RiemannianMetric):
     def squared_dist(self, point_a, point_b):
         return np.sum(self.base_metric.squared_dist(point_a, point_b), axis=-1)
 
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
-
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         return self.base_metric.parallel_transport(
             tangent_vec, base_point, direction=direction, end_point=end_point
         )

@@ -2,8 +2,8 @@
 
 Three generic tools over a coordinate chart or an embedded manifold:
 
-* geodesics by fixed-step RK4 integration of the geodesic equation
-  ``x'' + Gamma(x)(x', x') = 0``;
+* geodesics by fixed-step RK4 integration (:func:`rk4`, shared with the
+  invariant metrics) of the geodesic equation ``x'' + Gamma(x)(x', x') = 0``;
 * logarithms by shooting (damped Gauss-Newton on the exp residual);
 * parallel transport by the pole ladder, which is exact on symmetric
   spaces up to the accuracy of the exp/log maps used per rung.
@@ -73,38 +73,45 @@ def christoffels_from_metric(metric_matrix_fn, dim, step=_FD_STEP):
     return ChristoffelField(gamma, dim)
 
 
+def rk4(rates, state, n_steps):
+    """Classical fixed-step Runge-Kutta over unit time.
+
+    ``state`` is a tuple of arrays and ``rates(*state)`` returns their time
+    derivatives as a tuple of the same shapes; four rate evaluations per
+    step. Raises :class:`DomainError` as soon as a step is not finite.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    h = 1.0 / n_steps
+    for _ in range(n_steps):
+        k1 = rates(*state)
+        k2 = rates(*(s + 0.5 * h * k for s, k in zip(state, k1)))
+        k3 = rates(*(s + 0.5 * h * k for s, k in zip(state, k2)))
+        k4 = rates(*(s + h * k for s, k in zip(state, k3)))
+        state = tuple(
+            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        )
+        if not all(np.all(np.isfinite(s)) for s in state):
+            raise DomainError("geodesic integration left the domain: non-finite state")
+    return state
+
+
 def exp_by_integration(christoffels, base_coords, velocity_coords, n_steps=100):
     """Chart exponential map: RK4 integration of the geodesic equation.
 
     Fixed step count keeps the result deterministic; it converges to the
     closed-form exponential as ``n_steps`` grows (RK4, so O(n^-4)).
     """
-    x = np.asarray(base_coords, dtype=float).copy()
-    v = np.asarray(velocity_coords, dtype=float).copy()
-    x, v = np.broadcast_arrays(x, v)
-    x, v = x.copy(), v.copy()
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    x, v = np.broadcast_arrays(
+        np.asarray(base_coords, dtype=float), np.asarray(velocity_coords, dtype=float)
+    )
 
-    def acceleration(coords, velocity):
+    def rates(coords, velocity):
         gamma = christoffels(coords)
-        return -np.einsum("...kij,...i,...j->...k", gamma, velocity, velocity)
+        return velocity, -np.einsum("...kij,...i,...j->...k", gamma, velocity, velocity)
 
-    h = 1.0 / n_steps
-    for _ in range(n_steps):
-        k1x = v
-        k1v = acceleration(x, v)
-        k2x = v + 0.5 * h * k1v
-        k2v = acceleration(x + 0.5 * h * k1x, k2x)
-        k3x = v + 0.5 * h * k2v
-        k3v = acceleration(x + 0.5 * h * k2x, k3x)
-        k4x = v + h * k3v
-        k4v = acceleration(x + h * k3x, k4x)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise DomainError("geodesic integration left the chart domain")
-    return x
+    return rk4(rates, (x, v), n_steps)[0]
 
 
 def log_by_shooting(

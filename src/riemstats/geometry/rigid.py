@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 from .invariant import InvariantMetric
 from .rotations import SOBiInvariantMetric, SpecialOrthogonal
 
@@ -109,8 +109,8 @@ class SpecialEuclidean(Manifold):
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
         rot = self.rotations.random_point(n_samples, rng)
-        shape = (n_samples, self.n) if n_samples != 1 else (self.n,)
-        return homogeneous_from_parts(rot, rng.standard_normal(shape))
+        trans = rng.standard_normal(_sample_shape(n_samples, (self.n,)))
+        return homogeneous_from_parts(rot, trans)
 
     @property
     def default_metric(self):
@@ -167,22 +167,15 @@ class SECanonicalLeftMetric(RiemannianMetric):
         diff = translation_part(point_b) - translation_part(point_a)
         return rot_sq + np.sum(diff**2, axis=-1)
 
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
-
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         if direction is None:
-            if end_point is None:
-                raise ValueError("provide exactly one of direction / end_point")
             rot_moved = self._so_metric.parallel_transport(
                 rotation_part(tangent_vec),
                 rotation_part(base_point),
                 end_point=rotation_part(end_point),
             )
-            target = np.asarray(end_point, dtype=float)
+            target = end_point
         else:
-            direction = self._check_tangent(direction, base_point)
             rot_moved = self._so_metric.parallel_transport(
                 rotation_part(tangent_vec),
                 rotation_part(base_point),

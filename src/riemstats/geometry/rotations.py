@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import CutLocusError
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 # Rotation angles within this of pi sit on the cut locus of the log.
 _ANGLE_PI_ATOL = 1e-6
@@ -126,8 +126,7 @@ class SpecialOrthogonal(Manifold):
 
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
-        shape = (n_samples,) + self.point_shape if n_samples != 1 else self.point_shape
-        q, _ = linalg.qr(rng.standard_normal(shape))
+        q, _ = linalg.qr(rng.standard_normal(_sample_shape(n_samples, self.point_shape)))
         det = np.linalg.det(q)
         flip = np.ones(q.shape[:-2] + (self.n,))
         flip[..., -1] = np.sign(det)
@@ -185,19 +184,11 @@ class SOBiInvariantMetric(RiemannianMetric):
             return 2.0 * angle**2
         return np.sum(rotation_angles(relative) ** 2, axis=-1)
 
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
-
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         """Bi-invariant transport: conjugation by the half-way group element."""
-        base_point = np.asarray(base_point, dtype=float)
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
         if direction is None:
-            if end_point is None:
-                raise ValueError("provide exactly one of direction / end_point")
             algebra = self._relative_log(end_point, base_point)
         else:
-            direction = self._check_tangent(direction, base_point)
             algebra = linalg.skew(linalg.transpose(base_point) @ direction)
         half = linalg.matrix_exp(0.5 * algebra)
         body = linalg.transpose(base_point) @ tangent_vec

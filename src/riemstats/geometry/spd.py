@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import DomainError
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 
 def _trace_product(a, b):
@@ -45,8 +45,8 @@ class SPDMatrices(Manifold):
 
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
-        shape = (n_samples,) + self.point_shape if n_samples != 1 else self.point_shape
-        return linalg.sym_function(linalg.sym(rng.standard_normal(shape)) * 0.7, np.exp)
+        raw = rng.standard_normal(_sample_shape(n_samples, self.point_shape))
+        return linalg.sym_function(linalg.sym(raw) * 0.7, np.exp)
 
     @property
     def default_metric(self):
@@ -95,20 +95,13 @@ class SPDAffineMetric(RiemannianMetric):
         w, _ = _spd_eig(middle, "relative matrix")
         return np.sum(np.log(w) ** 2, axis=-1)
 
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
-
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         """Closed form: V -> E V E^T with E = P^1/2 (P^-1/2 Q P^-1/2)^1/2 P^-1/2."""
-        base_point = np.asarray(base_point, dtype=float)
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
         if end_point is None:
-            if direction is None:
-                raise ValueError("provide exactly one of direction / end_point")
             end_point = self.exp(direction, base_point)
         sqrt = linalg.sym_sqrt(base_point)
         inv_sqrt = linalg.sym_inv_sqrt(base_point)
-        middle = linalg.sym(inv_sqrt @ np.asarray(end_point, dtype=float) @ inv_sqrt)
+        middle = linalg.sym(inv_sqrt @ end_point @ inv_sqrt)
         shifter = sqrt @ linalg.sym_sqrt(middle) @ inv_sqrt
         return shifter @ tangent_vec @ linalg.transpose(shifter)
 
@@ -146,15 +139,8 @@ class SPDLogEuclideanMetric(RiemannianMetric):
         diff = self._to_chart(point_a) - self._to_chart(point_b)
         return np.sum(diff**2, axis=(-2, -1))
 
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
-
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
-        base_point = np.asarray(base_point, dtype=float)
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         if end_point is None:
-            if direction is None:
-                raise ValueError("provide exactly one of direction / end_point")
             end_point = self.exp(direction, base_point)
         chart_vec = self._dlog(tangent_vec, base_point)
         return self._dexp(chart_vec, self._to_chart(end_point))

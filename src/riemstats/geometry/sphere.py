@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CutLocusError
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 # Below this tangent norm, sin(x)/x style ratios switch to their 2-term series.
 _SERIES_THRESHOLD = 1e-7
@@ -39,8 +39,7 @@ class Hypersphere(Manifold):
     def random_point(self, n_samples=1, rng=None):
         """Uniform samples: normalized standard-normal vectors."""
         rng = _rng(rng)
-        shape = (n_samples,) + self.point_shape if n_samples != 1 else self.point_shape
-        return self.projection(rng.standard_normal(shape))
+        return self.projection(rng.standard_normal(_sample_shape(n_samples, self.point_shape)))
 
     @property
     def default_metric(self):
@@ -85,15 +84,10 @@ class SphereMetric(RiemannianMetric):
     def squared_dist(self, point_a, point_b):
         return self.dist(point_a, point_b) ** 2
 
-    def parallel_transport(self, tangent_vec, base_point, direction=None, end_point=None):
+    def _transport(self, tangent_vec, base_point, direction, end_point):
         """Closed-form transport along the great circle toward ``direction``."""
-        base_point = np.asarray(base_point, dtype=float)
         if direction is None:
-            if end_point is None:
-                raise ValueError("provide exactly one of direction / end_point")
-            direction = self.log(end_point, base_point)
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        direction = self._check_tangent(direction, base_point)
+            direction = self._check_tangent(self.log(end_point, base_point), base_point)
 
         angle = np.linalg.norm(direction, axis=-1)
         safe = np.where(angle > 0.0, angle, 1.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from .base import Manifold, RiemannianMetric, _rng
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 from .numerical import log_by_shooting
 
 
@@ -36,8 +36,7 @@ class Stiefel(Manifold):
 
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
-        shape = (n_samples,) + self.point_shape if n_samples != 1 else self.point_shape
-        q, _ = linalg.qr(rng.standard_normal(shape))
+        q, _ = linalg.qr(rng.standard_normal(_sample_shape(n_samples, self.point_shape)))
         return q
 
     def orthogonal_complement(self, base_point):
@@ -130,13 +129,6 @@ class StiefelCanonicalMetric(RiemannianMetric):
             tol=tol,
             point_ndim=2,
         )
-
-    def squared_dist(self, point_a, point_b):
-        log = self.log(point_b, point_a)
-        return self.squared_norm(log, point_a)
-
-    def dist(self, point_a, point_b):
-        return np.sqrt(self.squared_dist(point_a, point_b))
 
     def injectivity_radius(self, base_point):
         # Conservative constant well inside the shooting convergence region.

@@ -3,13 +3,15 @@
 Smaller-sample versions of the acceptance suite, run per space for
 pinpointed failures: exp/log round-trips inside the injectivity bound,
 metric axioms on sampled triples, geodesic speed constancy, transport
-isometry, and batch-equals-loop consistency.
+isometry, the transport argument contract, and batch-equals-loop
+consistency.
 """
 
 import numpy as np
 import pytest
 
 from riemstats.errors import GeometryError
+from riemstats.geometry import RiemannianMetric
 
 
 def test_round_trip(space_case):
@@ -94,6 +96,46 @@ def test_parallel_transport_isometry(space_case):
     before = case.metric.inner_product(vec, other, base)
     after = case.metric.inner_product(moved_v, moved_w, end)
     assert abs(float(after) - float(before)) < 1e-6 * max(1.0, abs(float(before)))
+
+
+def test_parallel_transport_contract(space_case):
+    """Exactly one of direction / end_point, both agree, and a batch equals its loop."""
+    rng = np.random.default_rng(55)
+    case = space_case
+    metric = case.metric
+    base = case.random_point(rng)
+    vec = case.scaled_tangents(base, 1, rng)[0]
+    directions = case.scaled_tangents(base, 3, rng)
+    end = metric.exp(directions[0], base)
+    with pytest.raises(ValueError):
+        metric.parallel_transport(vec, base)
+    with pytest.raises(ValueError):
+        metric.parallel_transport(vec, base, direction=directions[0], end_point=end)
+
+    by_direction = metric.parallel_transport(vec, base, direction=directions[0])
+    by_end = metric.parallel_transport(vec, base, end_point=end)
+    np.testing.assert_allclose(by_end, by_direction, atol=1e-8)
+
+    batched = metric.parallel_transport(vec, base, direction=directions)
+    assert batched.shape == (3,) + tuple(metric.tangent_shape)
+    looped = np.stack([metric.parallel_transport(vec, base, direction=d) for d in directions])
+    np.testing.assert_allclose(batched, looped, atol=1e-12)
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def test_no_metric_overrides_parallel_transport():
+    """Closed forms go in the ``_transport`` hook, behind the base argument checks."""
+    offenders = [
+        sub.__qualname__
+        for sub in _all_subclasses(RiemannianMetric)
+        if "parallel_transport" in vars(sub)
+    ]
+    assert offenders == []
 
 
 def test_batch_matches_loop(space_case):

@@ -6,6 +6,8 @@ from riemstats.geometry import (
     ChristoffelField,
     Euclidean,
     Hypersphere,
+    InvariantMetric,
+    SpecialEuclidean,
     christoffels_from_metric,
     exp_by_integration,
     log_by_shooting,
@@ -125,6 +127,24 @@ class TestExpByIntegration:
             exp_by_integration(self.gamma, base, vel, n_steps=100),
             atol=1e-6,
         )
+
+
+class TestStepCount:
+    """Both RK4 users reject a step count below one instead of dividing by it."""
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_exp_by_integration(self, n_steps):
+        gamma = ChristoffelField(sphere_christoffels_closed_form, 2)
+        with pytest.raises(ValueError):
+            exp_by_integration(gamma, np.array([1.0, 0.5]), np.array([0.1, 0.2]), n_steps=n_steps)
+
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_invariant_metric_exp(self, n_steps):
+        se3 = SpecialEuclidean(3)
+        metric = InvariantMetric(se3, side="right", n_steps=n_steps)
+        vec = 0.3 * se3.lie_algebra_basis()[0]
+        with pytest.raises(ValueError):
+            metric.exp(vec, se3.identity)
 
 
 class TestLogByShooting:
