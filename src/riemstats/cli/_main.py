@@ -81,6 +81,11 @@ def _fields(payload, required, optional=()):
     return out
 
 
+def _given(args, *names):
+    """The named options the user gave; the rest keep the callee's own defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_op(args):
     if args.num_points < 2:
         raise SchemaError("--num-points must be >= 2")
@@ -148,12 +153,7 @@ def _cmd_learn(args):
 
     manifold, metric, codec = _manifold_from_args(args)
     estimator = args.estimator
-    # Iteration limits the user did not give fall back to the estimator's own defaults.
-    limits = {
-        key: value
-        for key, value in (("max_iter", args.max_iter), ("tol", args.tol))
-        if value is not None
-    }
+    limits = _given(args, "max_iter", "tol")
     points = weights = None
     if args.data is not None:
         points, _, weights = load_dataset(args.data, manifold, codec)
@@ -265,18 +265,18 @@ def _cmd_figure(args):
         payload, csv = _figures.sphere_descent(
             field_spec=field_spec,
             start=start,
-            learning_rate=args.learning_rate,
-            max_iter=args.max_iter,
-            tol=args.tol,
+            **_given(args, "learning_rate", "max_iter", "tol"),
         )
     elif args.name == "poincare-grid":
         payload, csv = _figures.poincare_grid(
-            grid_size=args.grid_size, extent=args.extent, num_points=args.num_points
+            **_given(args, "grid_size", "extent", "num_points")
         )
     else:  # se3-geodesic
         start = read_json_source(args.start, "start pose") if args.start else None
         end = read_json_source(args.end, "end pose") if args.end else None
-        payload, csv = _figures.se3_geodesic(start=start, end=end, num_points=args.num_points)
+        payload, csv = _figures.se3_geodesic(
+            start=start, end=end, **_given(args, "num_points")
+        )
     _emit(payload, out=args.out, csv=csv if args.format == "csv" else None)
     return EXIT_OK
 
@@ -331,12 +331,12 @@ def build_parser():
     figure.add_argument("--format", choices=["json", "csv"], default="json")
     figure.add_argument("--field", default=None)
     figure.add_argument("--x0", default=None)
-    figure.add_argument("--learning-rate", type=float, default=0.1)
-    figure.add_argument("--max-iter", type=int, default=200)
-    figure.add_argument("--tol", type=float, default=1e-8)
-    figure.add_argument("--grid-size", type=int, default=5)
-    figure.add_argument("--extent", type=float, default=1.5)
-    figure.add_argument("--num-points", type=int, default=100)
+    figure.add_argument("--learning-rate", type=float, default=None)
+    figure.add_argument("--max-iter", type=int, default=None)
+    figure.add_argument("--tol", type=float, default=None)
+    figure.add_argument("--grid-size", type=int, default=None)
+    figure.add_argument("--extent", type=float, default=None)
+    figure.add_argument("--num-points", type=int, default=None)
     figure.add_argument("--start", default=None, help="se3 start pose (inline JSON or file)")
     figure.add_argument("--end", default=None, help="se3 end pose (inline JSON or file)")
     figure.set_defaults(func=_cmd_figure)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, ShapeError
-from .base import Manifold, RiemannianMetric, _rng, _sample_shape
+from .base import ATOL, Manifold, RiemannianMetric, _rng, _sample_shape
 from .euclidean import EuclideanMetric
 
 # Squared-velocity threshold under which the SRV transform is undefined.
@@ -127,6 +127,16 @@ class SRVMetric(RiemannianMetric):
                 f"SRV tangent vectors have shape {self.tangent_shape}, got {vector.shape[-2:]}"
             )
         return vector
+
+    def is_tangent(self, vector, base_point, atol=ATOL):
+        vector = np.asarray(vector, dtype=float)
+        if vector.shape[-2:] != self.tangent_shape:
+            return False
+        return super().is_tangent(vector, base_point, atol=atol)
+
+    def _check_tangent(self, vector, base_point, atol=ATOL):
+        # A wrong shape is a ShapeError, as in every other SRV operation.
+        return super()._check_tangent(self.to_tangent(vector, base_point), base_point, atol)
 
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         k = self.manifold.k_sampling_points

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from riemstats import linalg
 from riemstats.errors import DomainError, ShapeError
@@ -107,6 +108,133 @@ class TestMatrixLog:
     def test_singular_raises(self):
         with pytest.raises(DomainError):
             linalg.matrix_log(np.zeros((2, 2)))
+
+
+def _rotations(rng, count, n, max_angle=0.9 * np.pi):
+    """Rotations Q diag(R(t_1), ..., R(t_m), [1]) Q^T with angles t_i < max_angle.
+
+    The bound keeps the log well conditioned: at angle pi - d its condition
+    number is about pi / d, and scipy's ``logm`` is itself off by about
+    eps * pi / d there (see ``test_near_pi_matches_high_precision_log``).
+    """
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    blocks = np.zeros((count, n, n))
+    if n % 2:
+        blocks[:, -1, -1] = 1.0
+    for j in range(n // 2):
+        angle = rng.uniform(0.0, max_angle, count)
+        c, s = np.cos(angle), np.sin(angle)
+        blocks[:, 2 * j, 2 * j], blocks[:, 2 * j, 2 * j + 1] = c, -s
+        blocks[:, 2 * j + 1, 2 * j], blocks[:, 2 * j + 1, 2 * j + 1] = s, c
+    return q @ blocks @ np.swapaxes(q, -1, -2)
+
+
+def _general(rng, count, n):
+    """Invertible matrices expm(B) with Gaussian B: a real principal log exists."""
+    return scipy.linalg.expm(0.6 * rng.standard_normal((count, n, n)))
+
+
+def _batch(name):
+    rng = np.random.default_rng(11)
+    if name == "so4":
+        return _rotations(rng, 60, 4)
+    if name == "so5_repeated_angle":
+        rots = _rotations(rng, 60, 5)
+        q = _rotations(rng, 1, 5)[0]
+        c, s = np.cos(1.1), np.sin(1.1)
+        block = np.array([[c, -s], [s, c]])
+        rots[7] = q @ scipy.linalg.block_diag(block, block, 1.0) @ q.T
+        return rots
+    if name == "gl3":
+        return _general(rng, 60, 3)
+    # Stacked (2, 3, 4, 4): rotations and general matrices in one call.
+    return np.concatenate([_rotations(rng, 3, 4), _general(rng, 3, 4)]).reshape(2, 3, 4, 4)
+
+
+def _rel_err(out, ref):
+    return np.max(
+        np.linalg.norm(out - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+    )
+
+
+BATCHES = ["so4", "so5_repeated_angle", "gl3", "stacked"]
+
+
+class TestBatchedMatrixLog:
+    @pytest.mark.parametrize("name", BATCHES)
+    def test_matches_scipy_logm(self, name):
+        mats = _batch(name)
+        out = linalg.matrix_log(mats)
+        assert out.shape == mats.shape
+        flat = mats.reshape(-1, *mats.shape[-2:])
+        ref = np.stack([scipy.linalg.logm(m) for m in flat]).reshape(mats.shape)
+        assert np.max(np.abs(ref.imag)) <= 1e-12
+        assert _rel_err(out, ref.real) <= 1e-12
+
+    @pytest.mark.parametrize("name", BATCHES)
+    def test_exp_of_log_round_trip(self, name):
+        mats = _batch(name)
+        back = linalg.matrix_exp(linalg.matrix_log(mats))
+        np.testing.assert_allclose(back, mats, rtol=0.0, atol=1e-12 * np.max(np.abs(mats)))
+
+    @pytest.mark.parametrize("name", BATCHES)
+    def test_batch_equals_loop(self, name):
+        mats = _batch(name)
+        flat = mats.reshape(-1, *mats.shape[-2:])
+        loop = np.stack([linalg.matrix_log(m) for m in flat]).reshape(mats.shape)
+        np.testing.assert_allclose(linalg.matrix_log(mats), loop, rtol=0.0, atol=1e-12)
+
+    def test_near_pi_matches_high_precision_log(self):
+        """Within the conditioning limit eps * pi / d at rotation angle pi - d."""
+        mpmath = pytest.importorskip("mpmath")
+        gaps = np.array([1e-2, 1e-4, 1e-6])
+        rng = np.random.default_rng(12)
+        q = _rotations(rng, len(gaps), 4)
+        blocks = np.zeros((len(gaps), 4, 4))
+        for i, angle in enumerate(np.pi - gaps):
+            c, s = np.cos(angle), np.sin(angle)
+            blocks[i, :2, :2] = [[c, -s], [s, c]]
+            blocks[i, 2:, 2:] = [[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]]
+        rots = q @ blocks @ np.swapaxes(q, -1, -2)
+        out = linalg.matrix_log(rots)
+        for rot, log, gap in zip(rots, out, gaps):
+            with mpmath.workdps(50):
+                vals, vecs = mpmath.eig(mpmath.matrix(rot.tolist()))
+                exact = vecs * mpmath.diag([mpmath.log(v) for v in vals]) * mpmath.inverse(vecs)
+                exact = np.array([[float(mpmath.re(exact[i, j])) for j in range(4)] for i in range(4)])
+            assert _rel_err(log, exact) <= np.finfo(float).eps * np.pi / gap
+
+    def test_one_singular_member_raises(self):
+        mats = _general(np.random.default_rng(13), 20, 3)
+        mats[5] = mats[5] @ np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(DomainError, match="singular"):
+            linalg.matrix_log(mats)
+
+    def test_one_member_on_negative_axis_raises(self):
+        rng = np.random.default_rng(14)
+        mats = _general(rng, 20, 3)
+        basis = rng.standard_normal((3, 3))
+        mats[9] = basis @ np.diag([-2.0, 1.0, 3.0]) @ np.linalg.inv(basis)
+        with pytest.raises(DomainError, match="negative real axis"):
+            linalg.matrix_log(mats)
+
+    def test_unconverged_square_root_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_SQRT_MAX_ITER", 1)
+        with pytest.raises(DomainError, match="did not converge"):
+            linalg.matrix_log(_general(np.random.default_rng(15), 5, 3))
+
+    def test_no_per_matrix_logm(self, monkeypatch):
+        """Large batches must not fall back to a per-matrix scipy loop."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg.logm called")
+
+        monkeypatch.setattr(scipy.linalg, "logm", forbidden)
+        rng = np.random.default_rng(16)
+        for mats in (_rotations(rng, 200, 4), _general(rng, 200, 3)):
+            log = linalg.matrix_log(mats)
+            assert log.shape == mats.shape and np.all(np.isfinite(log))
 
 
 class TestQR:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riemstats.errors import CutLocusError, DomainError
+from riemstats.errors import CutLocusError, DomainError, ShapeError
 from riemstats.geometry import (
     DiscretizedCurves,
     Euclidean,
@@ -135,6 +135,20 @@ class TestSRVMetric:
         vec = -srv_transform(base)  # drives every q_i to zero
         with pytest.raises(DomainError):
             self.metric.exp(vec, base)
+
+    def test_is_tangent_checks_shape(self):
+        # SRV tangents have shape (k - 1, d) = (9, 2), not the point shape (10, 2).
+        base = self.curves.random_point(rng=10)
+        assert self.metric.is_tangent(np.zeros((9, 2)), base)
+        assert not self.metric.is_tangent(np.zeros((10, 2)), base)
+        assert not self.metric.is_tangent(np.zeros(2), base)
+        np.testing.assert_array_equal(
+            self.metric.is_tangent(np.zeros((3, 9, 2)), base), [True, True, True]
+        )
+        with pytest.raises(ShapeError):
+            self.metric.parallel_transport(np.zeros((10, 2)), base, direction=np.zeros((9, 2)))
+        with pytest.raises(ShapeError):
+            self.metric.parallel_transport(np.zeros((9, 2)), base, direction=np.zeros((10, 2)))
 
 
 class TestLandmarks:
