@@ -150,8 +150,13 @@ class PoincareBall(Manifold):
         super().__init__(dim, (dim,), "poincare_ball")
 
     def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
-        return np.clip(np.sum(point**2, axis=-1) - 1.0, 0.0, None)
+        """Zero inside the open ball; ``||x||^2 >= 1`` on and outside its boundary.
+
+        The ball is open, so a point with ``||x|| >= 1`` fails ``belongs`` at
+        every tolerance below 1, boundary points included.
+        """
+        sq = np.sum(np.asarray(point, dtype=float) ** 2, axis=-1)
+        return np.where(sq < 1.0, 0.0, sq)
 
     def to_tangent(self, vector, base_point):
         return np.asarray(vector, dtype=float)
@@ -184,7 +189,12 @@ class PoincareBallMetric(RiemannianMetric):
     def exp(self, tangent_vec, base_point):
         base = ball_to_hyperboloid(base_point)
         vec = ball_to_hyperboloid_tangent(tangent_vec, base_point)
-        return hyperboloid_to_ball(self._hyperboloid.exp(vec, base))
+        point = hyperboloid_to_ball(self._hyperboloid.exp(vec, base))
+        # Ball points more than about 37 (hyperbolic distance) from the origin
+        # round onto the boundary in float64.
+        if not np.all(self.manifold.belongs(point)):
+            raise DomainError("Poincare-ball exp lands too close to the boundary for float64")
+        return point
 
     def log(self, point, base_point):
         base = ball_to_hyperboloid(base_point)

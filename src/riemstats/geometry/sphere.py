@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CutLocusError
+from ..errors import CutLocusError, DomainError
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 # Below this tangent norm, sin(x)/x style ratios switch to their 2-term series.
@@ -15,6 +15,19 @@ _ANTIPODAL_ATOL = 1e-7
 
 def _dot(a, b):
     return np.sum(a * b, axis=-1)
+
+
+def _cos_angle(point_a, point_b):
+    """``<a, b>`` clipped to [-1, 1].
+
+    A NaN or inf entry in either point makes the dot product non-finite, so
+    checking it rejects non-finite input with :class:`DomainError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dot = _dot(point_a, point_b)
+    if not np.all(np.isfinite(dot)):
+        raise DomainError("sphere points must be finite")
+    return np.clip(dot, -1.0, 1.0)
 
 
 class Hypersphere(Manifold):
@@ -63,7 +76,7 @@ class SphereMetric(RiemannianMetric):
     def log(self, point, base_point):
         point = np.asarray(point, dtype=float)
         base_point = np.asarray(base_point, dtype=float)
-        cos_angle = np.clip(_dot(base_point, point), -1.0, 1.0)
+        cos_angle = _cos_angle(base_point, point)
         flat = point - cos_angle[..., None] * base_point  # sin(angle) * direction
         sin_angle = np.linalg.norm(flat, axis=-1)
         angle = np.arctan2(sin_angle, cos_angle)
@@ -77,7 +90,7 @@ class SphereMetric(RiemannianMetric):
     def dist(self, point_a, point_b):
         point_a = np.asarray(point_a, dtype=float)
         point_b = np.asarray(point_b, dtype=float)
-        cos_angle = np.clip(_dot(point_a, point_b), -1.0, 1.0)
+        cos_angle = _cos_angle(point_a, point_b)
         flat = point_b - cos_angle[..., None] * point_a
         return np.arctan2(np.linalg.norm(flat, axis=-1), cos_angle)
 

@@ -14,7 +14,6 @@ Conventions
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, ShapeError
 
@@ -36,6 +35,26 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 # leaves an error of order _SQRT_TOL**2 / 4, below unit roundoff.
 _SQRT_TOL = 1e-7
 _SQRT_MAX_ITER = 100
+# Scaling-and-squaring for the matrix exponential (Higham 2005, Table 2.3):
+# theta_m is the largest 1-norm at which the degree-m diagonal Pade
+# approximant has backward error below unit roundoff.
+_EXP_DEGREES = (3, 5, 7, 9, 13)
+_EXP_THETA = np.array(
+    [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+     2.097847961257068e0, 5.371920351148152e0]
+)
+# Coefficients b_0, ..., b_m of the numerator p_m(x) = sum_k b_k x^k.
+_EXP_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
 
 
 def _as_matrix(a, name="matrix"):
@@ -95,10 +114,71 @@ def sym_eig(mat, atol=ATOL_SYM):
     return np.ascontiguousarray(w), np.ascontiguousarray(v * signs[..., None, :])
 
 
+def _exp_pade(a, m):
+    """Degree-``m`` diagonal Pade approximant ``(V - U)^-1 (V + U)`` of exp on a stack.
+
+    ``U`` holds the odd and ``V`` the even terms of the numerator; degree 13
+    uses Higham's split evaluation with six matrix products.
+    """
+    b = _EXP_PADE[m]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (
+            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+            + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+        )
+        v = (
+            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+            + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        )
+    else:
+        powers = [eye, a2]
+        for _ in range(m // 2 - 1):
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(c * p for c, p in zip(b[1::2], powers))
+        v = sum(c * p for c, p in zip(b[0::2], powers))
+    return np.linalg.solve(v - u, v + u)
+
+
 def matrix_exp(mat):
-    """Matrix exponential (scaling-and-squaring Pade), stacked input supported."""
+    """Matrix exponential by scaling and squaring, with no per-matrix Python loop.
+
+    Each matrix of the stack gets its own Pade degree ``m`` in (3, 5, 7, 9,
+    13) and scaling ``s`` from its 1-norm and the ``theta_m`` bounds of
+    Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26 (2005): the smallest degree
+    whose ``theta_m`` covers the norm, else degree 13 on ``A / 2^s`` with
+    ``||A||_1 / 2^s <= theta_13``. So a matrix's result does not depend on
+    the rest of the batch. All members of one degree are evaluated together
+    with stacked products and one batched solve, and only the members with
+    squarings left are squared. The refinement of Al-Mohy and Higham, "A new
+    scaling and squaring algorithm for the matrix exponential", SIAM J.
+    Matrix Anal. Appl. 31 (2009), which bounds ``||A^k||^(1/k)`` to avoid
+    overscaling strongly non-normal input, is not applied. Raises
+    :class:`DomainError` if any result overflows.
+    """
     mat = _as_square(mat)
-    return scipy.linalg.expm(mat)
+    n = mat.shape[-1]
+    flat = mat.reshape((-1, n, n))
+    norms = _norm_1(flat)
+    group = np.minimum(np.searchsorted(_EXP_THETA, norms), len(_EXP_DEGREES) - 1)
+    out = np.empty_like(flat)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        n_squarings = np.maximum(np.ceil(np.log2(norms / _EXP_THETA[-1])), 0.0).astype(int)
+        for g in np.unique(group):
+            members = group == g
+            scaled = np.ldexp(flat[members], -n_squarings[members, None, None])
+            out[members] = _exp_pade(scaled, _EXP_DEGREES[g])
+        for step in range(n_squarings.max(initial=0)):
+            active = np.flatnonzero(n_squarings > step)
+            root = out[active]
+            out[active] = root @ root
+    if not np.all(np.isfinite(out)):
+        raise DomainError("matrix exponential overflows")
+    return out.reshape(mat.shape)
 
 
 def _skew_vec_3x3(rot):
@@ -180,7 +260,7 @@ def _is_rotation(mat, atol):
 
 def _norm_1(mat):
     """Stacked matrix 1-norm (largest absolute column sum)."""
-    return np.max(np.sum(np.abs(mat), axis=-2), axis=-1)
+    return np.abs(mat).sum(axis=-2).max(axis=-1)
 
 
 def _sqrtm(mat):
@@ -306,9 +386,17 @@ def svd(mat):
 
 
 def sym_function(mat, fn, atol=ATOL_SYM):
-    """Apply a scalar function to a symmetric matrix through its eigenvalues."""
+    """Apply a scalar function to a symmetric matrix through its eigenvalues.
+
+    Raises :class:`DomainError` if any result is not finite, e.g. when
+    ``fn = np.exp`` overflows.
+    """
     w, v = sym_eig(mat, atol=atol)
-    return (v * fn(w)[..., None, :]) @ transpose(v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = (v * fn(w)[..., None, :]) @ transpose(v)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("symmetric matrix function has non-finite values")
+    return out
 
 
 def sym_function_derivative(mat, direction, fn, dfn, atol=ATOL_SYM):

@@ -17,6 +17,17 @@ def run_geo(args, stdin=None):
     )
 
 
+def test_import_does_not_load_scipy():
+    """scipy is a test-only reference; the library and the CLI run on numpy alone."""
+    code = (
+        "import sys, riemstats, riemstats.cli._main; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_dist_spot_value():
     out = run_geo(
         ["op", "dist", "--manifold-spec", SPHERE, "--inputs",

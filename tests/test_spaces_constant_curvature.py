@@ -67,6 +67,20 @@ class TestSphere:
     def test_dist_works_at_antipode(self):
         assert self.metric.dist(E1, -E1) == pytest.approx(np.pi)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_log_and_dist_reject_non_finite_points(self, bad):
+        point = np.array([bad, 0.0, 1.0])
+        batch = np.stack([E2, point])
+        for call in (
+            lambda: self.metric.log(point, E1),
+            lambda: self.metric.log(E2, point),
+            lambda: self.metric.log(batch, E1),
+            lambda: self.metric.dist(point, E1),
+            lambda: self.metric.dist(E1, batch),
+        ):
+            with pytest.raises(DomainError, match="finite"):
+                call()
+
     def test_inner_product_at_north_pole(self):
         assert self.metric.inner_product(E2, E2, E1) == 1.0
 
@@ -217,6 +231,21 @@ class TestPoincareBall:
     def test_out_of_ball_raises(self):
         with pytest.raises(DomainError):
             ball_to_hyperboloid(np.array([1.2, 0.0]))
+
+    def test_boundary_and_outside_points_do_not_belong(self):
+        points = np.array(
+            [[0.6, 0.0], [1.0 - 1e-12, 0.0], [1.0, 0.0], [0.6, 0.8], [1.0 + 1e-12, 0.0]]
+        )
+        assert self.ball.membership_residual(points)[2:].min() >= 1.0
+        np.testing.assert_array_equal(self.ball.belongs(points), [True, True, False, False, False])
+
+    def test_exp_rounding_onto_boundary_raises(self):
+        # Distance 80 from the origin: tanh(40) rounds to 1 in float64.
+        with pytest.raises(DomainError, match="boundary"):
+            self.metric.exp(np.array([40.0, 0.0]), np.zeros(2))
+        near = self.metric.exp(np.array([10.0, 0.0]), np.zeros(2))
+        assert self.ball.belongs(near)
+        assert self.metric.dist(np.zeros(2), near) == pytest.approx(20.0, rel=1e-9)
 
     def test_inner_product_conformal(self):
         base = np.array([0.3, -0.2])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,12 @@ class TestSPDAffine:
     def test_non_spd_input_raises(self):
         with pytest.raises(DomainError):
             self.metric.log(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_overflowing_exp_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                self.metric.exp(np.diag([800.0, 1.0]), np.eye(2))
 
     def test_norm_at_identity_is_frobenius(self):
         vec = np.diag([1.0, 0.0])
