@@ -9,10 +9,10 @@ gradient descent) and a ``geo`` command-line front end.
 
 import os as _os
 
-# GEO_NUM_THREADS caps the BLAS pools behind batched linear algebra. The
-# environment route only works before numpy's first import, so it runs at
-# package-import time; the CLI additionally applies threadpoolctl when
-# available.
+# GEO_NUM_THREADS caps the BLAS pools behind batched linear algebra. BLAS
+# reads these variables when numpy is first imported, so they are exported
+# here, before the imports below; ``geo`` runs inside this package, so every
+# ``geo`` process passes through here before numpy loads.
 _threads = _os.environ.get("GEO_NUM_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

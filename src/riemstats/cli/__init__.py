@@ -1,20 +1,9 @@
 """Command-line front end: ``geo <op|learn|figure|validate> ...``."""
 
-import os
 import sys
 
 
 def main(argv=None):
-    threads = os.environ.get("GEO_NUM_THREADS")
-    if threads:
-        # The package __init__ already exported the BLAS env-var cap; clamp
-        # any pools that were initialized earlier as well.
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(limits=int(threads))
-        except (ImportError, ValueError):
-            pass
     from ._main import run
 
     return run(sys.argv[1:] if argv is None else argv)

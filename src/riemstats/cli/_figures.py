@@ -1,55 +1,48 @@
 """Data generators for the three demonstration figures.
 
-Every generator returns a plain dict of JSON-ready values plus an optional
-CSV rendering; no plotting happens here.
+Every generator returns a payload dict (numpy values are converted to JSON
+on output) plus a CSV rendering; no plotting happens here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import (
-    Hyperboloid,
-    Hypersphere,
-    SpecialEuclidean,
-    hyperboloid_to_ball,
-    rotation_part,
-    translation_part,
-)
+from ..geometry import Hyperboloid, hyperboloid_to_ball, rotation_part, translation_part
 from ..learning import riemannian_gradient_descent
-from ._specs import SchemaError, to_jsonable
+from ._specs import SchemaError, read_array, read_point, resolve_manifold, take_fields
 
 # Documented defaults for the sphere-descent demonstration: a linear field
 # f(x) = <a, x>, minimized on S^2 at -a.
 DEFAULT_FIELD_VECTOR = (1.0 / np.sqrt(3.0)) * np.ones(3)
 DEFAULT_DESCENT_START = np.array([1.0, -0.3, 0.1]) / np.linalg.norm([1.0, -0.3, 0.1])
 
-# Documented default endpoint for the SE(3) geodesic demonstration.
+# Documented default endpoints for the SE(3) geodesic demonstration.
+DEFAULT_SE3_START = {"rotation": np.eye(3).tolist(), "translation": [0.0, 0.0, 0.0]}
 DEFAULT_SE3_END = {
     "rotation_vector": [0.7, -0.4, 0.5],
     "translation": [1.0, 0.5, -0.8],
 }
 
 
-def resolve_field(field_spec, metric, data=None):
+def resolve_field(field_spec, metric, codec, data=None):
     """Scalar-field spec -> (fun, grad, description).
 
-    Supported: ``{"type": "linear", "vector": [...]}`` (f(x) = <vector, x>),
+    Supported: ``{"type": "linear", "vector": [...]}`` (f(x) = <vector, x>, entrywise),
     ``{"type": "squared-distance", "point": ...}`` (f = dist^2(x, p) / 2),
     and ``{"type": "frechet"}`` (f = mean of dist^2(x, data_i) / 2, needs data).
     """
     if not isinstance(field_spec, dict) or "type" not in field_spec:
         raise SchemaError("field spec must be an object with a 'type'")
-    spec = dict(field_spec)
-    kind = spec.pop("type")
+    kind = field_spec["type"]
+    manifold = metric.manifold
 
     if kind == "linear":
-        vector = np.asarray(spec.pop("vector"), dtype=float)
-        if spec:
-            raise SchemaError(f"unknown field-spec entries: {sorted(spec)}")
+        fields = take_fields(field_spec, "field spec", ["type", "vector"])
+        vector = read_array(fields["vector"], "field 'vector'", manifold.point_shape)
 
         def fun(x):
-            return float(np.dot(vector, x))
+            return float(np.vdot(vector, x))
 
         def grad(x):
             return vector
@@ -57,9 +50,8 @@ def resolve_field(field_spec, metric, data=None):
         return fun, grad, {"type": "linear", "vector": vector.tolist()}
 
     if kind == "squared-distance":
-        point = np.asarray(spec.pop("point"), dtype=float)
-        if spec:
-            raise SchemaError(f"unknown field-spec entries: {sorted(spec)}")
+        fields = take_fields(field_spec, "field spec", ["type", "point"])
+        point = read_point(fields["point"], manifold, codec, "field 'point'")
 
         def fun(x):
             return 0.5 * float(metric.squared_dist(x, point))
@@ -67,11 +59,10 @@ def resolve_field(field_spec, metric, data=None):
         def grad(x):
             return -metric.log(point, x)
 
-        return fun, grad, {"type": "squared-distance", "point": point.tolist()}
+        return fun, grad, {"type": "squared-distance", "point": codec.encode(point)}
 
     if kind == "frechet":
-        if spec:
-            raise SchemaError(f"unknown field-spec entries: {sorted(spec)}")
+        take_fields(field_spec, "field spec", ["type"])
         if data is None:
             raise SchemaError("the 'frechet' field needs a dataset")
 
@@ -88,14 +79,12 @@ def resolve_field(field_spec, metric, data=None):
 
 def sphere_descent(field_spec=None, start=None, learning_rate=0.1, max_iter=200, tol=1e-8):
     """Iterate trace of Riemannian gradient descent on S^2."""
-    sphere = Hypersphere(2)
-    metric = sphere.metric
+    sphere, metric, codec = resolve_manifold({"name": "hypersphere", "n": 2})
     if field_spec is None:
         field_spec = {"type": "linear", "vector": DEFAULT_FIELD_VECTOR.tolist()}
-    fun, grad, description = resolve_field(field_spec, metric)
-    x0 = DEFAULT_DESCENT_START if start is None else np.asarray(start, dtype=float)
-    if not sphere.belongs(x0):
-        raise SchemaError("the descent start point must lie on the unit sphere")
+    fun, grad, description = resolve_field(field_spec, metric, codec)
+    start = DEFAULT_DESCENT_START if start is None else start
+    x0 = read_point(start, sphere, codec, "start point")
     result = riemannian_gradient_descent(
         sphere, fun, grad, x0, learning_rate=learning_rate, max_iter=max_iter, tol=tol
     )
@@ -107,7 +96,7 @@ def sphere_descent(field_spec=None, start=None, learning_rate=0.1, max_iter=200,
         "converged": result.converged,
     }
     rows = np.column_stack([result.points, result.values])
-    return to_jsonable(payload), ("x,y,z,value", rows)
+    return payload, ("x,y,z,value", rows)
 
 
 def poincare_grid(grid_size=5, extent=1.5, num_points=100):
@@ -159,25 +148,18 @@ def poincare_grid(grid_size=5, extent=1.5, num_points=100):
             for i, curve in enumerate(curves)
         ]
     )
-    return to_jsonable(payload), ("curve,s,x,y", rows)
+    return payload, ("curve,s,x,y", rows)
 
 
 def se3_geodesic(start=None, end=None, num_points=100):
     """Poses along the SE(3) geodesic between two rigid motions."""
     if num_points < 2:
         raise SchemaError("num-points must be >= 2")
-    group = SpecialEuclidean(3)
-    metric = group.canonical_left_metric
-
-    def decode(pose, default):
-        from ._specs import RigidCodec
-
-        if pose is None:
-            pose = default
-        return RigidCodec(3).decode_point(pose)
-
-    start_pose = decode(start, {"rotation": np.eye(3).tolist(), "translation": [0.0, 0.0, 0.0]})
-    end_pose = decode(end, DEFAULT_SE3_END)
+    group, metric, codec = resolve_manifold({"name": "se", "n": 3})
+    start_pose = read_point(
+        DEFAULT_SE3_START if start is None else start, group, codec, "start pose"
+    )
+    end_pose = read_point(DEFAULT_SE3_END if end is None else end, group, codec, "end pose")
     times = np.linspace(0.0, 1.0, num_points)
     curve = metric.geodesic(start_pose, end_point=end_pose)
     poses = curve(times)
@@ -194,4 +176,4 @@ def se3_geodesic(start=None, end=None, num_points=100):
     rot_flat = rotation_part(poses).reshape(num_points, 9)
     rows = np.column_stack([times, rot_flat, translation_part(poses)])
     header = "t," + ",".join(f"r{i}{j}" for i in range(3) for j in range(3)) + ",tx,ty,tz"
-    return to_jsonable(payload), (header, rows)
+    return payload, (header, rows)

@@ -20,8 +20,9 @@ from ._specs import (
     SchemaError,
     load_dataset,
     read_json_source,
+    read_point,
     resolve_manifold,
-    to_jsonable,
+    take_fields,
 )
 
 EXIT_OK = 0
@@ -45,13 +46,30 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError("invalid_arguments", f"{self.prog}: {message}", EXIT_SCHEMA)
 
 
+def _jsonable(value):
+    """Recursively convert numpy containers to plain JSON types."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    return value
+
+
 def _emit(payload, out=None, csv=None):
     if csv is not None:
         header, rows = csv
         lines = [header] + [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(rows)]
         text = "\n".join(lines)
     else:
-        text = json.dumps(to_jsonable(payload))
+        text = json.dumps(_jsonable(payload))
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -62,23 +80,6 @@ def _emit(payload, out=None, csv=None):
 def _manifold_from_args(args):
     spec = read_json_source(args.manifold_spec, "manifold spec")
     return resolve_manifold(spec)
-
-
-def _fields(payload, required, optional=()):
-    if not isinstance(payload, dict):
-        raise SchemaError("operation inputs must be a JSON object")
-    payload = dict(payload)
-    out = {}
-    for key in required:
-        if key not in payload:
-            raise SchemaError(f"operation inputs need a '{key}' field")
-        out[key] = payload.pop(key)
-    for key in optional:
-        if key in payload:
-            out[key] = payload.pop(key)
-    if payload:
-        raise SchemaError(f"unknown input fields: {sorted(payload)}")
-    return out
 
 
 def _given(args, *names):
@@ -94,22 +95,22 @@ def _cmd_op(args):
     op = args.operation
 
     def point_of(obj):
-        return manifold.check_point(codec.decode_point(obj))
+        return read_point(obj, manifold, codec, batched=True)
 
     if op == "exp":
-        fields = _fields(payload, ["base", "tangent"])
+        fields = take_fields(payload, "operation inputs", ["base", "tangent"])
         result = metric.exp(codec.decode_tangent(fields["tangent"]), point_of(fields["base"]))
         _emit({"result": codec.encode(result)})
     elif op == "log":
-        fields = _fields(payload, ["base", "target"])
+        fields = take_fields(payload, "operation inputs", ["base", "target"])
         result = metric.log(point_of(fields["target"]), point_of(fields["base"]))
-        _emit({"result": to_jsonable(result)})
+        _emit({"result": result})
     elif op == "dist":
-        fields = _fields(payload, ["point_a", "point_b"])
+        fields = take_fields(payload, "operation inputs", ["point_a", "point_b"])
         result = metric.dist(point_of(fields["point_a"]), point_of(fields["point_b"]))
-        _emit({"result": to_jsonable(result)})
+        _emit({"result": result})
     elif op == "geodesic":
-        fields = _fields(payload, ["base"], ["tangent", "target"])
+        fields = take_fields(payload, "operation inputs", ["base"], ["tangent", "target"])
         base = point_of(fields["base"])
         if ("tangent" in fields) == ("target" in fields):
             raise SchemaError("geodesic needs exactly one of 'tangent' / 'target'")
@@ -123,7 +124,9 @@ def _cmd_op(args):
         points = curve(times)
         _emit({"times": times.tolist(), "points": [codec.encode(p) for p in points]})
     else:  # transport
-        fields = _fields(payload, ["vector", "base"], ["direction", "target"])
+        fields = take_fields(
+            payload, "operation inputs", ["vector", "base"], ["direction", "target"]
+        )
         if ("direction" in fields) == ("target" in fields):
             raise SchemaError("transport needs exactly one of 'direction' / 'target'")
         vector = codec.decode_tangent(fields["vector"])
@@ -136,7 +139,7 @@ def _cmd_op(args):
             result = metric.parallel_transport(
                 vector, base, end_point=point_of(fields["target"])
             )
-        _emit({"result": to_jsonable(result)})
+        _emit({"result": result})
     return EXIT_OK
 
 
@@ -181,17 +184,19 @@ def _cmd_learn(args):
     elif estimator == "tpca":
         base_point = None
         if args.base_point is not None:
-            base_point = codec.decode_point(read_json_source(args.base_point, "base point"))
+            base_point = read_point(
+                read_json_source(args.base_point, "base point"), manifold, codec, "base point"
+            )
         model = TangentPCA(metric, n_components=args.n_components).fit(
             points, base_point=base_point
         )
         _emit(
             {
                 "base_point": codec.encode(model.base_point_),
-                "components": to_jsonable(model.components_),
-                "explained_variance": to_jsonable(model.explained_variance_),
-                "explained_variance_ratio": to_jsonable(model.explained_variance_ratio_),
-                "coefficients": to_jsonable(model.transform(points)),
+                "components": model.components_,
+                "explained_variance": model.explained_variance_,
+                "explained_variance_ratio": model.explained_variance_ratio_,
+                "coefficients": model.transform(points),
             }
         )
     elif estimator == "kmeans":
@@ -205,7 +210,7 @@ def _cmd_learn(args):
                 "centroids": [codec.encode(c) for c in model.centroids_],
                 "labels": model.labels_.tolist(),
                 "inertia": model.inertia_,
-                "inertia_history": to_jsonable(model.inertia_history_),
+                "inertia_history": model.inertia_history_,
                 "n_iter": model.n_iter_,
                 "converged": model.converged_,
             }
@@ -226,9 +231,11 @@ def _cmd_learn(args):
         if args.field is None:
             raise SchemaError("rgrad needs --field")
         field_spec = read_json_source(args.field, "field spec")
-        fun, grad, description = resolve_field(field_spec, metric, data=points)
+        fun, grad, description = resolve_field(field_spec, metric, codec, data=points)
         if args.x0 is not None:
-            x0 = codec.decode_point(read_json_source(args.x0, "start point"))
+            x0 = read_point(
+                read_json_source(args.x0, "start point"), manifold, codec, "start point"
+            )
         elif points is not None:
             x0 = points[0]
         else:

@@ -2,10 +2,12 @@
 
 A manifold spec is a JSON object with a ``name`` plus dimension parameters,
 an optional ``metric`` family selector, and an optional ``representation``.
-Unknown fields are rejected. Points are JSON arrays matching the manifold's
-point shape (rigid motions may also be ``{"rotation", "translation"}``
-objects); datasets are ``{"points": [...]}`` with optional ``labels`` and
-``weights``, membership-validated on load.
+Points are JSON arrays matching the manifold's point shape (rigid motions may
+also be ``{"rotation", "translation"}`` objects); datasets are
+``{"points": [...]}`` with optional ``labels`` and ``weights``,
+membership-validated on load. Every JSON object is read by
+:func:`take_fields`, which rejects unknown fields, and every point given on
+the command line by :func:`read_point`, which checks membership.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ..geometry import (
     Hyperboloid,
     Hypersphere,
     Landmarks,
+    LandmarksMetric,
     Minkowski,
     PoincareBall,
     SPDMatrices,
@@ -51,18 +54,41 @@ def _require(condition, message):
         raise SchemaError(message)
 
 
-def _take(spec, required, optional=()):
-    """Pop known fields; reject unknown ones."""
-    spec = dict(spec)
+def take_fields(obj, what, required=(), optional=()):
+    """The fields of the JSON object ``what``: all ``required``, any ``optional``, no others."""
+    _require(isinstance(obj, dict), f"{what} must be a JSON object")
+    obj = dict(obj)
     out = {}
     for key in required:
-        _require(key in spec, f"manifold spec is missing required field '{key}'")
-        out[key] = spec.pop(key)
+        _require(key in obj, f"{what}: missing required field '{key}'")
+        out[key] = obj.pop(key)
     for key in optional:
-        if key in spec:
-            out[key] = spec.pop(key)
-    _require(not spec, f"unknown fields in spec: {sorted(spec)}")
+        if key in obj:
+            out[key] = obj.pop(key)
+    _require(not obj, f"{what}: unknown fields {sorted(obj)}")
     return out
+
+
+def read_point(obj, manifold, codec, what="point", batched=False):
+    """Decode a point (a batch of points if ``batched``) and check membership."""
+    point = codec.decode_point(obj)
+    _require(
+        batched or point.shape == manifold.point_shape,
+        f"{what} must be one point of shape {list(manifold.point_shape)}, got {list(point.shape)}",
+    )
+    return manifold.check_point(point, atol=MEMBERSHIP_ATOL)
+
+
+def read_array(obj, what, shape=None):
+    """A finite numeric array, of exactly ``shape`` when one is given."""
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be a numeric array") from None
+    _require(bool(np.all(np.isfinite(arr))), f"{what} has non-finite entries")
+    _require(shape is None or arr.shape == tuple(shape),
+             f"{what} must have shape {list(shape or ())}, got {list(arr.shape)}")
+    return arr
 
 
 def _positive_int(value, name):
@@ -71,31 +97,19 @@ def _positive_int(value, name):
     return value
 
 
-def _metric_family(spec, allowed, default):
-    metric_spec = spec.get("metric")
-    if metric_spec is None:
-        return default, {}
-    _require(isinstance(metric_spec, dict), "'metric' must be an object")
-    metric_spec = dict(metric_spec)
-    family = metric_spec.pop("family", default)
-    _require(family in allowed, f"metric family must be one of {sorted(allowed)}")
-    return family, metric_spec
-
-
 class PointCodec:
     """Default codec: points and tangents are plain (nested) JSON arrays."""
 
-    def __init__(self, point_shape, tangent_shape=None):
+    def __init__(self, point_shape, tangent_shape):
         self.point_shape = tuple(point_shape)
-        self.tangent_shape = tuple(tangent_shape or point_shape)
+        self.tangent_shape = tuple(tangent_shape)
 
     def _decode(self, obj, shape, what):
-        arr = np.asarray(obj, dtype=float)
+        arr = read_array(obj, what)
         _require(
             arr.shape[len(arr.shape) - len(shape):] == shape and arr.ndim <= len(shape) + 1,
             f"{what} must have shape {list(shape)} (optionally batched), got {list(arr.shape)}",
         )
-        _require(bool(np.all(np.isfinite(arr))), f"{what} has non-finite entries")
         return arr
 
     def decode_point(self, obj):
@@ -112,25 +126,26 @@ class RigidCodec(PointCodec):
     """SE(n) points as homogeneous matrices or rotation/translation objects."""
 
     def __init__(self, n):
-        super().__init__((n + 1, n + 1))
+        super().__init__((n + 1, n + 1), (n + 1, n + 1))
         self.n = n
 
     def _from_parts(self, obj, assemble, what):
-        obj = dict(obj)
-        translation = obj.pop("translation", None)
-        rotation = obj.pop("rotation", None)
-        rotation_vector = obj.pop("rotation_vector", None)
-        _require(not obj, f"unknown fields in {what}: {sorted(obj)}")
-        _require(translation is not None, f"{what} needs a 'translation'")
-        if rotation_vector is not None:
-            _require(rotation is None, f"{what} takes 'rotation' or 'rotation_vector', not both")
+        fields = take_fields(obj, what, ["translation"], ["rotation", "rotation_vector"])
+        _require(("rotation" in fields) != ("rotation_vector" in fields),
+                 f"{what} takes one of 'rotation' / 'rotation_vector'")
+        if "rotation_vector" in fields:
             _require(self.n == 3, "'rotation_vector' is only available for n=3")
-            rotation = matrix_from_rotation_vector(np.asarray(rotation_vector, dtype=float))
-        _require(rotation is not None, f"{what} needs a 'rotation' or 'rotation_vector'")
-        rotation = np.asarray(rotation, dtype=float)
-        translation = np.asarray(translation, dtype=float)
-        _require(rotation.shape[-2:] == (self.n, self.n), f"{what} rotation must be {self.n}x{self.n}")
-        _require(translation.shape[-1:] == (self.n,), f"{what} translation must have length {self.n}")
+            rotation_vector = read_array(fields["rotation_vector"], f"{what} rotation_vector")
+            _require(rotation_vector.shape[-1:] == (3,),
+                     f"{what} rotation_vector must have length 3")
+            rotation = matrix_from_rotation_vector(rotation_vector)
+        else:
+            rotation = read_array(fields["rotation"], f"{what} rotation")
+        translation = read_array(fields["translation"], f"{what} translation")
+        _require(rotation.shape[-2:] == (self.n, self.n),
+                 f"{what} rotation must be {self.n}x{self.n}")
+        _require(translation.shape[-1:] == (self.n,),
+                 f"{what} translation must have length {self.n}")
         return assemble(rotation, translation)
 
     def decode_point(self, obj):
@@ -154,105 +169,89 @@ class RigidCodec(PointCodec):
 def resolve_manifold(spec):
     """Manifold spec object -> (manifold, metric, codec)."""
     _require(isinstance(spec, dict), "manifold spec must be a JSON object")
-    name = spec.get("name")
-    _require(isinstance(name, str), "manifold spec needs a 'name'")
+    _require(isinstance(spec.get("name"), str), "manifold spec needs a 'name'")
+    manifold, metric = _build_manifold(spec["name"], spec)
+    if isinstance(manifold, SpecialEuclidean):
+        return manifold, metric, RigidCodec(manifold.n)
+    return manifold, metric, PointCodec(manifold.point_shape, metric.tangent_shape)
 
-    if name == "euclidean":
-        fields = _take(spec, ["name", "n"])
-        manifold = Euclidean(_positive_int(fields["n"], "n"))
-        return manifold, manifold.metric, PointCodec(manifold.point_shape)
 
-    if name == "minkowski":
-        fields = _take(spec, ["name", "n"])
-        manifold = Minkowski(_positive_int(fields["n"], "n"))
-        return manifold, manifold.metric, PointCodec(manifold.point_shape)
+def _build_manifold(name, spec):
+    def take(sizes, optional=()):
+        fields = take_fields(spec, "manifold spec", ["name", *sizes], optional)
+        return [_positive_int(fields[key], key) for key in sizes], fields
+
+    def family(fields, families, options=()):
+        """The metric family (default first in ``families``) and the metric fields."""
+        given = fields.get("metric")
+        metric = take_fields({} if given is None else given, "metric", (), ["family", *options])
+        chosen = metric.get("family", families[0])
+        _require(chosen in families, f"metric family must be one of {sorted(families)}")
+        return chosen, metric
+
+    flat = {"euclidean": Euclidean, "minkowski": Minkowski, "gl": GeneralLinear}
+    if name in flat:
+        (n,), _ = take(["n"])
+        manifold = flat[name](n)
+        return manifold, manifold.metric
 
     if name == "hypersphere":
-        fields = _take(spec, ["name", "n"], ["representation"])
+        (n,), fields = take(["n"], ["representation"])
         _require(fields.get("representation", "extrinsic") == "extrinsic",
                  "hypersphere only has the 'extrinsic' representation")
-        manifold = Hypersphere(_positive_int(fields["n"], "n"))
-        return manifold, manifold.metric, PointCodec(manifold.point_shape)
+        manifold = Hypersphere(n)
+        return manifold, manifold.metric
 
     if name == "hyperbolic":
-        fields = _take(spec, ["name", "n"], ["representation"])
+        (n,), fields = take(["n"], ["representation"])
         representation = fields.get("representation", "hyperboloid")
         _require(representation in ("hyperboloid", "ball"),
                  "hyperbolic representation must be 'hyperboloid' or 'ball'")
-        n = _positive_int(fields["n"], "n")
         manifold = Hyperboloid(n) if representation == "hyperboloid" else PoincareBall(n)
-        return manifold, manifold.metric, PointCodec(manifold.point_shape)
+        return manifold, manifold.metric
+
+    if name in ("stiefel", "grassmann"):
+        (n, p), _ = take(["n", "p"])
+        manifold = Stiefel(n, p) if name == "stiefel" else Grassmann(n, p)
+        return manifold, manifold.metric
 
     if name == "spd":
-        fields = _take(spec, ["name", "n"], ["metric"])
-        family, extra = _metric_family(
-            fields, {"affine-invariant", "log-euclidean"}, "affine-invariant"
-        )
-        _require(not extra, f"unknown metric fields: {sorted(extra)}")
-        manifold = SPDMatrices(_positive_int(fields["n"], "n"))
-        metric = (
-            manifold.affine_invariant_metric
-            if family == "affine-invariant"
-            else manifold.log_euclidean_metric
-        )
-        return manifold, metric, PointCodec(manifold.point_shape)
+        (n,), fields = take(["n"], ["metric"])
+        chosen, _ = family(fields, ["affine-invariant", "log-euclidean"])
+        manifold = SPDMatrices(n)
+        if chosen == "affine-invariant":
+            return manifold, manifold.affine_invariant_metric
+        return manifold, manifold.log_euclidean_metric
 
     if name == "so":
-        fields = _take(spec, ["name", "n"], ["metric"])
-        family, extra = _metric_family(fields, {"bi-invariant"}, "bi-invariant")
-        _require(not extra, f"unknown metric fields: {sorted(extra)}")
-        manifold = SpecialOrthogonal(_positive_int(fields["n"], "n"))
-        return manifold, manifold.bi_invariant_metric, PointCodec(manifold.point_shape)
+        (n,), fields = take(["n"], ["metric"])
+        family(fields, ["bi-invariant"])
+        manifold = SpecialOrthogonal(n)
+        return manifold, manifold.bi_invariant_metric
 
     if name == "se":
-        fields = _take(spec, ["name", "n"], ["metric"])
-        family, extra = _metric_family(
-            fields, {"left-invariant", "right-invariant"}, "left-invariant"
-        )
-        inner_matrix = extra.pop("inner_matrix", None)
-        _require(not extra, f"unknown metric fields: {sorted(extra)}")
-        manifold = SpecialEuclidean(_positive_int(fields["n"], "n"))
-        side = "left" if family == "left-invariant" else "right"
+        (n,), fields = take(["n"], ["metric"])
+        chosen, options = family(fields, ["left-invariant", "right-invariant"], ["inner_matrix"])
+        manifold = SpecialEuclidean(n)
+        inner_matrix = options.get("inner_matrix")
         if inner_matrix is not None:
-            inner_matrix = np.asarray(inner_matrix, dtype=float)
-        metric = manifold.invariant_metric(side=side, inner_matrix=inner_matrix)
-        return manifold, metric, RigidCodec(manifold.n)
-
-    if name == "gl":
-        fields = _take(spec, ["name", "n"])
-        manifold = GeneralLinear(_positive_int(fields["n"], "n"))
-        return manifold, manifold.metric, PointCodec(manifold.point_shape)
-
-    if name == "stiefel":
-        fields = _take(spec, ["name", "n", "p"])
-        manifold = Stiefel(_positive_int(fields["n"], "n"), _positive_int(fields["p"], "p"))
-        return manifold, manifold.canonical_metric, PointCodec(manifold.point_shape)
-
-    if name == "grassmann":
-        fields = _take(spec, ["name", "n", "p"])
-        manifold = Grassmann(_positive_int(fields["n"], "n"), _positive_int(fields["p"], "p"))
-        return manifold, manifold.metric, PointCodec(manifold.point_shape)
+            inner_matrix = read_array(inner_matrix, "'inner_matrix'", (manifold.dim,) * 2)
+        side = "left" if chosen == "left-invariant" else "right"
+        return manifold, manifold.invariant_metric(side=side, inner_matrix=inner_matrix)
 
     if name == "curves":
-        fields = _take(spec, ["name", "k", "d"], ["metric"])
-        family, extra = _metric_family(fields, {"l2", "srv"}, "l2")
-        _require(not extra, f"unknown metric fields: {sorted(extra)}")
-        manifold = DiscretizedCurves(
-            _positive_int(fields["k"], "k"), _positive_int(fields["d"], "d")
-        )
-        metric = manifold.l2_metric if family == "l2" else manifold.srv_metric
-        return manifold, metric, PointCodec(manifold.point_shape, metric.tangent_shape)
+        (k, d), fields = take(["k", "d"], ["metric"])
+        chosen, _ = family(fields, ["l2", "srv"])
+        manifold = DiscretizedCurves(k, d)
+        return manifold, manifold.l2_metric if chosen == "l2" else manifold.srv_metric
 
     if name == "landmarks":
-        fields = _take(spec, ["name", "k", "base"])
+        fields = take_fields(spec, "manifold spec", ["name", "k", "base"])
         base_manifold, base_metric, base_codec = resolve_manifold(fields["base"])
-        _require(isinstance(base_codec, PointCodec) and type(base_codec) is PointCodec,
+        _require(type(base_codec) is PointCodec,
                  "landmarks on this base manifold are not supported")
         manifold = Landmarks(base_manifold, _positive_int(fields["k"], "k"))
-        from ..geometry import LandmarksMetric
-
-        metric = LandmarksMetric(manifold, base_metric)
-        return manifold, metric, PointCodec(manifold.point_shape)
+        return manifold, LandmarksMetric(manifold, base_metric)
 
     raise SchemaError(f"unknown manifold name '{name}'")
 
@@ -290,25 +289,24 @@ def load_dataset(source, manifold, codec, validate=True, atol=MEMBERSHIP_ATOL):
         payload = {"points": points.tolist()}
     else:
         payload = read_json_source(source, "dataset")
-    _require(isinstance(payload, dict) and "points" in payload, "dataset needs a 'points' field")
-    extra = set(payload) - {"points", "labels", "weights"}
-    _require(not extra, f"unknown dataset fields: {sorted(extra)}")
+    fields = take_fields(payload, "dataset", ["points"], ["labels", "weights"])
 
-    raw_points = payload["points"]
+    raw_points = fields["points"]
     _require(isinstance(raw_points, list) and raw_points, "'points' must be a non-empty array")
-    points = np.stack([codec.decode_point(p) for p in raw_points])
+    points = [codec.decode_point(p) for p in raw_points]
     _require(
-        points.ndim == len(manifold.point_shape) + 1,
+        all(p.shape == manifold.point_shape for p in points),
         "every dataset point must have the manifold's point shape",
     )
+    points = np.stack(points)
 
-    labels = payload.get("labels")
+    labels = fields.get("labels")
     if labels is not None:
         labels = np.asarray(labels)
         _require(labels.shape == (len(raw_points),), "'labels' must have one entry per point")
-    weights = payload.get("weights")
+    weights = fields.get("weights")
     if weights is not None:
-        weights = np.asarray(weights, dtype=float)
+        weights = read_array(weights, "'weights'")
         _require(weights.shape == (len(raw_points),), "'weights' must have one entry per point")
 
     if validate:
@@ -321,19 +319,3 @@ def load_dataset(source, manifold, codec, validate=True, atol=MEMBERSHIP_ATOL):
             )
     return points, labels, weights
 
-
-def to_jsonable(value):
-    """Recursively convert numpy containers to plain JSON types."""
-    if isinstance(value, dict):
-        return {k: to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    return value

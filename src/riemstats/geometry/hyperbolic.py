@@ -99,10 +99,14 @@ class HyperboloidMetric(RiemannianMetric):
     def exp(self, tangent_vec, base_point):
         tangent_vec = self._check_tangent(tangent_vec, base_point)
         base_point = np.asarray(base_point, dtype=float)
-        r = np.sqrt(np.clip(minkowski_inner(tangent_vec, tangent_vec), 0.0, None))
-        small = r < _SERIES_THRESHOLD
-        sinhc = np.where(small, 1.0 + r**2 / 6.0, np.sinh(r) / np.where(small, 1.0, r))
-        return np.cosh(r)[..., None] * base_point + sinhc[..., None] * tangent_vec
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.sqrt(np.clip(minkowski_inner(tangent_vec, tangent_vec), 0.0, None))
+            small = r < _SERIES_THRESHOLD
+            sinhc = np.where(small, 1.0 + r**2 / 6.0, np.sinh(r) / np.where(small, 1.0, r))
+            out = np.cosh(r)[..., None] * base_point + sinhc[..., None] * tangent_vec
+        if not np.all(np.isfinite(out)):
+            raise DomainError("hyperboloid exp overflows")
+        return out
 
     def log(self, point, base_point):
         point = np.asarray(point, dtype=float)
@@ -116,17 +120,19 @@ class HyperboloidMetric(RiemannianMetric):
         return factor[..., None] * flat
 
     def dist(self, point_a, point_b):
-        """arccosh(-<a, b>_M), evaluated through arcsinh of the tangent part.
+        """``2 asinh(sqrt(q) / 2)`` with ``q = <a - b, a - b>_M = 2 (cosh d - 1)``.
 
-        The direct arccosh form loses half the digits near coincident points;
-        sinh(d) is computed exactly from the Minkowski-orthogonal component.
+        Both evaluations of ``q`` are symmetric in ``a`` and ``b``. The
+        difference form is exact near coincident points, where ``-<a, b>_M``
+        rounds to 1; far apart it cancels entries of size ``cosh(d)^2``, so
+        ``2 (-<a, b>_M - 1)`` is used once ``-<a, b>_M`` exceeds 2.
         """
         point_a = np.asarray(point_a, dtype=float)
         point_b = np.asarray(point_b, dtype=float)
+        diff = point_a - point_b
         beta = -minkowski_inner(point_a, point_b)
-        flat = point_b - beta[..., None] * point_a
-        sinh_d = np.sqrt(np.clip(minkowski_inner(flat, flat), 0.0, None))
-        return np.arcsinh(sinh_d)
+        q = np.where(beta > 2.0, 2.0 * (beta - 1.0), minkowski_inner(diff, diff))
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
 
     def squared_dist(self, point_a, point_b):
         return self.dist(point_a, point_b) ** 2

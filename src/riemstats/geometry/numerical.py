@@ -251,11 +251,12 @@ def transport_by_ladder(metric, tangent_vec, base_point, end_point, n_rungs=20):
 
     whole = metric.log(end_point, base_point)
     vec = tangent_vec
+    start = metric.exp(0.0 * whole, base_point)
     for i in range(n_rungs):
-        start = metric.exp((i / n_rungs) * whole, base_point)
         mid = metric.exp(((i + 0.5) / n_rungs) * whole, base_point)
         nxt = metric.exp(((i + 1.0) / n_rungs) * whole, base_point)
         lifted = metric.exp(vec, start)
         reflected = metric.exp(-metric.log(lifted, mid), mid)
         vec = -metric.log(reflected, nxt)
+        start = nxt
     return vec

@@ -86,6 +86,7 @@ def frechet_mean(
     n_iter = 0
     converged = False
     step_norm = np.inf
+    current_var = None  # variance at ``estimate``, carried over from the line search
     for _ in range(max_iter):
         n_iter += 1
         logs = metric.log(points, estimate)
@@ -96,14 +97,17 @@ def frechet_mean(
             break
 
         step = step_size
-        current_var = frechet_variance(metric, points, estimate, weights)
+        if current_var is None:
+            current_var = frechet_variance(metric, points, estimate, weights)
         candidate = metric.exp(step * mean_tangent, estimate)
         for _ in range(30):
-            if frechet_variance(metric, points, candidate, weights) <= current_var:
+            candidate_var = frechet_variance(metric, points, candidate, weights)
+            if candidate_var <= current_var:
                 break
             step *= 0.5
             candidate = metric.exp(step * mean_tangent, estimate)
-        estimate = candidate
+            candidate_var = None
+        estimate, current_var = candidate, candidate_var
     return FrechetMeanResult(
         estimate=estimate, n_iter=n_iter, converged=converged, final_step_norm=step_norm
     )

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from cli_examples import EXAMPLE_COMMANDS, SPHERE
+from cli_examples import EXAMPLE_COMMANDS, SE3, SPHERE
+from riemstats.cli._main import run
 
 
 def run_geo(args, stdin=None):
@@ -303,3 +304,109 @@ def test_documented_examples_succeed(argv):
     out = run_geo(argv)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+# -- one input path: every point is membership-checked, every object field-checked --
+
+S2_DATA = '{"points": [[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]]}'
+LINEAR = '{"type": "linear", "vector": [1, 0, 0]}'
+POSE = '{"rotation": [[1,0,0],[0,1,0],[0,0,1]], "translation": [0, 0, 0]}'
+BAD_POSE = '{"rotation": [[2,0,0],[0,1,0],[0,0,1]], "translation": [0, 0, 0]}'
+
+
+def run_inline(argv, capsys):
+    """``geo`` in this process: (exit code, error object or None)."""
+    code = run(argv)
+    err = capsys.readouterr().err
+    return code, (json.loads(err)["error"] if err else None)
+
+
+def op(name, inputs, spec=SPHERE):
+    return ["op", name, "--manifold-spec", spec, "--inputs", inputs]
+
+
+OFF_MANIFOLD = {
+    "exp base": op("exp", '{"base": [2, 0, 0], "tangent": [0, 0, 0]}'),
+    "log base": op("log", '{"base": [2, 0, 0], "target": [0, 1, 0]}'),
+    "log target": op("log", '{"base": [1, 0, 0], "target": [0, 2, 0]}'),
+    "dist point_b": op("dist", '{"point_a": [1, 0, 0], "point_b": [[0, 1, 0], [0, 3, 0]]}'),
+    "geodesic target": op("geodesic", '{"base": [1, 0, 0], "target": [0, 2, 0]}'),
+    "transport base": op("transport", '{"vector": [0, 0, 1], "base": [2, 0, 0], '
+                                      '"direction": [0, 1, 0]}'),
+    "transport target": op("transport", '{"vector": [0, 0, 1], "base": [1, 0, 0], '
+                                        '"target": [0, 2, 0]}'),
+    "se pose": op("dist", '{"point_a": ' + BAD_POSE + ', "point_b": ' + POSE + "}", SE3),
+    "tpca --base-point": ["learn", "tpca", "--manifold-spec", SPHERE, "--data", S2_DATA,
+                          "--base-point", "[3, 0, 0]"],
+    "learn --x0": ["learn", "rgrad", "--manifold-spec", SPHERE, "--field", LINEAR,
+                   "--x0", "[2, 0, 0]"],
+    "figure --x0": ["figure", "sphere-descent", "--x0", "[2, 0, 0]"],
+    "figure --start": ["figure", "se3-geodesic", "--start", BAD_POSE],
+    "figure --end": ["figure", "se3-geodesic", "--end", BAD_POSE],
+    "field point": ["learn", "rgrad", "--manifold-spec", SPHERE, "--x0", "[1, 0, 0]",
+                    "--field", '{"type": "squared-distance", "point": [0, 0, 2]}'],
+    "figure field point": ["figure", "sphere-descent",
+                           "--field", '{"type": "squared-distance", "point": [0, 0, 2]}'],
+}
+
+
+@pytest.mark.parametrize("argv", OFF_MANIFOLD.values(), ids=OFF_MANIFOLD.keys())
+def test_off_manifold_points_exit_3(argv, capsys):
+    code, error = run_inline(argv, capsys)
+    assert (code, error["code"]) == (3, "not_on_manifold"), error
+
+
+SPD_METRIC = '{"name": "spd", "n": 2, "metric": {"family": "log-euclidean", "scale": 2}}'
+INVALID = {
+    "batch --x0": ["learn", "rgrad", "--manifold-spec", SPHERE, "--field", LINEAR,
+                   "--x0", "[[1, 0, 0], [0, 1, 0]]"],
+    "batch figure --x0": ["figure", "sphere-descent", "--x0", "[[1, 0, 0], [0, 1, 0]]"],
+    "batch --base-point": ["learn", "tpca", "--manifold-spec", SPHERE, "--data", S2_DATA,
+                           "--base-point", "[[1, 0, 0], [0, 1, 0]]"],
+    "batch field point": ["learn", "rgrad", "--manifold-spec", SPHERE, "--x0", "[1, 0, 0]",
+                          "--field", '{"type": "squared-distance", '
+                                     '"point": [[0, 0, 1], [0, 1, 0]]}'],
+    "spec missing": op("dist", "{}", '{"name": "stiefel", "n": 3}'),
+    "spec unknown": op("dist", "{}", '{"name": "hypersphere", "n": 2, "radius": 2}'),
+    "metric unknown": op("dist", "{}", SPD_METRIC),
+    "metric not object": op("dist", "{}", '{"name": "so", "n": 3, "metric": "bi-invariant"}'),
+    "inputs missing": op("dist", '{"point_a": [1, 0, 0]}'),
+    "inputs unknown": op("dist", '{"point_a": [1, 0, 0], "point_b": [0, 1, 0], "c": 1}'),
+    "inputs not object": op("dist", "[[1, 0, 0], [0, 1, 0]]"),
+    "point not numeric": op("dist", '{"point_a": "north", "point_b": [0, 1, 0]}'),
+    "linear missing": ["learn", "rgrad", "--manifold-spec", SPHERE, "--x0", "[1, 0, 0]",
+                       "--field", '{"type": "linear"}'],
+    "linear unknown": ["learn", "rgrad", "--manifold-spec", SPHERE, "--x0", "[1, 0, 0]",
+                       "--field", '{"type": "linear", "vector": [1, 0, 0], "scale": 2}'],
+    "squared-distance missing": ["figure", "sphere-descent",
+                                 "--field", '{"type": "squared-distance"}'],
+    "squared-distance unknown": ["figure", "sphere-descent", "--field",
+                                 '{"type": "squared-distance", "point": [0, 0, 1], "w": 1}'],
+    "vector length": ["learn", "rgrad", "--manifold-spec", SPHERE, "--x0", "[1, 0, 0]",
+                      "--field", '{"type": "linear", "vector": [1, 0]}'],
+    "figure vector length": ["figure", "sphere-descent",
+                             "--field", '{"type": "linear", "vector": [1, 0, 0, 0]}'],
+    "pose missing": op("dist", '{"point_a": {"rotation": [[1,0,0],[0,1,0],[0,0,1]]}, '
+                               '"point_b": ' + POSE + "}", SE3),
+    "pose unknown": ["figure", "se3-geodesic", "--end",
+                     '{"rotation_vector": [0, 0, 1], "translation": [0, 0, 0], "scale": 1}'],
+    "dataset missing": ["validate", "--manifold-spec", SPHERE, "--data", '{"point": []}'],
+    "dataset unknown": ["learn", "mean", "--manifold-spec", SPHERE,
+                        "--data", '{"points": [[1, 0, 0]], "names": ["a"]}'],
+    "dataset ragged": ["validate", "--manifold-spec", SPHERE,
+                       "--data", '{"points": [[1, 0, 0], [[1, 0, 0], [0, 1, 0]]]}'],
+}
+
+
+@pytest.mark.parametrize("argv", INVALID.values(), ids=INVALID.keys())
+def test_invalid_input_exits_2(argv, capsys):
+    code, error = run_inline(argv, capsys)
+    assert (code, error["code"]) == (2, "invalid_input"), error
+
+
+def test_linear_field_on_matrix_points(capsys):
+    argv = ["learn", "rgrad", "--manifold-spec", '{"name": "spd", "n": 2}', "--max-iter", "3",
+            "--allow-unconverged", "--field", '{"type": "linear", "vector": [[1, 0], [0, 1]]}',
+            "--x0", "[[1, 0], [0, 1]]"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["n_iter"] == 3

@@ -108,6 +108,30 @@ class TestFrechetMean:
         result = frechet_mean(S_METRIC, data, max_iter=1, tol=1e-14)
         assert not result.converged
 
+    def test_variance_evaluated_once_per_candidate(self, monkeypatch):
+        from riemstats.learning import frechet
+
+        calls = {"exp": 0, "variance": 0}
+        metric = Hypersphere(2).metric
+        plain_exp, plain_variance = metric.exp, frechet.frechet_variance
+
+        def exp(vec, base):
+            calls["exp"] += 1
+            return plain_exp(vec, base)
+
+        def variance(*args):
+            calls["variance"] += 1
+            return plain_variance(*args)
+
+        monkeypatch.setattr(metric, "exp", exp)
+        monkeypatch.setattr(frechet, "frechet_variance", variance)
+        rng = np.random.default_rng(8)
+        data = sphere_cap(SPHERE.random_point(rng=rng), 1.2, 40, rng)
+        result = frechet_mean(metric, data)
+        assert result.converged and result.n_iter > 2
+        # One evaluation at the start point, then one per line-search candidate.
+        assert calls["variance"] == calls["exp"] + 1
+
     def test_estimator_wrapper(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((12, 3))

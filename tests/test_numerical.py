@@ -220,6 +220,24 @@ class TestPoleLadder:
         out = transport_by_ladder(metric, vec, base, end, n_rungs=50)
         np.testing.assert_allclose(out, expected, atol=1e-5)
 
+    def test_each_rung_reuses_the_previous_end(self):
+        metric = Hypersphere(2).metric
+        calls = {"exp": 0, "log": 0}
+
+        class Counting:
+            def exp(self, vec, base):
+                calls["exp"] += 1
+                return metric.exp(vec, base)
+
+            def log(self, point, base):
+                calls["log"] += 1
+                return metric.log(point, base)
+
+        base, end = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        out = transport_by_ladder(Counting(), np.array([0.0, 0.0, 1.0]), base, end, n_rungs=7)
+        np.testing.assert_allclose(out, [0.0, 0.0, 1.0], atol=1e-12)
+        assert calls == {"exp": 1 + 4 * 7, "log": 1 + 2 * 7}
+
     def test_norm_drift_under_20_rungs(self):
         from riemstats.geometry import Hyperboloid
         from riemstats.geometry.spd import SPDMatrices

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,26 @@ class TestHyperboloid:
         b = self.space.random_point(100, rng)
         np.testing.assert_allclose(self.metric.dist(a, b), self.metric.dist(b, a), atol=1e-10)
 
+    @pytest.mark.parametrize("s, t", [(0.0, 15.0), (0.0, 18.0), (-7.0, 8.0), (-9.0, 9.0)])
+    def test_dist_far_apart_is_symmetric_and_accurate(self, s, t):
+        # Points at signed distances s and t from the origin on one geodesic.
+        rng = np.random.default_rng(11)
+        origin = self.space.origin()
+        for _ in range(5):
+            u = rng.standard_normal(2)
+            axis = np.concatenate([[0.0], u / np.linalg.norm(u)])
+            a, b = self.metric.exp(np.stack([s * axis, t * axis]), origin)
+            forward, backward = self.metric.dist(a, b), self.metric.dist(b, a)
+            assert forward == backward
+            assert abs(forward - (t - s)) <= 1e-10 * (t - s)
+
+    def test_exp_overflow_raises_without_warnings(self):
+        origin = self.space.origin()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                self.metric.exp(np.array([0.0, 800.0, 0.0]), origin)
+
     def test_transport_isometry(self):
         rng = np.random.default_rng(7)
         base = self.space.random_point(rng=rng)
@@ -246,6 +268,18 @@ class TestPoincareBall:
         near = self.metric.exp(np.array([10.0, 0.0]), np.zeros(2))
         assert self.ball.belongs(near)
         assert self.metric.dist(np.zeros(2), near) == pytest.approx(20.0, rel=1e-9)
+
+    def test_dist_near_boundary_is_symmetric(self):
+        # Distance 30 from the origin: 1 - |p|^2 is 4e-13, so only ~4 digits survive.
+        point, origin = np.array([np.tanh(15.0), 0.0]), np.zeros(2)
+        assert self.metric.dist(point, origin) == self.metric.dist(origin, point)
+        assert self.metric.dist(point, origin) == pytest.approx(30.0, rel=1e-4)
+
+    def test_exp_overflow_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                self.metric.exp(np.array([800.0, 0.0]), np.zeros(2))
 
     def test_inner_product_conformal(self):
         base = np.array([0.3, -0.2])
