@@ -3,8 +3,15 @@
 Batch version: k-means++ seeding on Riemannian distances, then Lloyd
 iterations assigning by distance (ties to the lowest centroid index) and
 updating centroids by Frechet means warm-started at the previous centroid,
-which keeps the inertia non-increasing. An emptied cluster is re-seeded
-with the farthest point from its old centroid.
+which keeps the inertia non-increasing. All k means of an iteration come
+from one segmented Karcher flow over the points sorted by label
+(:func:`~riemstats.learning.frechet.karcher_flow`); each centroid equals
+``frechet_mean(members, init=previous centroid)`` bit for bit. An emptied
+cluster is re-seeded with the farthest point from its old centroid.
+
+Point-to-centroid distances (seeding, assignment, ``predict`` and the
+online update) broadcast the centroids against the points: one
+``squared_dist`` call for few points, one per centroid for large batches.
 
 Online version: the streaming Riemannian mean update
 ``c <- exp_c(log_c(x) / (n + 1))``, the manifold counterpart of the running
@@ -13,16 +20,39 @@ arithmetic mean.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import CutLocusError, DomainError
-from .frechet import frechet_mean
+from .frechet import karcher_flow
+
+
+# Size cap, in array elements, of the (centroids, points, *point_shape)
+# temporaries of one broadcast ``squared_dist`` call. On S^5, 8 centroids
+# against 1 point take 0.05 ms in one call and 0.3 ms in eight, but against
+# 3000 points 5.9 ms in one call and 3.1 ms in eight: there the temporaries
+# (1.2 MB each) no longer fit in the core's cache.
+_BROADCAST_ELEMENTS = 2**15
 
 
 def _pairwise_sq_dist(metric, points, centroids):
-    """Squared distances, shape (n_points, n_centroids)."""
-    cols = [metric.squared_dist(c, points) for c in centroids]
-    return np.stack(cols, axis=-1)
+    """Squared distances, shape (n_points, n_centroids).
+
+    Each call broadcasts as many centroids against all points as keep its
+    temporaries under ``_BROADCAST_ELEMENTS``: one call for all centroids
+    when there are few points, one call per centroid for large batches.
+    """
+    point_shape = centroids.shape[1:]
+    batch_shape = points.shape[: points.ndim - len(point_shape)]
+    elements = max(1, math.prod(batch_shape) * math.prod(point_shape))
+    per_call = max(1, _BROADCAST_ELEMENTS // elements)
+    columns = []
+    for start in range(0, len(centroids), per_call):
+        group = centroids[start : start + per_call]
+        group = group.reshape(group.shape[:1] + (1,) * len(batch_shape) + point_shape)
+        columns.append(metric.squared_dist(group, points))
+    return np.moveaxis(np.concatenate(columns), 0, -1)
 
 
 class RiemannianKMeans:
@@ -75,21 +105,18 @@ class RiemannianKMeans:
             labels = np.argmin(sq, axis=-1)
             history.append(float(np.sum(np.min(sq, axis=-1))))
 
-            new_centroids = []
-            for k in range(self.n_clusters):
-                members = points[labels == k]
-                if len(members) == 0:
-                    new_centroids.append(points[int(np.argmax(sq[:, k]))])
-                    continue
-                result = frechet_mean(
-                    self.metric,
-                    members,
-                    max_iter=self.mean_max_iter,
-                    tol=self.mean_tol,
-                    init=centroids[k],
-                )
-                new_centroids.append(result.estimate)
-            new_centroids = np.stack(new_centroids)
+            # Re-seed emptied clusters at the farthest point; flow the rest.
+            new_centroids = points[np.argmax(sq, axis=0)]
+            counts = np.bincount(labels, minlength=self.n_clusters)
+            filled = counts > 0
+            new_centroids[filled] = karcher_flow(
+                self.metric,
+                points[np.argsort(labels, kind="stable")],
+                np.concatenate([[0], np.cumsum(counts[filled])]),
+                centroids[filled],
+                max_iter=self.mean_max_iter,
+                tol=self.mean_tol,
+            ).estimate
             movement = float(np.max(self.metric.dist(centroids, new_centroids)))
             centroids = new_centroids
             if movement < self.tol:

@@ -5,6 +5,7 @@ from riemstats.errors import ShapeError
 from riemstats.geometry import (
     Euclidean,
     Hypersphere,
+    SPDMatrices,
     SpecialOrthogonal,
     orthonormal_tangent_basis,
 )
@@ -17,6 +18,7 @@ from riemstats.learning import (
     frechet_variance,
     riemannian_gradient_descent,
 )
+from riemstats.learning import kmeans
 
 SPHERE = Hypersphere(2)
 S_METRIC = SPHERE.metric
@@ -131,6 +133,29 @@ class TestFrechetMean:
         assert result.converged and result.n_iter > 2
         # One evaluation at the start point, then one per line-search candidate.
         assert calls["variance"] == calls["exp"] + 1
+
+    def test_tight_tolerance_flow_never_halves(self, monkeypatch):
+        # At tol=1e-9 the last steps lower the variance by less than its
+        # round-off; the line search must not halve them.
+        sphere = Hypersphere(5)
+        metric = sphere.metric
+        calls = {"exp": 0}
+        plain_exp = metric.exp
+
+        def exp(vec, base):
+            calls["exp"] += 1
+            return plain_exp(vec, base)
+
+        rng = np.random.default_rng(0)
+        center = sphere.random_point(rng=rng)
+        vecs = metric.random_tangent(center, 200, rng)
+        vecs *= (rng.uniform(0.1, 1.0, 200) / metric.norm(vecs, center))[:, None]
+        data = metric.exp(vecs, center)
+        monkeypatch.setattr(metric, "exp", exp)
+        result = frechet_mean(metric, data, tol=1e-9)
+        assert result.converged and result.n_iter > 2
+        # One candidate per iteration that did not stop.
+        assert calls["exp"] == result.n_iter - 1
 
     def test_estimator_wrapper(self):
         rng = np.random.default_rng(7)
@@ -299,6 +324,64 @@ class TestKMeans:
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError):
             RiemannianKMeans(S_METRIC, 5).fit(SPHERE.random_point(3, rng=25))
+
+    @pytest.mark.parametrize(
+        "manifold, metric",
+        [
+            (Hypersphere(5), Hypersphere(5).metric),
+            (SPDMatrices(3), SPDMatrices(3).affine_invariant_metric),
+            (SpecialOrthogonal(3), SpecialOrthogonal(3).bi_invariant_metric),
+        ],
+        ids=["sphere5", "spd3", "so3"],
+    )
+    @pytest.mark.parametrize("empty_start", [False, True], ids=["seeded", "emptied"])
+    def test_centroids_equal_per_cluster_frechet_means(self, manifold, metric, empty_start):
+        """Each Lloyd step equals, bit for bit, a frechet_mean per cluster
+        started at the previous centroid, or the farthest-point re-seed of an
+        emptied cluster."""
+        rng = np.random.default_rng(28)
+        data = manifold.random_point(45, rng)
+
+        def fit(max_iter):
+            km = RiemannianKMeans(metric, 3, max_iter=max_iter, seed=4)
+            if empty_start:
+                # The third centroid is a copy of the first, so ties leave it empty.
+                km._seed_centroids = lambda points, _: points[[0, 1, 0]].copy()
+            return km.fit(data)
+
+        previous = fit(0)
+        for n_steps in range(1, 5):
+            current = fit(n_steps)
+            sq = kmeans._pairwise_sq_dist(metric, data, previous.centroids_)
+            for k in range(3):
+                members = data[previous.labels_ == k]
+                if len(members) == 0:
+                    expected = data[np.argmax(sq[:, k])]
+                else:
+                    expected = frechet_mean(
+                        metric,
+                        members,
+                        init=previous.centroids_[k],
+                        tol=current.mean_tol,
+                        max_iter=current.mean_max_iter,
+                    ).estimate
+                np.testing.assert_array_equal(current.centroids_[k], expected)
+            previous = current
+        if empty_start:
+            assert np.sum(fit(0).labels_ == 2) == 0
+
+
+@pytest.mark.parametrize("per_call", [3, 2, 1])
+def test_pairwise_sq_dist_broadcast_equals_loop(space_case, per_call, monkeypatch):
+    rng = np.random.default_rng(29)
+    points, others, _ = space_case.random_triples(7, rng)
+    centroids = others[:3]
+    point_size = int(np.prod(space_case.manifold.point_shape))
+    monkeypatch.setattr(kmeans, "_BROADCAST_ELEMENTS", per_call * 7 * point_size)
+    loop = np.stack([space_case.metric.squared_dist(c, points) for c in centroids], axis=-1)
+    broadcast = kmeans._pairwise_sq_dist(space_case.metric, points, centroids)
+    assert broadcast.shape == (7, 3)
+    assert np.array_equal(broadcast, loop)
 
 
 class TestOnlineKMeans:
