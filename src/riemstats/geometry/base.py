@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..errors import GeometryError, MembershipError, TangencyError
+from ..errors import DomainError, GeometryError, MembershipError, ShapeError, TangencyError
 
 ATOL = 1e-8
 
@@ -29,6 +29,14 @@ def _rng(seed_or_rng):
 def _sample_shape(n_samples, shape):
     """Array shape of ``n_samples`` draws of ``shape``; one draw stays unbatched."""
     return (n_samples,) + tuple(shape) if n_samples != 1 else tuple(shape)
+
+
+def _shaped(array, shape, what):
+    """``array`` as float64; :class:`ShapeError` unless its trailing axes are ``shape``."""
+    array = np.asarray(array, dtype=float)
+    if array.shape[-len(shape):] != shape:
+        raise ShapeError(f"{what} must have trailing shape {shape}, got {array.shape}")
+    return array
 
 
 class Manifold(ABC):
@@ -65,9 +73,15 @@ class Manifold(ABC):
             raise MembershipError(f"point does not satisfy the {self.name} constraint")
         return point
 
-    @abstractmethod
+    # An open subset of its ambient space keeps these identity defaults;
+    # a constrained manifold overrides both.
     def to_tangent(self, vector, base_point):
         """Project an ambient vector onto the tangent space at ``base_point``."""
+        return np.asarray(vector, dtype=float)
+
+    def project(self, point):
+        """A nearby point on the manifold: the nearest one or a cheap retraction."""
+        return np.asarray(point, dtype=float)
 
     def tangency_residual(self, vector, base_point):
         vector = np.asarray(vector, dtype=float)
@@ -100,11 +114,14 @@ class RiemannianMetric(ABC):
     the generic identities (norm from inner product, squared distance from
     log, distance from squared distance, pole ladder for parallel transport).
 
-    Subclass contract: implement ``inner_product``, ``exp`` and ``log``. A
-    closed-form distance overrides ``squared_dist``, or ``dist`` when the
-    closed form is the distance itself. A closed-form transport overrides
-    the ``_transport`` hook, never ``parallel_transport``, which validates
-    the arguments for every metric.
+    Subclass contract: implement ``inner_product`` and the ``_exp`` and
+    ``_log`` hooks, never ``exp``/``log``: those check shapes (ShapeError),
+    finiteness of input and result (DomainError) and, in ``exp``, tangency,
+    then call the hook on float64 arrays with float warnings silenced. A
+    metric built on another calls its hooks. A closed-form distance
+    overrides ``squared_dist``, or ``dist`` when the closed form is the
+    distance itself. A closed-form transport overrides the ``_transport``
+    hook, never ``parallel_transport``, which validates the arguments.
     """
 
     def __init__(self, manifold):
@@ -127,15 +144,34 @@ class RiemannianMetric(ABC):
         return self.manifold.to_tangent(vector, base_point)
 
     def is_tangent(self, vector, base_point, atol=ATOL):
+        vector = np.asarray(vector, dtype=float)
+        if vector.shape[-len(self.tangent_shape):] != self.tangent_shape:
+            return False
         return self.manifold.is_tangent(vector, base_point, atol=atol)
 
-    def _check_tangent(self, vector, base_point, atol=ATOL):
-        vector = np.asarray(vector, dtype=float)
-        if not np.all(self.is_tangent(vector, base_point, atol=atol)):
+    def _check_tangent(self, op, vector, base_point):
+        """One tangency residual for the whole batch; call with float warnings silenced."""
+        if not np.abs(vector - self.to_tangent(vector, base_point)).max() <= ATOL:
+            self._require_finite(op, vector, base_point)
             raise TangencyError(
                 f"vector is not tangent to {self.manifold.name} at the base point"
             )
-        return vector
+
+    def _require_finite(self, op, *arrays):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise DomainError(f"non-finite input to {self.manifold.name} {op}")
+
+    def _finite_result(self, op, hook, *args, **kwargs):
+        """``hook(*args)``; DomainError if the input or the result is not finite."""
+        try:
+            out = hook(*args, **kwargs)
+        except (GeometryError, np.linalg.LinAlgError):
+            self._require_finite(op, *args)
+            raise
+        if not np.isfinite(out).all():
+            self._require_finite(op, *args)
+            raise DomainError(f"{self.manifold.name} {op} overflows: the result is not finite")
+        return out
 
     def random_tangent(self, base_point, n_samples=1, rng=None):
         """Gaussian ambient noise projected to the tangent space."""
@@ -156,13 +192,31 @@ class RiemannianMetric(ABC):
     def norm(self, tangent_vec, base_point):
         return np.sqrt(self.squared_norm(tangent_vec, base_point))
 
-    @abstractmethod
     def exp(self, tangent_vec, base_point):
         """Point reached after unit time along the geodesic with given velocity."""
+        tangent_vec = _shaped(tangent_vec, self.tangent_shape, "tangent vector")
+        base_point = _shaped(base_point, self.manifold.point_shape, "base point")
+        with np.errstate(all="ignore"):
+            self._check_tangent("exp", tangent_vec, base_point)
+            return self._finite_result("exp", self._exp, tangent_vec, base_point)
+
+    def log(self, point, base_point, **kwargs):
+        """Initial velocity of the geodesic from ``base_point`` to ``point``.
+
+        The shooting logs take ``max_iter`` and ``tol`` as ``kwargs``.
+        """
+        point = _shaped(point, self.manifold.point_shape, "point")
+        base_point = _shaped(base_point, self.manifold.point_shape, "base point")
+        with np.errstate(all="ignore"):
+            return self._finite_result("log", self._log, point, base_point, **kwargs)
 
     @abstractmethod
-    def log(self, point, base_point):
-        """Initial velocity of the geodesic from ``base_point`` to ``point``."""
+    def _exp(self, tangent_vec, base_point):
+        """Exp hook: float64 arrays of the right shapes, tangency checked."""
+
+    @abstractmethod
+    def _log(self, point, base_point):
+        """Log hook: float64 arrays of the right shapes."""
 
     def squared_dist(self, point_a, point_b):
         return self.squared_norm(self.log(point_b, point_a), point_a)
@@ -187,12 +241,15 @@ class RiemannianMetric(ABC):
         """
         if (direction is None) == (end_point is None):
             raise ValueError("provide exactly one of direction / end_point")
-        base_point = np.asarray(base_point, dtype=float)
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        if direction is not None:
-            direction = self._check_tangent(direction, base_point)
-        else:
-            end_point = np.asarray(end_point, dtype=float)
+        base_point = _shaped(base_point, self.manifold.point_shape, "base point")
+        tangent_vec = _shaped(tangent_vec, self.tangent_shape, "tangent vector")
+        with np.errstate(all="ignore"):
+            self._check_tangent("parallel_transport", tangent_vec, base_point)
+            if direction is not None:
+                direction = _shaped(direction, self.tangent_shape, "direction")
+                self._check_tangent("parallel_transport", direction, base_point)
+        if end_point is not None:
+            end_point = _shaped(end_point, self.manifold.point_shape, "end point")
         return self._transport(tangent_vec, base_point, direction, end_point)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError, ShapeError
-from .base import ATOL, Manifold, RiemannianMetric, _rng, _sample_shape
+from ..errors import DomainError
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape, _shaped
 from .euclidean import EuclideanMetric
 
 # Squared-velocity threshold under which the SRV transform is undefined.
@@ -61,9 +61,6 @@ class DiscretizedCurves(Manifold):
         point = np.asarray(point, dtype=float)
         finite = np.all(np.isfinite(point), axis=(-2, -1))
         return np.where(finite, 0.0, np.inf)
-
-    def to_tangent(self, vector, base_point):
-        return np.asarray(vector, dtype=float)
 
     def random_point(self, n_samples=1, rng=None):
         """Random walks: generic curves with nonvanishing velocities."""
@@ -121,22 +118,7 @@ class SRVMetric(RiemannianMetric):
         return (k - 1) * d
 
     def to_tangent(self, vector, base_point):
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape[-2:] != self.tangent_shape:
-            raise ShapeError(
-                f"SRV tangent vectors have shape {self.tangent_shape}, got {vector.shape[-2:]}"
-            )
-        return vector
-
-    def is_tangent(self, vector, base_point, atol=ATOL):
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape[-2:] != self.tangent_shape:
-            return False
-        return super().is_tangent(vector, base_point, atol=atol)
-
-    def _check_tangent(self, vector, base_point, atol=ATOL):
-        # A wrong shape is a ShapeError, as in every other SRV operation.
-        return super()._check_tangent(self.to_tangent(vector, base_point), base_point, atol)
+        return _shaped(vector, self.tangent_shape, "SRV tangent vector")
 
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         k = self.manifold.k_sampling_points
@@ -146,16 +128,14 @@ class SRVMetric(RiemannianMetric):
         )
         return dots / (k - 1.0)
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self.to_tangent(tangent_vec, base_point)
-        base_point = np.asarray(base_point, dtype=float)
+    def _exp(self, tangent_vec, base_point):
         srv = srv_transform(base_point) + tangent_vec
         speed_sq = np.sum(srv**2, axis=-1)
         if np.any(speed_sq <= _MIN_SPEED):
             raise DomainError("SRV exp produced a curve with vanishing velocity")
         return srv_inverse(srv, base_point[..., 0, :])
 
-    def log(self, point, base_point):
+    def _log(self, point, base_point):
         return srv_transform(point) - srv_transform(base_point)
 
     def squared_dist(self, point_a, point_b):
@@ -167,10 +147,9 @@ class SRVMetric(RiemannianMetric):
         # The chart is flat and shared between base points; the vector
         # broadcasts over the batch axes of the direction or end point, whose
         # trailing two axes are a tangent or a curve shape respectively.
-        vec = self.to_tangent(tangent_vec, base_point)
         target = end_point if end_point is not None else direction
-        batch = np.broadcast_shapes(vec.shape[:-2], target.shape[:-2])
-        return np.broadcast_to(vec, batch + vec.shape[-2:]).copy()
+        batch = np.broadcast_shapes(tangent_vec.shape[:-2], target.shape[:-2])
+        return np.broadcast_to(tangent_vec, batch + tangent_vec.shape[-2:]).copy()
 
     def injectivity_radius(self, base_point):
         """Chart distance from the base to the nearest vanishing-velocity curve."""

@@ -28,9 +28,6 @@ class Euclidean(Manifold):
         finite = np.all(np.isfinite(point), axis=-1)
         return np.where(finite, 0.0, np.inf)
 
-    def to_tangent(self, vector, base_point):
-        return np.asarray(vector, dtype=float)
-
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
         return rng.standard_normal(_sample_shape(n_samples, self.point_shape))
@@ -49,11 +46,11 @@ class EuclideanMetric(RiemannianMetric):
             axis=-1,
         )
 
-    def exp(self, tangent_vec, base_point):
-        return np.asarray(base_point, dtype=float) + np.asarray(tangent_vec, dtype=float)
+    def _exp(self, tangent_vec, base_point):
+        return base_point + tangent_vec
 
-    def log(self, point, base_point):
-        return np.asarray(point, dtype=float) - np.asarray(base_point, dtype=float)
+    def _log(self, point, base_point):
+        return point - base_point
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         target = end_point if end_point is not None else direction

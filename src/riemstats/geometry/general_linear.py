@@ -41,12 +41,6 @@ class GeneralLinear(Manifold):
         ok = finite & (det > _DET_ATOL)
         return np.where(ok, 0.0, np.inf)
 
-    def to_tangent(self, vector, base_point):
-        return np.asarray(vector, dtype=float)
-
-    def project_to_group(self, point):
-        return np.asarray(point, dtype=float)
-
     def lie_algebra_basis(self):
         eye = np.eye(self.n * self.n)
         return eye.reshape(self.n * self.n, self.n, self.n)
@@ -77,15 +71,11 @@ class GLGroupMetric(RiemannianMetric):
         return np.sum((inv @ np.asarray(tangent_vec_a, dtype=float))
                       * (inv @ np.asarray(tangent_vec_b, dtype=float)), axis=(-2, -1))
 
-    def exp(self, tangent_vec, base_point):
-        base_point = np.asarray(base_point, dtype=float)
-        body = np.linalg.inv(base_point) @ np.asarray(tangent_vec, dtype=float)
-        return base_point @ linalg.matrix_exp(body)
+    def _exp(self, tangent_vec, base_point):
+        return base_point @ linalg.matrix_exp(np.linalg.inv(base_point) @ tangent_vec)
 
-    def log(self, point, base_point):
-        base_point = np.asarray(base_point, dtype=float)
-        relative = np.linalg.inv(base_point) @ np.asarray(point, dtype=float)
-        return base_point @ linalg.matrix_log(relative)
+    def _log(self, point, base_point):
+        return base_point @ linalg.matrix_log(np.linalg.inv(base_point) @ point)
 
     def squared_dist(self, point_a, point_b):
         relative = np.linalg.inv(np.asarray(point_a, dtype=float)) @ np.asarray(

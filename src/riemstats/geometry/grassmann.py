@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from ..errors import CutLocusError, ShapeError
+from ..errors import CutLocusError
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 _CUT_ANGLE_ATOL = 1e-6
@@ -47,6 +47,11 @@ class Grassmann(Manifold):
         """Deterministic orthonormal basis of the projector's range, (..., n, p)."""
         _, vecs = linalg.sym_eig(np.asarray(point, dtype=float))
         return vecs[..., : self.p]
+
+    def project(self, point):
+        """Nearest rank-p projector: onto the top p eigenvectors of the symmetric part."""
+        basis = self.basis_from_projector(linalg.sym(point))
+        return basis @ linalg.transpose(basis)
 
     def to_tangent(self, vector, base_point):
         vector = linalg.sym(np.asarray(vector, dtype=float))
@@ -96,18 +101,12 @@ class GrassmannMetric(RiemannianMetric):
         angles = self.principal_angles(point_a, point_b)
         return np.sum(angles**2, axis=-1)
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        base_point = np.asarray(base_point, dtype=float)
+    def _exp(self, tangent_vec, base_point):
         omega = tangent_vec @ base_point - base_point @ tangent_vec
         rot = linalg.matrix_exp(omega)
         return rot @ base_point @ linalg.transpose(rot)
 
-    def log(self, point, base_point):
-        point = np.asarray(point, dtype=float)
-        base_point = np.asarray(base_point, dtype=float)
-        if point.shape[-2:] != base_point.shape[-2:]:
-            raise ShapeError("projector shapes do not match")
+    def _log(self, point, base_point):
         angles = self.principal_angles(base_point, point)
         if np.any(angles >= 0.5 * np.pi - _CUT_ANGLE_ATOL):
             raise CutLocusError(

@@ -74,6 +74,11 @@ class Hyperboloid(Manifold):
         base_point = np.asarray(base_point, dtype=float)
         return vector + minkowski_inner(base_point, vector)[..., None] * base_point
 
+    def project(self, point):
+        """Rescale to ``<x, x>_M = -1``: ``x / sqrt(-<x, x>_M)``."""
+        point = np.asarray(point, dtype=float)
+        return point / np.sqrt(-minkowski_inner(point, point))[..., None]
+
     def origin(self):
         out = np.zeros(self.point_shape)
         out[0] = 1.0
@@ -96,21 +101,13 @@ class HyperboloidMetric(RiemannianMetric):
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         return minkowski_inner(tangent_vec_a, tangent_vec_b)
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        base_point = np.asarray(base_point, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = np.sqrt(np.clip(minkowski_inner(tangent_vec, tangent_vec), 0.0, None))
-            small = r < _SERIES_THRESHOLD
-            sinhc = np.where(small, 1.0 + r**2 / 6.0, np.sinh(r) / np.where(small, 1.0, r))
-            out = np.cosh(r)[..., None] * base_point + sinhc[..., None] * tangent_vec
-        if not np.all(np.isfinite(out)):
-            raise DomainError("hyperboloid exp overflows")
-        return out
+    def _exp(self, tangent_vec, base_point):
+        r = np.sqrt(np.clip(minkowski_inner(tangent_vec, tangent_vec), 0.0, None))
+        small = r < _SERIES_THRESHOLD
+        sinhc = np.where(small, 1.0 + r**2 / 6.0, np.sinh(r) / np.where(small, 1.0, r))
+        return np.cosh(r)[..., None] * base_point + sinhc[..., None] * tangent_vec
 
-    def log(self, point, base_point):
-        point = np.asarray(point, dtype=float)
-        base_point = np.asarray(base_point, dtype=float)
+    def _log(self, point, base_point):
         beta = -minkowski_inner(base_point, point)  # cosh(dist)
         flat = point - beta[..., None] * base_point  # sinh(dist) * direction
         sinh_d = np.sqrt(np.clip(minkowski_inner(flat, flat), 0.0, None))
@@ -139,7 +136,8 @@ class HyperboloidMetric(RiemannianMetric):
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         if direction is None:
-            direction = self._check_tangent(self.log(end_point, base_point), base_point)
+            direction = self.log(end_point, base_point)
+            self._check_tangent("parallel_transport", direction, base_point)
 
         r = np.sqrt(np.clip(minkowski_inner(direction, direction), 0.0, None))
         safe = np.where(r > 0.0, r, 1.0)
@@ -163,9 +161,6 @@ class PoincareBall(Manifold):
         """
         sq = np.sum(np.asarray(point, dtype=float) ** 2, axis=-1)
         return np.where(sq < 1.0, 0.0, sq)
-
-    def to_tangent(self, vector, base_point):
-        return np.asarray(vector, dtype=float)
 
     def random_point(self, n_samples=1, rng=None):
         hyperboloid = Hyperboloid(self.dim)
@@ -192,20 +187,20 @@ class PoincareBallMetric(RiemannianMetric):
         )
         return conformal**2 * dots
 
-    def exp(self, tangent_vec, base_point):
+    def _exp(self, tangent_vec, base_point):
         base = ball_to_hyperboloid(base_point)
         vec = ball_to_hyperboloid_tangent(tangent_vec, base_point)
-        point = hyperboloid_to_ball(self._hyperboloid.exp(vec, base))
+        point = hyperboloid_to_ball(self._hyperboloid._exp(vec, base))
         # Ball points more than about 37 (hyperbolic distance) from the origin
         # round onto the boundary in float64.
         if not np.all(self.manifold.belongs(point)):
             raise DomainError("Poincare-ball exp lands too close to the boundary for float64")
         return point
 
-    def log(self, point, base_point):
+    def _log(self, point, base_point):
         base = ball_to_hyperboloid(base_point)
         target = ball_to_hyperboloid(point)
-        return hyperboloid_to_ball_tangent(self._hyperboloid.log(target, base), base)
+        return hyperboloid_to_ball_tangent(self._hyperboloid._log(target, base), base)
 
     def dist(self, point_a, point_b):
         return self._hyperboloid.dist(ball_to_hyperboloid(point_a), ball_to_hyperboloid(point_b))
@@ -215,11 +210,9 @@ class PoincareBallMetric(RiemannianMetric):
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         base = ball_to_hyperboloid(base_point)
-        vec = ball_to_hyperboloid_tangent(tangent_vec, base_point)
-        if direction is not None:
-            direction = ball_to_hyperboloid_tangent(direction, base_point)
-            end = self._hyperboloid.exp(direction, base)
-        else:
+        if direction is None:
             end = ball_to_hyperboloid(end_point)
-        moved = self._hyperboloid.parallel_transport(vec, base, end_point=end)
-        return hyperboloid_to_ball_tangent(moved, end)
+        else:
+            end = self._hyperboloid._exp(ball_to_hyperboloid_tangent(direction, base_point), base)
+        vec = ball_to_hyperboloid_tangent(tangent_vec, base_point)
+        return hyperboloid_to_ball_tangent(self._hyperboloid._transport(vec, base, None, end), end)

@@ -27,7 +27,7 @@ class InvariantMetric(RiemannianMetric):
     group : Manifold
         Must expose ``identity``, ``compose``, ``inverse``,
         ``lie_algebra_basis()`` (Frobenius-orthonormal, shape (m, N, N)),
-        ``to_tangent`` and ``project_to_group``.
+        ``to_tangent`` and ``project``.
     side : {"left", "right"}
     inner_matrix : (m, m) SPD array, optional
         Inner product on the algebra in basis coordinates; identity by default.
@@ -77,15 +77,16 @@ class InvariantMetric(RiemannianMetric):
         xb = self._body_coords(tangent_vec_b, base_point)
         return np.einsum("...d,de,...e->...", xa, self.inner_matrix, xb)
 
+    # The inherited exp, bound here too: perfbench times invariant geodesics by this name.
+    exp = RiemannianMetric.exp
+
     def _momentum_rate(self, momentum, velocity):
         # (ad*_xi mu)_k = sum_{l,j} mu_l xi_j C[l, j, k]
         rate = np.einsum("...l,...j,ljk->...k", momentum, velocity, self._structure)
         return rate if self.side == "left" else -rate
 
-    def exp(self, tangent_vec, base_point):
+    def _exp(self, tangent_vec, base_point):
         """Geodesic endpoint by Euler-Poincare + reconstruction (RK4)."""
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        base_point = np.asarray(base_point, dtype=float)
         xi0 = self._body_coords(tangent_vec, base_point)
         g = np.broadcast_to(base_point, xi0.shape[:-1] + base_point.shape[-2:])
         mu = xi0 @ self.inner_matrix
@@ -97,21 +98,18 @@ class InvariantMetric(RiemannianMetric):
             return dg, self._momentum_rate(mu, xi)
 
         g, _ = rk4(rates, (g, mu), self.n_steps)
-        return self.manifold.project_to_group(g)
+        return self.manifold.project(g)
 
     def _tangent_basis_at(self, base_point):
-        base_point = np.asarray(base_point, dtype=float)
         if self.side == "left":
             return np.einsum("...ij,mjk->...mik", base_point, self.basis)
         return np.einsum("mij,...jk->...mik", self.basis, base_point)
 
-    def log(self, point, base_point, max_iter=100, tol=1e-8):
+    def _log(self, point, base_point, max_iter=100, tol=1e-8):
         """Shooting log: Gauss-Newton on the integrated-exp residual."""
-        base_point = np.asarray(base_point, dtype=float)
-        point = np.asarray(point, dtype=float)
         init = self.manifold.to_tangent(point - base_point, base_point)
         return log_by_shooting(
-            self.exp,
+            self._exp,
             base_point,
             point,
             tangent_basis=self._tangent_basis_at(base_point),

@@ -34,6 +34,9 @@ class Landmarks(Manifold):
     def to_tangent(self, vector, base_point):
         return self.base_manifold.to_tangent(vector, base_point)
 
+    def project(self, point):
+        return self.base_manifold.project(point)
+
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
         flat = self.base_manifold.random_point(n_samples * self.k_landmarks, rng)
@@ -59,19 +62,17 @@ class LandmarksMetric(RiemannianMetric):
         )
         return np.sum(per_landmark, axis=-1)
 
-    def exp(self, tangent_vec, base_point):
-        return self.base_metric.exp(tangent_vec, base_point)
+    def _exp(self, tangent_vec, base_point):
+        return self.base_metric._exp(tangent_vec, base_point)
 
-    def log(self, point, base_point):
-        return self.base_metric.log(point, base_point)
+    def _log(self, point, base_point):
+        return self.base_metric._log(point, base_point)
 
     def squared_dist(self, point_a, point_b):
         return np.sum(self.base_metric.squared_dist(point_a, point_b), axis=-1)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
-        return self.base_metric.parallel_transport(
-            tangent_vec, base_point, direction=direction, end_point=end_point
-        )
+        return self.base_metric._transport(tangent_vec, base_point, direction, end_point)
 
     def injectivity_radius(self, base_point):
         return np.min(self.base_metric.injectivity_radius(base_point))

@@ -90,8 +90,8 @@ class SpecialEuclidean(Manifold):
         rot_block = self.rotations.to_tangent(rotation_part(vector), rotation_part(base_point))
         return tangent_from_parts(rot_block, translation_part(vector))
 
-    def project_to_group(self, point):
-        rot = self.rotations.project_to_group(rotation_part(point))
+    def project(self, point):
+        rot = self.rotations.project(rotation_part(point))
         return homogeneous_from_parts(rot, translation_part(point))
 
     def lie_algebra_basis(self):
@@ -151,14 +151,13 @@ class SECanonicalLeftMetric(RiemannianMetric):
             axis=(-2, -1),
         )
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        rot = self._so_metric.exp(rotation_part(tangent_vec), rotation_part(base_point))
+    def _exp(self, tangent_vec, base_point):
+        rot = self._so_metric._exp(rotation_part(tangent_vec), rotation_part(base_point))
         trans = translation_part(base_point) + translation_part(tangent_vec)
         return homogeneous_from_parts(rot, trans)
 
-    def log(self, point, base_point):
-        rot_vec = self._so_metric.log(rotation_part(point), rotation_part(base_point))
+    def _log(self, point, base_point):
+        rot_vec = self._so_metric._log(rotation_part(point), rotation_part(base_point))
         trans = translation_part(point) - translation_part(base_point)
         return tangent_from_parts(rot_vec, trans)
 
@@ -168,22 +167,10 @@ class SECanonicalLeftMetric(RiemannianMetric):
         return rot_sq + np.sum(diff**2, axis=-1)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
-        if direction is None:
-            rot_moved = self._so_metric.parallel_transport(
-                rotation_part(tangent_vec),
-                rotation_part(base_point),
-                end_point=rotation_part(end_point),
-            )
-            target = end_point
-        else:
-            rot_moved = self._so_metric.parallel_transport(
-                rotation_part(tangent_vec),
-                rotation_part(base_point),
-                direction=rotation_part(direction),
-            )
-            target = self.exp(direction, base_point)
-        vec, _ = np.broadcast_arrays(translation_part(tangent_vec), translation_part(target))
-        return tangent_from_parts(rot_moved, vec)
+        """SO(n) transport of the rotation block; the translation block is kept."""
+        blocks = [None if arr is None else rotation_part(arr)
+                  for arr in (tangent_vec, base_point, direction, end_point)]
+        return tangent_from_parts(self._so_metric._transport(*blocks), translation_part(tangent_vec))
 
     def injectivity_radius(self, base_point):
         return np.sqrt(2.0) * np.pi

@@ -104,7 +104,7 @@ class SpecialOrthogonal(Manifold):
         base_point = np.asarray(base_point, dtype=float)
         return base_point @ linalg.skew(linalg.transpose(base_point) @ np.asarray(vector, dtype=float))
 
-    def project_to_group(self, point):
+    def project(self, point):
         """Nearest rotation in Frobenius norm (polar factor, det corrected)."""
         u, _, vt = linalg.svd(point)
         rot = u @ vt
@@ -153,23 +153,19 @@ class SOBiInvariantMetric(RiemannianMetric):
             axis=(-2, -1),
         )
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        base_point = np.asarray(base_point, dtype=float)
+    def _exp(self, tangent_vec, base_point):
         algebra = linalg.skew(linalg.transpose(base_point) @ tangent_vec)
         return base_point @ linalg.matrix_exp(algebra)
 
     def _relative_log(self, point, base_point):
-        point = np.asarray(point, dtype=float)
-        base_point = np.asarray(base_point, dtype=float)
         relative = linalg.transpose(base_point) @ point
         angle = np.max(rotation_angles(relative), axis=-1)
         if np.any(angle >= np.pi - _ANGLE_PI_ATOL):
             raise CutLocusError("SO(n) log is undefined at rotation angle pi")
         return linalg.skew(linalg.matrix_log(relative))
 
-    def log(self, point, base_point):
-        return np.asarray(base_point, dtype=float) @ self._relative_log(point, base_point)
+    def _log(self, point, base_point):
+        return base_point @ self._relative_log(point, base_point)
 
     def squared_dist(self, point_a, point_b):
         relative = linalg.transpose(np.asarray(point_a, dtype=float)) @ np.asarray(

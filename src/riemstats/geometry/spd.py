@@ -43,6 +43,10 @@ class SPDMatrices(Manifold):
     def to_tangent(self, vector, base_point):
         return linalg.sym(vector)
 
+    def project(self, point):
+        """The symmetric part; the spectrum is left as it is."""
+        return linalg.sym(point)
+
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
         raw = rng.standard_normal(_sample_shape(n_samples, self.point_shape))
@@ -69,17 +73,13 @@ class SPDAffineMetric(RiemannianMetric):
         return _trace_product(inv @ np.asarray(tangent_vec_a, dtype=float),
                               inv @ np.asarray(tangent_vec_b, dtype=float))
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        base_point = np.asarray(base_point, dtype=float)
+    def _exp(self, tangent_vec, base_point):
         sqrt = linalg.sym_sqrt(base_point)
         inv_sqrt = linalg.sym_inv_sqrt(base_point)
         middle = linalg.sym(inv_sqrt @ tangent_vec @ inv_sqrt)
         return sqrt @ linalg.sym_function(middle, np.exp) @ sqrt
 
-    def log(self, point, base_point):
-        point = np.asarray(point, dtype=float)
-        base_point = np.asarray(base_point, dtype=float)
+    def _log(self, point, base_point):
         sqrt = linalg.sym_sqrt(base_point)
         inv_sqrt = linalg.sym_inv_sqrt(base_point)
         middle = linalg.sym(inv_sqrt @ point @ inv_sqrt)
@@ -126,12 +126,11 @@ class SPDLogEuclideanMetric(RiemannianMetric):
         cb = self._dlog(np.asarray(tangent_vec_b, dtype=float), base_point)
         return np.sum(ca * cb, axis=(-2, -1))
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
+    def _exp(self, tangent_vec, base_point):
         chart = self._to_chart(base_point, "base point") + self._dlog(tangent_vec, base_point)
         return linalg.sym_function(chart, np.exp)
 
-    def log(self, point, base_point):
+    def _log(self, point, base_point):
         chart_diff = self._to_chart(point) - self._to_chart(base_point, "base point")
         return self._dexp(chart_diff, self._to_chart(base_point, "base point"))
 

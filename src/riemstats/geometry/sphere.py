@@ -40,7 +40,7 @@ class Hypersphere(Manifold):
         point = np.asarray(point, dtype=float)
         return np.abs(np.linalg.norm(point, axis=-1) - 1.0)
 
-    def projection(self, point):
+    def project(self, point):
         point = np.asarray(point, dtype=float)
         return point / np.linalg.norm(point, axis=-1, keepdims=True)
 
@@ -52,7 +52,7 @@ class Hypersphere(Manifold):
     def random_point(self, n_samples=1, rng=None):
         """Uniform samples: normalized standard-normal vectors."""
         rng = _rng(rng)
-        return self.projection(rng.standard_normal(_sample_shape(n_samples, self.point_shape)))
+        return self.project(rng.standard_normal(_sample_shape(n_samples, self.point_shape)))
 
     @property
     def default_metric(self):
@@ -65,18 +65,14 @@ class SphereMetric(RiemannianMetric):
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         return _dot(np.asarray(tangent_vec_a, dtype=float), np.asarray(tangent_vec_b, dtype=float))
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        base_point = np.asarray(base_point, dtype=float)
+    def _exp(self, tangent_vec, base_point):
         angle = np.linalg.norm(tangent_vec, axis=-1)
         small = angle < _SERIES_THRESHOLD
         sinc = np.where(small, 1.0 - angle**2 / 6.0, np.sin(angle) / np.where(small, 1.0, angle))
         return np.cos(angle)[..., None] * base_point + sinc[..., None] * tangent_vec
 
-    def log(self, point, base_point):
-        point = np.asarray(point, dtype=float)
-        base_point = np.asarray(base_point, dtype=float)
-        cos_angle = _cos_angle(base_point, point)
+    def _log(self, point, base_point):
+        cos_angle = np.clip(_dot(base_point, point), -1.0, 1.0)
         flat = point - cos_angle[..., None] * base_point  # sin(angle) * direction
         sin_angle = np.linalg.norm(flat, axis=-1)
         angle = np.arctan2(sin_angle, cos_angle)
@@ -100,7 +96,8 @@ class SphereMetric(RiemannianMetric):
     def _transport(self, tangent_vec, base_point, direction, end_point):
         """Closed-form transport along the great circle toward ``direction``."""
         if direction is None:
-            direction = self._check_tangent(self.log(end_point, base_point), base_point)
+            direction = self.log(end_point, base_point)
+            self._check_tangent("parallel_transport", direction, base_point)
 
         angle = np.linalg.norm(direction, axis=-1)
         safe = np.where(angle > 0.0, angle, 1.0)

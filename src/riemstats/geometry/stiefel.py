@@ -39,6 +39,11 @@ class Stiefel(Manifold):
         q, _ = linalg.qr(rng.standard_normal(_sample_shape(n_samples, self.point_shape)))
         return q
 
+    def project(self, point):
+        """Nearest frame in Frobenius norm: the polar factor ``U V^T``."""
+        u, _, vt = linalg.svd(point)
+        return u @ vt
+
     def orthogonal_complement(self, base_point):
         """Deterministic orthonormal basis of the columns' complement, (..., n, n-p)."""
         base_point = np.asarray(base_point, dtype=float)
@@ -68,9 +73,7 @@ class StiefelCanonicalMetric(RiemannianMetric):
         xb = linalg.transpose(base_point) @ tangent_vec_b
         return plain - 0.5 * np.sum(xa * xb, axis=(-2, -1))
 
-    def exp(self, tangent_vec, base_point):
-        tangent_vec = self._check_tangent(tangent_vec, base_point)
-        base_point = np.asarray(base_point, dtype=float)
+    def _exp(self, tangent_vec, base_point):
         base_point, tangent_vec = np.broadcast_arrays(base_point, tangent_vec)
         p = base_point.shape[-1]
 
@@ -90,7 +93,6 @@ class StiefelCanonicalMetric(RiemannianMetric):
 
     def _tangent_basis(self, base_point):
         """Basis of the tangent space at (possibly batched) base points."""
-        base_point = np.asarray(base_point, dtype=float)
         n, p = base_point.shape[-2:]
         complement = self.manifold.orthogonal_complement(base_point)
         mats = []
@@ -107,7 +109,7 @@ class StiefelCanonicalMetric(RiemannianMetric):
                 mats.append(complement @ sel)
         return np.stack(mats, axis=-3)
 
-    def log(self, point, base_point, max_iter=100, tol=1e-9):
+    def _log(self, point, base_point, max_iter=100, tol=1e-9):
         """Shooting log; the target must stay in the convergence region.
 
         The conservative bound is principal angles below pi/2 between the
@@ -116,11 +118,9 @@ class StiefelCanonicalMetric(RiemannianMetric):
         (Gauss-Newton converges quadratically, so the tight default costs
         about one extra iteration over a loose one).
         """
-        base_point = np.asarray(base_point, dtype=float)
-        point = np.asarray(point, dtype=float)
         init = self.to_tangent(point - base_point, base_point)
         return log_by_shooting(
-            self.exp,
+            self._exp,
             base_point,
             point,
             tangent_basis=self._tangent_basis(base_point),

@@ -2,9 +2,10 @@
 
 The mean minimizes the weighted sum of squared geodesic distances. Each
 iteration averages the logarithms of the data at the current estimate and
-follows the exponential map; the step is halved while the Frechet variance
-would increase by more than round-off. In flat space a unit step lands
-exactly on the arithmetic mean.
+follows the exponential map, projecting the new estimate onto the manifold
+so that round-off does not pile up off it; the step is halved while the
+Frechet variance would increase by more than round-off. In flat space a
+unit step lands exactly on the arithmetic mean.
 
 The flow is written once, in :func:`karcher_flow`, for several means at
 once: the points are sorted into contiguous segments, one mean per segment.
@@ -73,6 +74,7 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
     entry per segment.
     """
     expand = (...,) + (None,) * len(metric.manifold.point_shape)
+    project = metric.manifold.project
     segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     n_seg = len(segments)
     if weights is None:
@@ -113,7 +115,7 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
         base, base_var = estimates[search], current_var[search]
         steps = np.full(len(search), float(step_size))
         pending = np.arange(len(search))
-        estimates[search] = metric.exp(steps[expand] * tangents, base)
+        estimates[search] = project(metric.exp(steps[expand] * tangents, base))
         for _ in range(_MAX_HALVINGS):
             var = np.array([variance(s, estimates[s]) for s in search[pending]])
             current_var[search[pending]] = var
@@ -122,8 +124,8 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
             if not len(pending):
                 break
             steps[pending] *= 0.5
-            estimates[search[pending]] = metric.exp(
-                steps[pending][expand] * tangents[pending], base[pending]
+            estimates[search[pending]] = project(
+                metric.exp(steps[pending][expand] * tangents[pending], base[pending])
             )
             current_var[search[pending]] = np.nan
     return FrechetMeanResult(

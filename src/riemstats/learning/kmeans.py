@@ -15,7 +15,7 @@ online update) broadcast the centroids against the points: one
 
 Online version: the streaming Riemannian mean update
 ``c <- exp_c(log_c(x) / (n + 1))``, the manifold counterpart of the running
-arithmetic mean.
+arithmetic mean, projected back onto the manifold.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ class OnlineKMeans:
     """Streaming K-means: one sample at a time.
 
     The first samples fill empty centroids; afterwards the nearest centroid
-    with count n moves to ``exp_c(log_c(x) / (n + 1))``. A sample whose
-    logarithm does not exist at its nearest centroid (cut locus) is skipped
-    and tallied in ``n_rejected_``.
+    with count n moves to ``exp_c(log_c(x) / (n + 1))``, projected onto the
+    manifold. A sample whose logarithm does not exist at its nearest
+    centroid (cut locus) is skipped and tallied in ``n_rejected_``.
     """
 
     def __init__(self, metric, n_clusters):
@@ -172,7 +172,9 @@ class OnlineKMeans:
         count = self.counts_[nearest]
         try:
             step = self.metric.log(point, self.centroids_[nearest]) / (count + 1.0)
-            self.centroids_[nearest] = self.metric.exp(step, self.centroids_[nearest])
+            self.centroids_[nearest] = self.metric.manifold.project(
+                self.metric.exp(step, self.centroids_[nearest])
+            )
         except (CutLocusError, DomainError):
             self.n_rejected_ += 1
             return self

@@ -4,6 +4,7 @@ import pytest
 from riemstats.errors import ShapeError
 from riemstats.geometry import (
     Euclidean,
+    Hyperboloid,
     Hypersphere,
     SPDMatrices,
     SpecialOrthogonal,
@@ -156,6 +157,24 @@ class TestFrechetMean:
         assert result.converged and result.n_iter > 2
         # One candidate per iteration that did not stop.
         assert calls["exp"] == result.n_iter - 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hyperboloid_mean_converges_on_the_manifold(self, seed):
+        # Without projecting its iterates the flow drifts off the sheet: the
+        # steps stall and, for seed 3, exp rejects the mean tangent.
+        space = Hyperboloid(3)
+        result = frechet_mean(space.metric, space.random_point(100, np.random.default_rng(seed)))
+        assert result.converged
+        assert space.membership_residual(result.estimate) <= 1e-12
+
+    def test_long_steps_stay_on_the_sphere(self):
+        rng = np.random.default_rng(8)
+        data = sphere_cap(SPHERE.random_point(rng=rng), 0.8, 40, rng)
+        result = frechet_mean(S_METRIC, data, step_size=1.9, max_iter=200)
+        assert result.converged
+        assert SPHERE.membership_residual(result.estimate) <= 1e-12
+        unit_step = frechet_mean(S_METRIC, data).estimate
+        assert float(S_METRIC.dist(result.estimate, unit_step)) < 1e-6
 
     def test_estimator_wrapper(self):
         rng = np.random.default_rng(7)
@@ -421,6 +440,21 @@ class TestOnlineKMeans:
         assert model.n_rejected_ == 1
         assert model.counts_.tolist() == [1]
         np.testing.assert_array_equal(model.centroids_[0], [1.0, 0.0, 0.0])
+
+
+    def test_hyperboloid_stream_keeps_centroids_on_the_manifold(self):
+        space = Hyperboloid(3)
+        rng = np.random.default_rng(0)
+        spatial = 2.0 * rng.standard_normal((300, 3))
+        tangents = np.concatenate([np.zeros((300, 1)), spatial], axis=-1)
+        model = OnlineKMeans(space.metric, 3)
+        worst = 0.0
+        for point in space.metric.exp(tangents, space.origin()):
+            model.partial_fit(point)
+            filled = model.centroids_[model.counts_ > 0]
+            worst = max(worst, float(np.max(space.membership_residual(filled))))
+        assert model.n_rejected_ == 0
+        assert worst <= 1e-12
 
 
 class TestGradientDescent:

@@ -3,14 +3,14 @@
 Smaller-sample versions of the acceptance suite, run per space for
 pinpointed failures: exp/log round-trips inside the injectivity bound,
 metric axioms on sampled triples, geodesic speed constancy, transport
-isometry, the transport argument contract, and batch-equals-loop
-consistency.
+isometry, the transport argument contract, batch-equals-loop consistency,
+the exp/log input contract (shape, finiteness) and the projection.
 """
 
 import numpy as np
 import pytest
 
-from riemstats.errors import GeometryError
+from riemstats.errors import DomainError, GeometryError, ShapeError
 from riemstats.geometry import RiemannianMetric
 
 
@@ -136,6 +136,70 @@ def test_no_metric_overrides_parallel_transport():
         if "parallel_transport" in vars(sub)
     ]
     assert offenders == []
+
+
+def test_no_metric_overrides_exp_or_log():
+    """Closed forms go in the ``_exp``/``_log`` hooks, behind the base checks.
+
+    Binding the inherited method itself under the subclass is not an override.
+    """
+    offenders = [
+        f"{sub.__qualname__}.{op}"
+        for sub in _all_subclasses(RiemannianMetric)
+        for op in ("exp", "log")
+        if vars(sub).get(op, vars(RiemannianMetric)[op]) is not vars(RiemannianMetric)[op]
+    ]
+    assert offenders == []
+
+
+def _exp_log_inputs(case, seed):
+    """A base point, a tangent vector at it and the point it reaches."""
+    rng = np.random.default_rng(seed)
+    base = case.random_point(rng)
+    vec = case.scaled_tangents(base, 1, rng)[0]
+    return base, vec, case.metric.exp(vec, base)
+
+
+def _with_first_entry(array, value):
+    out = np.array(array, dtype=float)
+    out.flat[0] = value
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op", ["exp", "log"])
+@pytest.mark.parametrize("where", ["nan_base", "nan_argument", "inf_base"])
+def test_non_finite_input_raises_domain_error(space_case, op, where):
+    """Exactly ``DomainError``: not a subclass, a LinAlgError or a NaN result."""
+    base, vec, point = _exp_log_inputs(space_case, 56)
+    argument = vec if op == "exp" else point
+    if where == "nan_argument":
+        argument = _with_first_entry(argument, np.nan)
+    else:
+        base = _with_first_entry(base, np.nan if where == "nan_base" else np.inf)
+    with pytest.raises(DomainError) as info:
+        getattr(space_case.metric, op)(argument, base)
+    assert type(info.value) is DomainError
+    assert info.value.code == "domain_error"
+
+
+def test_wrong_trailing_shape_raises_shape_error(space_case):
+    base, vec, point = _exp_log_inputs(space_case, 57)
+    with pytest.raises(ShapeError):
+        space_case.metric.exp(vec[..., :-1], base)
+    with pytest.raises(ShapeError):
+        space_case.metric.log(point[..., :-1], base)
+    with pytest.raises(ShapeError):
+        space_case.metric.log(point, base[..., :-1])
+
+
+def test_project_keeps_members_and_restores_perturbed_points(space_case):
+    rng = np.random.default_rng(58)
+    manifold = space_case.manifold
+    points = space_case.random_points(10, rng)
+    np.testing.assert_allclose(manifold.project(points), points, rtol=0.0, atol=1e-12)
+    perturbed = points + 1e-6 * rng.standard_normal(points.shape)
+    assert np.max(manifold.membership_residual(manifold.project(perturbed))) <= 1e-12
 
 
 def test_batch_matches_loop(space_case):
