@@ -151,7 +151,7 @@ class RiemannianMetric(ABC):
 
     def _check_tangent(self, op, vector, base_point):
         """One tangency residual for the whole batch; call with float warnings silenced."""
-        if not np.abs(vector - self.to_tangent(vector, base_point)).max() <= ATOL:
+        if not np.abs(vector - self.to_tangent(vector, base_point)).max(initial=0.0) <= ATOL:
             self._require_finite(op, vector, base_point)
             raise TangencyError(
                 f"vector is not tangent to {self.manifold.name} at the base point"

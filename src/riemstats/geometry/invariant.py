@@ -53,16 +53,20 @@ class InvariantMetric(RiemannianMetric):
             raise DomainError("inner_matrix must be symmetric positive definite")
         self.inner_matrix = linalg.sym(inner_matrix)
         self._inner_inv = np.linalg.inv(self.inner_matrix)
-        # Structure constants C[l, j, k] = <e_l, [e_j, e_k]>_F.
+        # Structure constants C[l, j, k] = <e_l, [e_j, e_k]>_F, flattened to
+        # C[(l, j), k] so that the coadjoint rate is one matmul.
         bracket = np.einsum("jab,kbc->jkac", self.basis, self.basis)
         bracket = bracket - np.einsum("kab,jbc->jkac", self.basis, self.basis)
-        self._structure = np.einsum("lac,jkac->ljk", self.basis, bracket)
+        structure = np.einsum("lac,jkac->ljk", self.basis, bracket)
+        self._structure_flat = structure.reshape(m * m, m)
+        self._basis_flat = self.basis.reshape(m, -1)
 
     def _to_coords(self, algebra_mat):
         return np.einsum("...ij,dij->...d", algebra_mat, self.basis)
 
     def _from_coords(self, coords):
-        return np.einsum("...d,dij->...ij", np.asarray(coords, dtype=float), self.basis)
+        coords = np.asarray(coords, dtype=float)
+        return (coords @ self._basis_flat).reshape(coords.shape[:-1] + self.basis.shape[1:])
 
     def _body_coords(self, tangent_vec, base_point):
         inv = self.manifold.inverse(base_point)
@@ -81,8 +85,11 @@ class InvariantMetric(RiemannianMetric):
     exp = RiemannianMetric.exp
 
     def _momentum_rate(self, momentum, velocity):
-        # (ad*_xi mu)_k = sum_{l,j} mu_l xi_j C[l, j, k]
-        rate = np.einsum("...l,...j,ljk->...k", momentum, velocity, self._structure)
+        # (ad*_xi mu)_k = sum_{l,j} mu_l xi_j C[l, j, k]: the outer product mu (x) xi
+        # flattened to (..., m^2), times C[(l, j), k].
+        outer = momentum[..., :, None] * velocity[..., None, :]
+        outer = outer.reshape(outer.shape[:-2] + self._structure_flat.shape[:1])
+        rate = outer @ self._structure_flat
         return rate if self.side == "left" else -rate
 
     def _exp(self, tangent_vec, base_point):

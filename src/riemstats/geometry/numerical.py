@@ -25,14 +25,30 @@ class ChristoffelField:
     Wraps an evaluator mapping intrinsic coordinates ``(..., dim)`` to a
     coefficient array ``(..., dim, dim, dim)`` indexed ``[k, i, j]`` and
     symmetric in ``(i, j)``.
+
+    ``field(coords)`` returns that tensor. ``field(coords, velocity)``
+    returns the geodesic acceleration term
+    ``Gamma(v, v)^k = sum_ij Gamma^k_ij v^i v^j``, shape ``(..., dim)``,
+    through the ``_contract`` hook. The base hook builds the tensor and
+    contracts it; a field that can form ``Gamma(v, v)`` directly overrides
+    the hook and never builds the tensor. Non-finite results raise
+    :class:`DomainError` (chart domain exit).
     """
 
     def __init__(self, evaluator, dim):
         self._evaluator = evaluator
         self.dim = int(dim)
 
-    def __call__(self, coords):
+    def __call__(self, coords, velocity=None):
         coords = np.asarray(coords, dtype=float)
+        if velocity is None:
+            return self._tensor(coords)
+        accel = self._contract(coords, np.asarray(velocity, dtype=float))
+        if not np.all(np.isfinite(accel)):
+            raise DomainError("geodesic acceleration is not finite (chart domain exit)")
+        return accel
+
+    def _tensor(self, coords):
         gamma = np.asarray(self._evaluator(coords), dtype=float)
         expected = coords.shape[:-1] + (self.dim,) * 3
         if gamma.shape != expected:
@@ -43,34 +59,70 @@ class ChristoffelField:
             raise DomainError("christoffel coefficients are not finite (chart domain exit)")
         return gamma
 
+    def _contract(self, coords, velocity):
+        """``Gamma(v, v)`` on float arrays; the result is checked by ``__call__``."""
+        return np.einsum("...kij,...i,...j->...k", self._tensor(coords), velocity, velocity)
+
+
+class _MetricChristoffels(ChristoffelField):
+    """Christoffel field of a coordinate metric matrix ``g``, by central differences.
+
+    The tensor is ``Gamma^k_ij = g^{kl} Gamma_{l,ij}`` with the first-kind
+    symbols ``Gamma_{l,ij} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)``. The
+    contraction uses the symmetry of ``g`` to skip the tensor:
+    ``Gamma(v, v) = g^{-1} (d_v g . v - 1/2 grad g(v, v))``. Both solve
+    against ``g``; an exactly singular ``g`` raises :class:`DomainError`.
+    """
+
+    def __init__(self, metric_matrix_fn, dim, step):
+        super().__init__(self._christoffels, dim)
+        self._metric_matrix_fn = metric_matrix_fn
+        self._step = step
+
+    def _metric_and_partials(self, coords):
+        """``g`` and ``dg[..., l, i, j] = d_l g_ij``: ``2 * dim + 1`` metric evaluations."""
+        g = np.asarray(self._metric_matrix_fn(coords), dtype=float)
+        partials = []
+        for axis in range(self.dim):
+            offset = np.zeros(self.dim)
+            offset[axis] = self._step
+            g_plus = np.asarray(self._metric_matrix_fn(coords + offset), dtype=float)
+            g_minus = np.asarray(self._metric_matrix_fn(coords - offset), dtype=float)
+            partials.append((g_plus - g_minus) / (2.0 * self._step))
+        return g, np.stack(partials, axis=-3)
+
+    def _christoffels(self, coords):
+        g, dg = self._metric_and_partials(coords)
+        d_i_g_jl = np.moveaxis(dg, -1, -3)  # [l, i, j]
+        lower = 0.5 * (d_i_g_jl + np.swapaxes(d_i_g_jl, -1, -2) - dg)
+        flat = lower.reshape(lower.shape[:-2] + (self.dim * self.dim,))
+        return _solve_metric(g, flat).reshape(lower.shape)
+
+    def _contract(self, coords, velocity):
+        g, dg = self._metric_and_partials(coords)
+        w = np.einsum("...lij,...j->...li", dg, velocity)  # w[l, i] = sum_j d_l g_ij v^j
+        first = np.einsum("...li,...l->...i", w, velocity)
+        third = np.einsum("...li,...i->...l", w, velocity)
+        return _solve_metric(g, (first - 0.5 * third)[..., None])[..., 0]
+
+
+def _solve_metric(g, rhs):
+    """``g^{-1} rhs`` for a stack of metric matrices; singular ``g`` leaves the chart."""
+    try:
+        return np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("singular metric matrix (chart domain exit)") from exc
+
 
 def christoffels_from_metric(metric_matrix_fn, dim, step=_FD_STEP):
     """Christoffel field from a coordinate metric matrix by central differences.
 
     ``metric_matrix_fn`` maps coordinates ``(..., dim)`` to the metric matrix
-    ``(..., dim, dim)``. Matches registered closed forms to ~1e-6 for smooth
-    metrics at the default step.
+    ``(..., dim, dim)``; each evaluation of the field calls it ``2 * dim + 1``
+    times. Matches registered closed forms to ~1e-6 for smooth metrics at the
+    default step. The returned field forms ``Gamma(v, v)`` without the tensor.
     """
-
-    def gamma(coords):
-        coords = np.asarray(coords, dtype=float)
-        g = np.asarray(metric_matrix_fn(coords), dtype=float)
-        ginv = np.linalg.inv(g)
-        partials = []
-        for axis in range(dim):
-            offset = np.zeros(dim)
-            offset[axis] = step
-            g_plus = np.asarray(metric_matrix_fn(coords + offset), dtype=float)
-            g_minus = np.asarray(metric_matrix_fn(coords - offset), dtype=float)
-            partials.append((g_plus - g_minus) / (2.0 * step))
-        dg = np.stack(partials, axis=-3)  # dg[..., l, i, j] = d_l g_ij
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-        first = np.einsum("...kl,...ijl->...kij", ginv, dg)
-        second = np.einsum("...kl,...jil->...kij", ginv, dg)
-        third = np.einsum("...kl,...lij->...kij", ginv, dg)
-        return 0.5 * (first + second - third)
-
-    return ChristoffelField(gamma, dim)
+    return _MetricChristoffels(metric_matrix_fn, dim, step)
 
 
 def rk4(rates, state, n_steps):
@@ -100,6 +152,10 @@ def rk4(rates, state, n_steps):
 def exp_by_integration(christoffels, base_coords, velocity_coords, n_steps=100):
     """Chart exponential map: RK4 integration of the geodesic equation.
 
+    Each rate evaluation asks the field for the acceleration term alone,
+    ``christoffels(coords, velocity) = Gamma(v, v)``, so a field from
+    :func:`christoffels_from_metric` never builds the ``(dim, dim, dim)``
+    tensor; a field wrapping a closed-form tensor evaluates and contracts it.
     Fixed step count keeps the result deterministic; it converges to the
     closed-form exponential as ``n_steps`` grows (RK4, so O(n^-4)).
     """
@@ -108,8 +164,7 @@ def exp_by_integration(christoffels, base_coords, velocity_coords, n_steps=100):
     )
 
     def rates(coords, velocity):
-        gamma = christoffels(coords)
-        return velocity, -np.einsum("...kij,...i,...j->...k", gamma, velocity, velocity)
+        return velocity, -christoffels(coords, velocity)
 
     return rk4(rates, (x, v), n_steps)[0]
 
@@ -229,10 +284,9 @@ def log_by_shooting(
             break
         coeff, res, norms = cand, cand_res, cand_norms
 
-    if np.max(np.abs(res)) > tol:
-        raise ConvergenceError(
-            f"shooting log failed to reach tol={tol}", residual=float(np.max(np.abs(res)))
-        )
+    residual = float(np.max(np.abs(res), initial=0.0))
+    if residual > tol:
+        raise ConvergenceError(f"shooting log failed to reach tol={tol}", residual=residual)
     return tangent_of(coeff).reshape(batch + point_shape)
 
 

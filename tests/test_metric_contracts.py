@@ -202,6 +202,20 @@ def test_project_keeps_members_and_restores_perturbed_points(space_case):
     assert np.max(manifold.membership_residual(manifold.project(perturbed))) <= 1e-12
 
 
+def test_empty_batch_gives_empty_result(space_case):
+    rng = np.random.default_rng(59)
+    metric = space_case.metric
+    base = space_case.random_point(rng)
+    points = space_case.random_points(2, rng)[:0]
+    vecs = space_case.scaled_tangents(base, 2, rng)[:0]
+    point_shape, tangent_shape = space_case.manifold.point_shape, metric.tangent_shape
+    assert metric.exp(vecs, base).shape == (0,) + point_shape
+    assert metric.log(points, base).shape == (0,) + tangent_shape
+    assert metric.dist(points, base).shape == (0,)
+    assert metric.parallel_transport(vecs, base, direction=vecs).shape == (0,) + tangent_shape
+    assert metric.parallel_transport(vecs, base, end_point=points).shape == (0,) + tangent_shape
+
+
 def test_batch_matches_loop(space_case):
     rng = np.random.default_rng(49)
     case = space_case

@@ -82,6 +82,69 @@ class TestChristoffels:
             field(np.zeros(2))
 
 
+class TestGeodesicAcceleration:
+    """``field(coords, v)`` is ``Gamma(v, v)``, the tensor contracted with ``v`` twice."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            christoffels_from_metric(sphere_metric_matrix, 2),
+            ChristoffelField(sphere_christoffels_closed_form, 2),
+        ],
+        ids=["finite_differences", "closed_form"],
+    )
+    def test_equals_contracted_tensor(self, field):
+        rng = np.random.default_rng(6)
+        coords = np.stack(
+            [rng.uniform(0.4, np.pi - 0.4, 50), rng.uniform(-np.pi, np.pi, 50)], axis=-1
+        )
+        vel = rng.standard_normal((50, 2))
+        expected = np.einsum("...kij,...i,...j->...k", field(coords), vel, vel)
+        np.testing.assert_allclose(field(coords, vel), expected, rtol=0.0, atol=1e-12)
+
+    def test_integration_builds_no_tensor(self, monkeypatch):
+        """No ``inv`` and no tensor; ``2 * dim + 1`` metric evaluations per rate."""
+        calls = []
+
+        def counted_metric(coords):
+            calls.append(coords.shape)
+            return sphere_metric_matrix(coords)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the integration path builds the Christoffel tensor")
+
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        monkeypatch.setattr(ChristoffelField, "_tensor", forbidden)
+        field = christoffels_from_metric(counted_metric, 2)
+        base = np.array([[1.1, -0.4], [0.9, 0.2]])
+        vel = np.array([[-0.3, 0.8], [0.5, 0.1]])
+        n_steps = 7
+        end = exp_by_integration(field, base, vel, n_steps=n_steps)
+        assert end.shape == (2, 2)
+        assert len(calls) == (2 * 2 + 1) * 4 * n_steps
+
+    def test_singular_metric_is_domain_exit(self):
+        """At the pole of the S^2 chart (theta = 0) the metric matrix is singular."""
+        field = christoffels_from_metric(sphere_metric_matrix, 2)
+        pole = np.array([0.0, 0.3])
+        with pytest.raises(DomainError, match="chart domain exit"):
+            field(pole)
+        with pytest.raises(DomainError, match="chart domain exit"):
+            field(pole, np.array([0.2, 0.1]))
+        with pytest.raises(DomainError, match="chart domain exit"):
+            exp_by_integration(field, pole, np.array([0.2, 0.1]))
+
+    def test_non_finite_acceleration_is_domain_exit(self):
+        def nan_metric(coords):
+            return np.full(coords.shape[:-1] + (2, 2), np.nan)
+
+        with pytest.raises(DomainError, match="chart domain exit"):
+            christoffels_from_metric(nan_metric, 2)(np.zeros(2), np.ones(2))
+        huge = ChristoffelField(lambda c: np.full(c.shape[:-1] + (2, 2, 2), 1e308), 2)
+        with pytest.raises(DomainError, match="chart domain exit"):
+            huge(np.zeros(2), np.full(2, 10.0))
+
+
 class TestExpByIntegration:
     gamma = ChristoffelField(sphere_christoffels_closed_form, 2)
 
@@ -118,6 +181,15 @@ class TestExpByIntegration:
         # RK4: each doubling cuts the error by about 16.
         assert errs[1] < errs[0] / 8 and errs[2] < errs[1] / 8
 
+    def test_batch_equals_loop(self):
+        gamma_fd = christoffels_from_metric(sphere_metric_matrix, 2)
+        rng = np.random.default_rng(7)
+        base = np.stack([rng.uniform(0.8, np.pi - 0.8, 50), rng.uniform(-3, 3, 50)], axis=-1)
+        vel = 0.5 * rng.standard_normal((50, 2))
+        batched = exp_by_integration(gamma_fd, base, vel)
+        looped = np.stack([exp_by_integration(gamma_fd, b, v) for b, v in zip(base, vel)])
+        np.testing.assert_allclose(batched, looped, rtol=0.0, atol=1e-12)
+
     def test_fd_christoffels_give_same_geodesic(self):
         gamma_fd = christoffels_from_metric(sphere_metric_matrix, 2)
         base = np.array([1.1, -0.4])
@@ -145,6 +217,23 @@ class TestStepCount:
         vec = 0.3 * se3.lie_algebra_basis()[0]
         with pytest.raises(ValueError):
             metric.exp(vec, se3.identity)
+
+
+class TestInvariantMomentumRate:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_three_operand_einsum(self, side):
+        se3 = SpecialEuclidean(3)
+        metric = InvariantMetric(
+            se3, side=side, inner_matrix=np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        )
+        basis = se3.lie_algebra_basis()
+        bracket = basis[:, None] @ basis[None] - basis[None] @ basis[:, None]
+        structure = np.einsum("lac,jkac->ljk", basis, bracket)  # <e_l, [e_j, e_k]>_F
+        rng = np.random.default_rng(8)
+        mu, xi = rng.standard_normal((2, 20, 6))
+        expected = np.einsum("...l,...j,ljk->...k", mu, xi, structure)
+        expected = expected if side == "left" else -expected
+        np.testing.assert_allclose(metric._momentum_rate(mu, xi), expected, rtol=0.0, atol=1e-14)
 
 
 class TestLogByShooting:
