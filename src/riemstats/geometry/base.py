@@ -65,7 +65,19 @@ class Manifold(ABC):
         """Scalar residual per point; zero (up to round-off) on the manifold."""
 
     def belongs(self, point, atol=ATOL):
-        return self.membership_residual(point) <= atol
+        """Membership per point; a point with a non-finite entry is not a member.
+
+        ``membership_residual`` only sees finite points.
+        """
+        point = np.asarray(point, dtype=float)
+        finite = np.isfinite(point)
+        if finite.all():
+            return self.membership_residual(point) <= atol
+        finite = finite.all(axis=tuple(range(-len(self.point_shape), 0)))
+        out = np.zeros(finite.shape, dtype=bool)
+        if finite.any():
+            out[finite] = self.membership_residual(point[finite]) <= atol
+        return out[()]
 
     def check_point(self, point, atol=ATOL):
         point = np.asarray(point, dtype=float)
@@ -121,7 +133,9 @@ class RiemannianMetric(ABC):
     metric built on another calls its hooks. A closed-form distance
     overrides ``squared_dist``, or ``dist`` when the closed form is the
     distance itself. A closed-form transport overrides the ``_transport``
-    hook, never ``parallel_transport``, which validates the arguments.
+    hook, never ``parallel_transport``, which validates the arguments and,
+    like ``exp``/``log``, calls the hook with float warnings silenced and
+    raises DomainError for a non-finite input or result.
     """
 
     def __init__(self, manifold):
@@ -158,7 +172,7 @@ class RiemannianMetric(ABC):
             )
 
     def _require_finite(self, op, *arrays):
-        if not all(np.isfinite(a).all() for a in arrays):
+        if not all(a is None or np.isfinite(a).all() for a in arrays):
             raise DomainError(f"non-finite input to {self.manifold.name} {op}")
 
     def _finite_result(self, op, hook, *args, **kwargs):
@@ -243,14 +257,16 @@ class RiemannianMetric(ABC):
             raise ValueError("provide exactly one of direction / end_point")
         base_point = _shaped(base_point, self.manifold.point_shape, "base point")
         tangent_vec = _shaped(tangent_vec, self.tangent_shape, "tangent vector")
+        if end_point is not None:
+            end_point = _shaped(end_point, self.manifold.point_shape, "end point")
         with np.errstate(all="ignore"):
             self._check_tangent("parallel_transport", tangent_vec, base_point)
             if direction is not None:
                 direction = _shaped(direction, self.tangent_shape, "direction")
                 self._check_tangent("parallel_transport", direction, base_point)
-        if end_point is not None:
-            end_point = _shaped(end_point, self.manifold.point_shape, "end point")
-        return self._transport(tangent_vec, base_point, direction, end_point)
+            return self._finite_result(
+                "parallel_transport", self._transport, tangent_vec, base_point, direction, end_point
+            )
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         """Transport hook; exactly one of ``direction``/``end_point`` is given.

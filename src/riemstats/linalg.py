@@ -6,8 +6,9 @@ the output a pure function of the input bits.
 
 Conventions
 -----------
-* ``sym_eig`` returns eigenvalues in descending order; each eigenvector's
-  largest-magnitude entry is made positive.
+* ``sym_eig`` and ``sym_eigvals`` return eigenvalues in descending order;
+  each eigenvector's largest-magnitude entry is made positive.
+* ``spd_frame`` factors with the lower Cholesky factor ``L``, ``mat = L L^T``.
 * ``qr`` forces a positive diagonal on R.
 """
 
@@ -94,6 +95,14 @@ def is_symmetric(a, atol=ATOL_SYM):
     return np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-1, -2)) <= atol
 
 
+def check_symmetric(mat, atol=ATOL_SYM):
+    """``mat`` as float64; :class:`DomainError` unless finite and symmetric within ``atol``."""
+    mat = _as_square(mat, "symmetric matrix")
+    if not np.all(is_symmetric(mat, atol=atol)):
+        raise DomainError(f"matrix is not symmetric within {atol}")
+    return mat
+
+
 def sym_eig(mat, atol=ATOL_SYM):
     """Eigendecomposition of a symmetric matrix.
 
@@ -101,10 +110,7 @@ def sym_eig(mat, atol=ATOL_SYM):
     descending order and sign-fixed eigenvector columns, so that
     ``mat == V @ diag(w) @ V.T`` up to round-off.
     """
-    mat = _as_square(mat, "symmetric matrix")
-    if not np.all(is_symmetric(mat, atol=atol)):
-        raise DomainError(f"matrix is not symmetric within {atol}")
-    w, v = np.linalg.eigh(sym(mat))
+    w, v = np.linalg.eigh(sym(check_symmetric(mat, atol)))
     w = w[..., ::-1]
     v = v[..., ::-1]
     # Fix each column's sign by its largest-magnitude entry.
@@ -112,6 +118,27 @@ def sym_eig(mat, atol=ATOL_SYM):
     lead = np.take_along_axis(v, idx[..., None, :], axis=-2)[..., 0, :]
     signs = np.where(lead >= 0.0, 1.0, -1.0)
     return np.ascontiguousarray(w), np.ascontiguousarray(v * signs[..., None, :])
+
+
+def sym_eigvals(mat, atol=ATOL_SYM):
+    """Eigenvalues of a symmetric matrix in descending order, without eigenvectors."""
+    return np.linalg.eigvalsh(sym(check_symmetric(mat, atol)))[..., ::-1]
+
+
+def spd_frame(mat, what="matrix", atol=ATOL_SYM):
+    """Cholesky frame ``(L, L^-1)`` of a symmetric positive-definite matrix.
+
+    ``L`` is lower triangular with ``mat == L @ L.T``. Raises
+    :class:`DomainError` if ``mat`` is not finite, not symmetric within
+    ``atol`` (the factorization alone reads only the lower triangle) or not
+    positive definite.
+    """
+    mat = sym(check_symmetric(mat, atol))
+    try:
+        low = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise DomainError(f"{what} is not positive definite") from None
+    return low, np.linalg.inv(low)
 
 
 def _exp_pade(a, m):
@@ -407,6 +434,12 @@ def sym_function_derivative(mat, direction, fn, dfn, atol=ATOL_SYM):
     ``direction`` must be symmetric.
     """
     w, v = sym_eig(mat, atol=atol)
+    return eig_function_derivative(w, v, direction, fn, dfn)
+
+
+def eig_function_derivative(w, v, direction, fn, dfn):
+    """:func:`sym_function_derivative` at the matrix ``v @ diag(w) @ v.T``,
+    from its eigendecomposition ``(w, v)`` as :func:`sym_eig` returns it."""
     direction = sym(np.asarray(direction, dtype=float))
     coeffs = transpose(v) @ direction @ v
     li = w[..., :, None]

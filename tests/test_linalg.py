@@ -389,3 +389,52 @@ class TestSpectralFunctions:
         inv_root = linalg.sym_inv_sqrt(spd)
         np.testing.assert_allclose(root @ root, spd, atol=1e-10)
         np.testing.assert_allclose(root @ inv_root, np.eye(4), atol=1e-10)
+
+    def test_eig_function_derivative_matches_sym_function_derivative(self):
+        rng = np.random.default_rng(8)
+        base = linalg.sym_function(linalg.sym(rng.standard_normal((5, 3, 3))), np.exp)
+        direction = linalg.sym(rng.standard_normal((5, 3, 3)))
+        w, v = linalg.sym_eig(base)
+        np.testing.assert_array_equal(
+            linalg.eig_function_derivative(w, v, direction, np.log, lambda x: 1.0 / x),
+            linalg.sym_function_derivative(base, direction, np.log, lambda x: 1.0 / x),
+        )
+
+
+def _spd_stack(rng, n_matrices, n):
+    return linalg.sym_function(linalg.sym(rng.standard_normal((n_matrices, n, n))), np.exp)
+
+
+class TestSPDKernels:
+    def test_frame_factors_the_matrix(self):
+        spd = _spd_stack(np.random.default_rng(9), 6, 4)
+        low, inv_low = linalg.spd_frame(spd)
+        np.testing.assert_array_equal(low, np.tril(low))
+        np.testing.assert_allclose(low @ np.swapaxes(low, -1, -2), spd, atol=1e-12)
+        np.testing.assert_allclose(low @ inv_low, np.broadcast_to(np.eye(4), spd.shape), atol=1e-12)
+
+    def test_eigvals_match_sym_eig(self):
+        spd = _spd_stack(np.random.default_rng(10), 6, 4)
+        np.testing.assert_allclose(linalg.sym_eigvals(spd), linalg.sym_eig(spd)[0], rtol=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kernel", [linalg.sym_eigvals, linalg.spd_frame])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises_domain_error(self, kernel, bad):
+        spd = _spd_stack(np.random.default_rng(11), 3, 3)
+        spd[1, 0, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            kernel(spd)
+
+    @pytest.mark.parametrize("kernel", [linalg.sym_eigvals, linalg.spd_frame])
+    def test_non_symmetric_raises_domain_error(self, kernel):
+        # The Cholesky factorization reads only the lower triangle.
+        mat = np.array([[2.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(DomainError, match="not symmetric within 1e-10"):
+            kernel(mat)
+
+    def test_frame_of_non_positive_definite_raises_domain_error(self):
+        with pytest.raises(DomainError, match="base point is not positive definite"):
+            linalg.spd_frame(np.diag([1.0, 0.0, 2.0]), "base point")
+        with pytest.raises(DomainError, match="matrix is not positive definite"):
+            linalg.spd_frame(np.stack([np.eye(2), -np.eye(2)]))

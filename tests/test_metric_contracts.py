@@ -10,7 +10,7 @@ the exp/log input contract (shape, finiteness) and the projection.
 import numpy as np
 import pytest
 
-from riemstats.errors import DomainError, GeometryError, ShapeError
+from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError
 from riemstats.geometry import RiemannianMetric
 
 
@@ -261,6 +261,22 @@ def test_random_points_belong(space_case):
     rng = np.random.default_rng(52)
     points = space_case.random_points(20, rng)
     assert np.max(space_case.manifold.membership_residual(points)) < 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_do_not_belong(space_case, bad):
+    """``belongs`` is False exactly on the rows with a non-finite entry, without warnings."""
+    manifold = space_case.manifold
+    points = space_case.random_points(5, np.random.default_rng(60))
+    assert not manifold.belongs(np.full(manifold.point_shape, bad))
+    mixed = points.copy()
+    mixed[1] = bad
+    mixed[3].flat[-1] = bad
+    np.testing.assert_array_equal(manifold.belongs(mixed), [True, False, True, False, True])
+    assert not np.any(manifold.belongs(mixed[[1, 3]]))
+    with pytest.raises(MembershipError):
+        manifold.check_point(mixed)
 
 
 def test_tangent_projection_is_idempotent(space_case):
