@@ -293,12 +293,18 @@ def _cmd_validate(args):
     points, _, _ = load_dataset(args.data, manifold, codec, validate=False)
     residuals = manifold.membership_residual(points)
     failed = np.nonzero(residuals > args.atol)[0]
+    # JSON has no infinity: a point that fails at every tolerance (a singular
+    # or indefinite SPD matrix, a singular GL one) reports a null residual.
     _emit(
         {
             "n_points": int(len(points)),
             "n_failed": int(failed.size),
             "tolerance": args.atol,
-            "failures": [{"index": int(i), "residual": float(residuals[i])} for i in failed],
+            "failures": [
+                {"index": int(i),
+                 "residual": float(residuals[i]) if np.isfinite(residuals[i]) else None}
+                for i in failed
+            ],
         }
     )
     return EXIT_OK if failed.size == 0 else EXIT_INVALID_DATA

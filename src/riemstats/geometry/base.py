@@ -138,6 +138,12 @@ class RiemannianMetric(ABC):
     raises DomainError for a non-finite input or result.
     """
 
+    # True when an op's work on a base point (a factorization or transform
+    # of it) costs about as much as its work on a point, so rows that share
+    # a few base points are cheaper as one call per base point than as one
+    # call with the base repeated per row. Batched estimators read it.
+    prefers_shared_base = False
+
     def __init__(self, manifold):
         self.manifold = manifold
 

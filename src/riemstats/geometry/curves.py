@@ -107,6 +107,8 @@ class SRVMetric(RiemannianMetric):
     Tangent vectors are SRV-chart increments, shape (k-1, d).
     """
 
+    prefers_shared_base = True  # each base curve is SRV-transformed
+
     @property
     def tangent_shape(self):
         k, d = self.manifold.point_shape

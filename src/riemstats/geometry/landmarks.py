@@ -54,6 +54,10 @@ class LandmarksMetric(RiemannianMetric):
         super().__init__(manifold)
         self.base_metric = base_metric or manifold.base_manifold.default_metric
 
+    @property
+    def prefers_shared_base(self):
+        return self.base_metric.prefers_shared_base
+
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         per_landmark = self.base_metric.inner_product(
             np.asarray(tangent_vec_a, dtype=float),

@@ -107,11 +107,26 @@ class _MetricChristoffels(ChristoffelField):
 
 
 def _solve_metric(g, rhs):
-    """``g^{-1} rhs`` for a stack of metric matrices; singular ``g`` leaves the chart."""
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("singular metric matrix (chart domain exit)") from exc
+    """``g^{-1} rhs`` for a stack of metric matrices; singular ``g`` leaves the chart.
+
+    A 2x2 ``g`` is solved in closed form, by its adjugate over its
+    determinant, which on stacks is several times faster than
+    ``np.linalg.solve``; every other dim uses the latter.
+    """
+    if g.shape[-1] != 2:
+        try:
+            return np.linalg.solve(g, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError("singular metric matrix (chart domain exit)") from exc
+    g00, g01 = g[..., 0, 0, None], g[..., 0, 1, None]
+    g10, g11 = g[..., 1, 0, None], g[..., 1, 1, None]
+    r0, r1 = rhs[..., 0, :], rhs[..., 1, :]
+    # Overflow gives inf, as LAPACK would; the callers reject non-finite results.
+    with np.errstate(all="ignore"):
+        det = g00 * g11 - g01 * g10
+        if np.any(det == 0.0):
+            raise DomainError("singular metric matrix (chart domain exit)")
+        return np.stack([g11 * r0 - g01 * r1, g00 * r1 - g10 * r0], axis=-2) / det[..., None]
 
 
 def christoffels_from_metric(metric_matrix_fn, dim, step=_FD_STEP):

@@ -37,13 +37,18 @@ def _trace_product(a, b):
     return np.einsum("...ij,...ji->...", a, b)
 
 
-def _require_positive(w, what):
-    """DomainError unless a descending spectrum is numerically positive.
+def _singular(w):
+    """Whether a descending spectrum is not numerically positive.
 
     An eigenvalue within ``n eps`` of the largest one is round-off away from
     zero, so a singular matrix cannot pass as a positive-definite one.
     """
-    if np.any(w[..., -1] <= w.shape[-1] * np.finfo(float).eps * w[..., 0]):
+    return w[..., -1] <= w.shape[-1] * np.finfo(float).eps * w[..., 0]
+
+
+def _require_positive(w, what):
+    """DomainError unless a descending spectrum is numerically positive."""
+    if np.any(_singular(w)):
         raise DomainError(f"{what} is not positive definite")
 
 
@@ -77,10 +82,15 @@ class SPDMatrices(Manifold):
         self.n = n
 
     def membership_residual(self, point):
+        """The asymmetry; infinite where the spectrum is not numerically positive.
+
+        So ``belongs`` fails at every tolerance exactly where the metrics
+        reject the point as singular.
+        """
         point = np.asarray(point, dtype=float)
         asym = np.max(np.abs(point - linalg.transpose(point)), axis=(-2, -1))
-        eigvals = np.linalg.eigvalsh(linalg.sym(point))
-        return np.maximum(asym, np.clip(-eigvals[..., 0], 0.0, None))
+        eigvals = np.linalg.eigvalsh(linalg.sym(point))[..., ::-1]
+        return np.where(_singular(eigvals), np.inf, asym)
 
     def to_tangent(self, vector, base_point):
         return linalg.sym(vector)
@@ -109,6 +119,8 @@ class SPDMatrices(Manifold):
 
 class SPDAffineMetric(RiemannianMetric):
     """Affine-invariant (congruence-invariant) metric on SPD(n)."""
+
+    prefers_shared_base = True  # each base point is Cholesky-factored
 
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         _, inv_low = linalg.spd_frame(base_point, "base point")
@@ -152,6 +164,8 @@ class SPDLogEuclideanMetric(RiemannianMetric):
     chart point, ``dlog`` at ``P`` and ``dexp`` at the chart point all come
     from that ``(w, v)``.
     """
+
+    prefers_shared_base = True  # each base point is eigendecomposed
 
     @staticmethod
     def _dlog(tangent_vec, w, v):

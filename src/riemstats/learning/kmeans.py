@@ -5,7 +5,10 @@ iterations assigning by distance (ties to the lowest centroid index) and
 updating centroids by Frechet means warm-started at the previous centroid,
 which keeps the inertia non-increasing. All k means of an iteration come
 from one segmented Karcher flow over the points sorted by label
-(:func:`~riemstats.learning.frechet.karcher_flow`); each centroid equals
+(:func:`~riemstats.learning.frechet.karcher_flow`): one ``log`` per flow
+iteration and one ``squared_dist`` per line-search round, whatever k, each
+over the rows of every cluster still in play (one call per cluster for a
+metric that prefers a shared base point, such as SPD). Each centroid equals
 ``frechet_mean(members, init=previous centroid)`` bit for bit. An emptied
 cluster is re-seeded with the farthest point from its old centroid.
 

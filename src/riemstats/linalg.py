@@ -138,7 +138,35 @@ def spd_frame(mat, what="matrix", atol=ATOL_SYM):
         low = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise DomainError(f"{what} is not positive definite") from None
-    return low, np.linalg.inv(low)
+    return low, _lower_inverse(low)
+
+
+# Below this many factors ``np.linalg.inv`` is faster than the substitution,
+# whose n batched row steps cost a fixed ~5 us each (crossover 30-40 for
+# n = 2 to 8; one 5x5 factor: 4.6 us by inv, 24 us by substitution).
+_SUBSTITUTION_MIN_STACK = 32
+
+
+def _lower_inverse(low):
+    """Inverse of a stack of lower-triangular matrices with nonzero diagonals.
+
+    Forward substitution against the identity, one row per step and each
+    step batched over the stack: row ``i`` of the inverse is
+    ``-L[i, :i] X[:i, :i] / L[i, i]`` left of the diagonal and ``1 / L[i, i]``
+    on it. On stacks of small factors this is several times faster than the
+    general ``np.linalg.inv``, which runs an LU factorization per matrix; on
+    a few factors ``np.linalg.inv`` is faster and is used instead.
+    """
+    if low[..., 0, 0].size < _SUBSTITUTION_MIN_STACK:
+        return np.linalg.inv(low)
+    recip = 1.0 / np.diagonal(low, axis1=-2, axis2=-1)
+    inv = np.zeros_like(low)
+    for i in range(low.shape[-1]):
+        inv[..., i, :i] = -np.einsum(
+            "...j,...jk->...k", low[..., i, :i], inv[..., :i, :i]
+        ) * recip[..., i, None]
+        inv[..., i, i] = recip[..., i]
+    return inv
 
 
 def _exp_pade(a, m):

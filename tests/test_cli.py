@@ -168,6 +168,27 @@ def test_exit_code_5_on_validation_failure():
     assert payload["failures"][0]["index"] == 1
 
 
+def test_validate_reports_non_finite_residual_as_null():
+    """Singular and indefinite SPD points fail at every tolerance; their
+    residual is infinite, which JSON cannot hold, so it is written as null."""
+    out = run_geo(
+        ["validate", "--manifold-spec", '{"name": "spd", "n": 2}', "--data",
+         '{"points": [[[2, 0], [0, 1]], [[1, 0], [0, 0]], [[1, 0], [0, -1]], [[1, 0.5], [0, 1]]]}']
+    )
+    assert out.returncode == 5
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    payload = json.loads(out.stdout, parse_constant=reject)
+    assert payload["n_failed"] == 3
+    assert payload["failures"] == [
+        {"index": 1, "residual": None},
+        {"index": 2, "residual": None},
+        {"index": 3, "residual": 0.5},
+    ]
+
+
 def test_validate_tolerance_semantics():
     # A point of norm 1 + 1e-9 passes at the default 1e-8 tolerance.
     out = run_geo(

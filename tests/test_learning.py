@@ -20,6 +20,7 @@ from riemstats.learning import (
     riemannian_gradient_descent,
 )
 from riemstats.learning import kmeans
+from riemstats.learning.frechet import karcher_flow
 
 SPHERE = Hypersphere(2)
 S_METRIC = SPHERE.metric
@@ -112,28 +113,113 @@ class TestFrechetMean:
         assert not result.converged
 
     def test_variance_evaluated_once_per_candidate(self, monkeypatch):
-        from riemstats.learning import frechet
-
-        calls = {"exp": 0, "variance": 0}
+        calls = {"exp": 0, "squared_dist": 0}
         metric = Hypersphere(2).metric
-        plain_exp, plain_variance = metric.exp, frechet.frechet_variance
+        plain_exp, plain_squared_dist = metric.exp, metric.squared_dist
 
         def exp(vec, base):
             calls["exp"] += 1
             return plain_exp(vec, base)
 
-        def variance(*args):
-            calls["variance"] += 1
-            return plain_variance(*args)
+        def squared_dist(*args):
+            calls["squared_dist"] += 1
+            return plain_squared_dist(*args)
 
         monkeypatch.setattr(metric, "exp", exp)
-        monkeypatch.setattr(frechet, "frechet_variance", variance)
+        monkeypatch.setattr(metric, "squared_dist", squared_dist)
         rng = np.random.default_rng(8)
         data = sphere_cap(SPHERE.random_point(rng=rng), 1.2, 40, rng)
         result = frechet_mean(metric, data)
         assert result.converged and result.n_iter > 2
         # One evaluation at the start point, then one per line-search candidate.
-        assert calls["variance"] == calls["exp"] + 1
+        assert calls["squared_dist"] == calls["exp"] + 1
+
+    @pytest.mark.parametrize("n_seg", [3, 5])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("step_size", [1.0, 2.5], ids=["stops_apart", "halves"])
+    def test_flow_batches_all_segments(self, monkeypatch, n_seg, weighted, step_size):
+        """One log per iteration and one squared_dist per line-search round,
+        whatever the number of segments; each segment's mean is still its
+        own frechet_mean bit for bit."""
+        metric = Hypersphere(2).metric
+        rng = np.random.default_rng(30)
+        sizes = rng.integers(5, 30, n_seg)
+        data = np.concatenate(
+            [sphere_cap(SPHERE.random_point(rng=rng), 1.2, n, rng) for n in sizes]
+        )
+        weights = rng.uniform(0.2, 2.0, len(data)) if weighted else None
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        inits = data[bounds[:-1]]
+        options = dict(step_size=step_size, max_iter=30, tol=1e-9)
+        expected = [
+            frechet_mean(
+                metric,
+                data[a:b],
+                None if weights is None else weights[a:b],
+                init=data[a],
+                **options,
+            )
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+
+        calls = {"exp": 0, "log": 0, "squared_dist": 0}
+        for name in calls:
+            plain = getattr(metric, name)
+
+            def counted(*args, _name=name, _plain=plain):
+                calls[_name] += 1
+                return _plain(*args)
+
+            monkeypatch.setattr(metric, name, counted)
+        result = karcher_flow(metric, data, bounds, inits, weights, **options)
+
+        if step_size == 1.0:
+            # The segments stop at different iterations; a stopped one is frozen.
+            assert result.converged.all() and len(set(result.n_iter)) > 1
+        else:
+            # Steps beyond twice the mean tangent overshoot, so rounds halve.
+            assert calls["exp"] > result.n_iter.max()
+        assert calls["log"] == result.n_iter.max()
+        assert calls["squared_dist"] == calls["exp"] + 1
+        for s, mean in enumerate(expected):
+            np.testing.assert_array_equal(result.estimate[s], mean.estimate)
+            assert result.n_iter[s] == mean.n_iter
+
+    @pytest.mark.parametrize("family", ["affine_invariant_metric", "log_euclidean_metric"])
+    def test_flow_passes_one_base_when_metric_prefers_it(self, monkeypatch, family):
+        """SPD metrics factor every base row they are given, so the flow calls
+        them once per segment with that segment's estimate alone; each
+        segment's mean is still its own frechet_mean bit for bit."""
+        spd = SPDMatrices(3)
+        metric = getattr(spd, family)
+        assert metric.prefers_shared_base and not S_METRIC.prefers_shared_base
+        rng = np.random.default_rng(31)
+        sizes = rng.integers(5, 30, 4)
+        data = spd.random_point(int(np.sum(sizes)), rng)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        options = dict(max_iter=30, tol=1e-9)
+        expected = [
+            frechet_mean(metric, data[a:b], init=data[a], **options)
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+
+        base_shapes = {"log": [], "squared_dist": []}
+        for name, base_arg in (("log", 1), ("squared_dist", 0)):
+            plain = getattr(metric, name)
+
+            def counted(*args, _name=name, _plain=plain, _base_arg=base_arg):
+                base_shapes[_name].append(np.shape(args[_base_arg]))
+                return _plain(*args)
+
+            monkeypatch.setattr(metric, name, counted)
+        result = karcher_flow(metric, data, bounds, data[bounds[:-1]], **options)
+
+        assert result.converged.all()
+        assert set(base_shapes["log"]) == set(base_shapes["squared_dist"]) == {(3, 3)}
+        assert len(base_shapes["log"]) == result.n_iter.sum()
+        for s, mean in enumerate(expected):
+            np.testing.assert_array_equal(result.estimate[s], mean.estimate)
+            assert result.n_iter[s] == mean.n_iter
 
     def test_tight_tolerance_flow_never_halves(self, monkeypatch):
         # At tol=1e-9 the last steps lower the variance by less than its

@@ -413,6 +413,31 @@ class TestSPDKernels:
         np.testing.assert_allclose(low @ np.swapaxes(low, -1, -2), spd, atol=1e-12)
         np.testing.assert_allclose(low @ inv_low, np.broadcast_to(np.eye(4), spd.shape), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+    @pytest.mark.parametrize(
+        "stack, substitution",
+        [((), False), ((31,), False), ((32,), True), ((50,), True), ((2, 25), True)],
+    )
+    def test_frame_inverse_by_stack_size(self, n, stack, substitution, monkeypatch):
+        """A few factors go to ``np.linalg.inv``; from 32 on, forward substitution."""
+        size = int(np.prod(stack))
+        spd = _spd_stack(np.random.default_rng(12), size, n).reshape(stack + (n, n))
+        expected = np.linalg.inv(np.linalg.cholesky(spd))
+        plain_inv, inv_calls = np.linalg.inv, []
+
+        def inv(mat):
+            inv_calls.append(mat.shape)
+            return plain_inv(mat)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        low, inv_low = linalg.spd_frame(spd)
+        assert inv_calls == ([] if substitution else [spd.shape])
+        # LAPACK's LU leaves round-off above the diagonal; substitution none.
+        upper = np.triu(inv_low, 1)
+        np.testing.assert_allclose(upper, 0.0, atol=0.0 if substitution else 1e-15)
+        np.testing.assert_allclose(inv_low, expected, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(low @ inv_low, np.broadcast_to(np.eye(n), spd.shape), atol=1e-13)
+
     def test_eigvals_match_sym_eig(self):
         spd = _spd_stack(np.random.default_rng(10), 6, 4)
         np.testing.assert_allclose(linalg.sym_eigvals(spd), linalg.sym_eig(spd)[0], rtol=1e-13)

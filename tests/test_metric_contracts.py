@@ -251,6 +251,20 @@ def test_single_base_broadcasts_over_batch(space_case):
     np.testing.assert_allclose(batched, looped, atol=1e-12)
 
 
+def test_repeated_base_is_bit_identical(space_case):
+    """The segmented Karcher flow takes each row at its own segment's
+    estimate, repeated per row; log and squared_dist must then give the
+    bits of the shared-base calls that one segment alone makes."""
+    points = space_case.random_triples(12, np.random.default_rng(52))[0]
+    bases, rows = points[:2], np.split(points[2:], [4])
+    repeated = np.concatenate([np.repeat(b[None], len(r), axis=0) for b, r in zip(bases, rows)])
+    metric = space_case.metric
+    shared_log = np.concatenate([metric.log(r, b) for b, r in zip(bases, rows)])
+    shared_sq = np.concatenate([metric.squared_dist(b, r) for b, r in zip(bases, rows)])
+    assert np.array_equal(metric.log(np.concatenate(rows), repeated), shared_log)
+    assert np.array_equal(metric.squared_dist(repeated, np.concatenate(rows)), shared_sq)
+
+
 def test_injectivity_radius_positive(space_case):
     rng = np.random.default_rng(51)
     base = space_case.random_point(rng)

@@ -13,6 +13,7 @@ from riemstats.geometry import (
     log_by_shooting,
     transport_by_ladder,
 )
+from riemstats.geometry.numerical import _solve_metric
 
 # Spherical chart (theta, phi) on S^2: metric diag(1, sin^2 theta).
 
@@ -52,6 +53,68 @@ def chart_pushforward(coords, vec):
         axis=-1,
     )
     return vec[..., :1] * d_theta + vec[..., 1:] * d_phi
+
+
+# Spherical coordinates (r, theta, phi) on R^3: metric diag(1, r^2, r^2 sin^2 theta).
+
+
+def spherical_metric_matrix(coords):
+    r, theta = coords[..., 0], coords[..., 1]
+    out = np.zeros(coords.shape[:-1] + (3, 3))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = r**2
+    out[..., 2, 2] = (r * np.sin(theta)) ** 2
+    return out
+
+
+def spherical_to_xyz(coords):
+    return coords[..., :1] * chart_to_xyz(coords[..., 1:])
+
+
+def spherical_pushforward(coords, vec):
+    radial = chart_to_xyz(coords[..., 1:])
+    return vec[..., :1] * radial + coords[..., :1] * chart_pushforward(coords[..., 1:], vec[..., 1:])
+
+
+class TestSolveMetric:
+    @pytest.mark.parametrize("columns", [1, 4], ids=["contraction", "tensor"])
+    def test_closed_form_2x2_matches_lapack(self, columns, monkeypatch):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((500, 2, 2))
+        g = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(2)
+        rhs = rng.standard_normal((500, 2, columns))
+        expected = np.linalg.solve(g, rhs)
+
+        def forbidden(*args):
+            raise AssertionError("a 2x2 metric is solved in closed form")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        np.testing.assert_allclose(_solve_metric(g, rhs), expected, rtol=1e-12, atol=1e-13)
+        with pytest.raises(DomainError, match="chart domain exit"):
+            _solve_metric(np.diag([1.0, 0.0]), rhs[0])
+
+    def test_spherical_chart_of_r3_has_straight_geodesics(self, monkeypatch):
+        """A dim-3 chart solves through LAPACK; its geodesics are straight lines."""
+        solved = []
+        plain_solve = np.linalg.solve
+
+        def counted_solve(*args):
+            solved.append(args[0].shape)
+            return plain_solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        field = christoffels_from_metric(spherical_metric_matrix, 3)
+        rng = np.random.default_rng(13)
+        base = np.stack(
+            [rng.uniform(1.0, 2.0, 20), rng.uniform(0.8, np.pi - 0.8, 20),
+             rng.uniform(-np.pi, np.pi, 20)],
+            axis=-1,
+        )
+        vel = 0.15 * rng.standard_normal((20, 3))
+        end = exp_by_integration(field, base, vel)
+        expected = spherical_to_xyz(base) + spherical_pushforward(base, vel)
+        np.testing.assert_allclose(spherical_to_xyz(end), expected, atol=1e-9)
+        assert solved and all(shape == (20, 3, 3) for shape in solved)
 
 
 class TestChristoffels:

@@ -212,6 +212,25 @@ class TestSPDOperands:
             with pytest.raises(DomainError):
                 _spd_ops(metric, base, directions, vectors, bad)[op]()
 
+    @pytest.mark.parametrize(
+        "singular",
+        [np.diag([1.0, 0.0, 2.0]), np.diag([1.0, 1e-17, 2.0])],
+        ids=["zero", "round_off"],
+    )
+    def test_singular_point_is_not_a_member(self, family, singular):
+        """``belongs`` fails at every tolerance where the metrics reject the point."""
+        spd = SPDMatrices(3)
+        metric = getattr(spd, family)
+        points = spd.random_point(30, np.random.default_rng(31))
+        assert spd.membership_residual(singular) == np.inf
+        assert not spd.belongs(singular, atol=1e300)
+        with pytest.raises(DomainError, match="not positive definite"):
+            metric.log(points[0], singular)
+        with pytest.raises(DomainError, match="not positive definite"):
+            metric.dist(points[0], singular)
+        members = spd.belongs(np.concatenate([points, singular[None]]))
+        assert members[:-1].all() and not members[-1]
+
     def test_overflowing_transport_direction_raises(self, family):
         metric = getattr(SPDMatrices(2), family)
         with pytest.raises(DomainError):
