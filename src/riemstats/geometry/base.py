@@ -144,6 +144,12 @@ class RiemannianMetric(ABC):
     # call with the base repeated per row. Batched estimators read it.
     prefers_shared_base = False
 
+    # Metrics with a closed-form Hessian of the Frechet function define
+    # ``_newton_direction(logs, weights, base_point, gradient)``: the Newton
+    # direction of one Karcher-flow segment, or None where that Hessian is
+    # not positive definite. None here: the flow takes gradient steps.
+    _newton_direction = None
+
     def __init__(self, manifold):
         self.manifold = manifold
 

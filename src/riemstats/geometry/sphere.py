@@ -110,3 +110,29 @@ class SphereMetric(RiemannianMetric):
 
     def injectivity_radius(self, base_point):
         return np.pi
+
+    def _newton_direction(self, logs, weights, base_point, gradient):
+        """Newton direction of one Karcher-flow segment, or None.
+
+        With u_i = ``logs[i]``, theta_i = |u_i| and c_i = theta_i cot theta_i,
+        the Hessian of ``1/2 sum_i w_i d^2(., p_i)`` at x is
+        ``H = sum_i w_i [(1 - c_i) u_i u_i^T / theta_i^2 + c_i (I - x x^T)]``:
+        1 along the geodesic to p_i and c_i across it (Groisser 2004).
+        ``H + x x^T`` is H on T_x and the identity along x, so it is positive
+        definite exactly when H is on T_x. Then the direction solves
+        ``H v = gradient`` on T_x; otherwise the answer is None.
+        """
+        theta = np.linalg.norm(logs, axis=-1)
+        small = theta < _SERIES_THRESHOLD
+        safe = np.where(small, 1.0, theta)
+        cross = np.where(small, 1.0 - theta**2 / 3.0, safe / np.tan(safe))
+        along = np.where(small, 1.0 / 3.0, (1.0 - cross) / safe**2)
+        level = np.dot(weights, cross)
+        shifted = (logs.T * (weights * along)) @ logs
+        shifted += level * np.eye(len(base_point))
+        shifted += (1.0 - level) * np.outer(base_point, base_point)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return None
+        return self.manifold.to_tangent(np.linalg.solve(shifted, gradient), base_point)

@@ -8,9 +8,11 @@ from one segmented Karcher flow over the points sorted by label
 (:func:`~riemstats.learning.frechet.karcher_flow`): one ``log`` per flow
 iteration and one ``squared_dist`` per line-search round, whatever k, each
 over the rows of every cluster still in play (one call per cluster for a
-metric that prefers a shared base point, such as SPD). Each centroid equals
-``frechet_mean(members, init=previous centroid)`` bit for bit. An emptied
-cluster is re-seeded with the farthest point from its old centroid.
+metric that prefers a shared base point, such as SPD). On the sphere the
+flow takes Newton steps where a cluster's Hessian is positive definite, so a
+warm-started centroid converges in a few flow iterations. Each centroid
+equals ``frechet_mean(members, init=previous centroid)`` bit for bit. An
+emptied cluster is re-seeded with the farthest point from its old centroid.
 
 Point-to-centroid distances (seeding, assignment, ``predict`` and the
 online update) broadcast the centroids against the points: one

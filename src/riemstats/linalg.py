@@ -29,9 +29,17 @@ _EIG_GAP_RTOL = 1e-8
 # Higham 2008, ch. 11).
 _PADE_RADIUS = 0.25
 _MAX_ROOTS = 64
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# The 7-point Gauss-Legendre rule moved to [0, 1]: ``0.5 * (x + 1)`` and
+# ``0.5 * w`` for ``x, w = numpy.polynomial.legendre.leggauss(7)``, written
+# out so that importing the library does not load ``numpy.polynomial``.
+_GL_NODES = np.array([
+    0.0254460438286207, 0.12923440720030277, 0.2970774243113014, 0.5,
+    0.7029225756886985, 0.8707655927996972, 0.9745539561713793,
+])
+_GL_WEIGHTS = np.array([
+    0.06474248308443487, 0.13985269574463843, 0.19091502525255935, 0.20897959183673465,
+    0.19091502525255935, 0.13985269574463843, 0.06474248308443487,
+])
 # Denman-Beavers square root: the step after ||X Y - I||_1 <= _SQRT_TOL
 # leaves an error of order _SQRT_TOL**2 / 4, below unit roundoff.
 _SQRT_TOL = 1e-7
@@ -454,20 +462,15 @@ def sym_function(mat, fn, atol=ATOL_SYM):
     return out
 
 
-def sym_function_derivative(mat, direction, fn, dfn, atol=ATOL_SYM):
-    """Frechet derivative of a spectral function at a symmetric matrix.
+def eig_function_derivative(w, v, direction, fn, dfn):
+    """Frechet derivative of a spectral function at the symmetric matrix
+    ``v @ diag(w) @ v.T``, from its eigendecomposition ``(w, v)`` as
+    :func:`sym_eig` returns it.
 
-    Daleckii-Krein: in the eigenbasis of ``mat`` the derivative acts entrywise
-    by first divided differences of ``fn`` (``dfn`` on near-coincident pairs).
+    Daleckii-Krein: in the eigenbasis the derivative acts entrywise by first
+    divided differences of ``fn`` (``dfn`` on near-coincident pairs).
     ``direction`` must be symmetric.
     """
-    w, v = sym_eig(mat, atol=atol)
-    return eig_function_derivative(w, v, direction, fn, dfn)
-
-
-def eig_function_derivative(w, v, direction, fn, dfn):
-    """:func:`sym_function_derivative` at the matrix ``v @ diag(w) @ v.T``,
-    from its eigendecomposition ``(w, v)`` as :func:`sym_eig` returns it."""
     direction = sym(np.asarray(direction, dtype=float))
     coeffs = transpose(v) @ direction @ v
     li = w[..., :, None]
@@ -478,17 +481,3 @@ def eig_function_derivative(w, v, direction, fn, dfn):
     safe_gap = np.where(small, 1.0, gap)
     loewner = np.where(small, dfn(0.5 * (li + lj)), (fn(li) - fn(lj)) / safe_gap)
     return v @ (loewner * coeffs) @ transpose(v)
-
-
-def sym_sqrt(mat):
-    w, v = sym_eig(mat)
-    if np.any(w <= 0.0):
-        raise DomainError("matrix square root needs positive eigenvalues")
-    return (v * np.sqrt(w)[..., None, :]) @ transpose(v)
-
-
-def sym_inv_sqrt(mat):
-    w, v = sym_eig(mat)
-    if np.any(w <= 0.0):
-        raise DomainError("inverse square root needs positive eigenvalues")
-    return (v / np.sqrt(w)[..., None, :]) @ transpose(v)

@@ -29,6 +29,17 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_does_not_load_numpy_polynomial():
+    """The matrix log's quadrature rule is written out, not built at import."""
+    code = (
+        "import sys, riemstats, riemstats.cli._main; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_dist_spot_value():
     out = run_geo(
         ["op", "dist", "--manifold-spec", SPHERE, "--inputs",

@@ -185,6 +185,59 @@ class TestFrechetMean:
             np.testing.assert_array_equal(result.estimate[s], mean.estimate)
             assert result.n_iter[s] == mean.n_iter
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("step_size", [1.0, 2.5], ids=["stops_apart", "halves"])
+    def test_gradient_flow_batches_all_segments(self, monkeypatch, weighted, step_size):
+        """The gradient path of a metric without a Newton hook: one log per
+        iteration and one squared_dist per line-search round, whatever the
+        number of segments; each segment's mean is its own frechet_mean bit
+        for bit."""
+        space = Hyperboloid(2)
+        metric = space.metric
+        assert metric._newton_direction is None
+        rng = np.random.default_rng(32)
+        sizes = rng.integers(5, 30, 4)
+        segments = []
+        for center, n in zip(space.random_point(len(sizes), rng), sizes):
+            vecs = metric.random_tangent(center, n, rng)
+            vecs *= (rng.uniform(0.1, 1.2, n) / metric.norm(vecs, center))[:, None]
+            segments.append(metric.exp(vecs, center))
+        data = np.concatenate(segments)
+        weights = rng.uniform(0.2, 2.0, len(data)) if weighted else None
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        options = dict(step_size=step_size, max_iter=40, tol=1e-8)
+        expected = [
+            frechet_mean(
+                metric,
+                data[a:b],
+                None if weights is None else weights[a:b],
+                init=data[a],
+                **options,
+            )
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+
+        calls = {"exp": 0, "log": 0, "squared_dist": 0}
+        for name in calls:
+            plain = getattr(metric, name)
+
+            def counted(*args, _name=name, _plain=plain):
+                calls[_name] += 1
+                return _plain(*args)
+
+            monkeypatch.setattr(metric, name, counted)
+        result = karcher_flow(metric, data, bounds, data[bounds[:-1]], weights, **options)
+
+        if step_size == 1.0:
+            assert result.converged.all() and len(set(result.n_iter)) > 1
+        else:
+            assert calls["exp"] > result.n_iter.max()
+        assert calls["log"] == result.n_iter.max()
+        assert calls["squared_dist"] == calls["exp"] + 1
+        for s, mean in enumerate(expected):
+            np.testing.assert_array_equal(result.estimate[s], mean.estimate)
+            assert result.n_iter[s] == mean.n_iter
+
     @pytest.mark.parametrize("family", ["affine_invariant_metric", "log_euclidean_metric"])
     def test_flow_passes_one_base_when_metric_prefers_it(self, monkeypatch, family):
         """SPD metrics factor every base row they are given, so the flow calls
@@ -275,6 +328,103 @@ class TestFrechetMean:
         data = np.zeros((3, 3))
         with pytest.raises(ValueError):
             frechet_mean(F_METRIC, data, weights=np.array([1.0, -1.0, 0.5]))
+
+
+def ring(polar, n=24):
+    """``n`` equally spaced points of S^2 at angle ``polar`` from the north pole."""
+    azimuth = 2.0 * np.pi * np.arange(n) / n
+    return np.stack(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+         np.full(n, np.cos(polar))],
+        axis=1,
+    )
+
+
+def ball_sample(sphere, rng, n=200):
+    """``n`` points within 1 rad of a random point of ``sphere``."""
+    metric = sphere.metric
+    center = sphere.random_point(rng=rng)
+    vecs = metric.random_tangent(center, n, rng)
+    vecs *= (rng.uniform(0.1, 1.0, n) / metric.norm(vecs, center))[:, None]
+    return metric.exp(vecs, center)
+
+
+NORTH = np.array([0.0, 0.0, 1.0])
+NEAR_NORTH = np.array([np.sin(0.05), 0.0, np.cos(0.05)])
+
+
+class TestSphereNewton:
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_direction_matches_finite_difference_newton_step(self, dim):
+        """The hook solves the Newton system of 1/2 sum_i w_i d^2(., p_i),
+        whose Hessian here comes from central differences of the Frechet
+        variance in normal coordinates at the base point."""
+        sphere = Hypersphere(dim)
+        metric = sphere.metric
+        rng = np.random.default_rng(40 + dim)
+        data = ball_sample(sphere, rng, 30)
+        weights = rng.uniform(0.2, 2.0, len(data))
+        weights /= np.sum(weights)
+        base = data[0]
+        logs = metric.log(data, base)
+        gradient = np.sum(weights[:, None] * logs, axis=0)
+        direction = metric._newton_direction(logs, weights, base, gradient)
+
+        basis = orthonormal_tangent_basis(metric, base)
+
+        def half_variance(coords):
+            return 0.5 * frechet_variance(metric, data, metric.exp(coords @ basis, base), weights)
+
+        h = 1e-3
+        steps = h * np.eye(dim)
+        hessian = np.array(
+            [
+                [
+                    half_variance(a + b) - half_variance(a - b)
+                    - half_variance(b - a) + half_variance(-a - b)
+                    for b in steps
+                ]
+                for a in steps
+            ]
+        ) / (4.0 * h**2)
+        expected = np.linalg.solve(hessian, basis @ gradient) @ basis
+        assert metric.is_tangent(direction, base)
+        np.testing.assert_allclose(
+            direction, expected, rtol=0, atol=1e-6 * np.linalg.norm(expected)
+        )
+
+    def test_converges_where_gradient_flow_crawls(self):
+        """At the pole, the Hessian of a ring at 2 rad is 0.042 I: the gradient
+        flow contracts by 0.96 per iteration, Newton quadratically."""
+        result = frechet_mean(S_METRIC, ring(2.0), tol=1e-9, init=NEAR_NORTH, max_iter=10)
+        assert result.converged
+        assert float(S_METRIC.dist(result.estimate, NORTH)) < 1e-6
+
+    def test_indefinite_hessian_falls_back_to_gradient_steps(self, monkeypatch):
+        """At the pole, the Hessian of a ring at 2.5 rad is negative definite:
+        a Newton step would head for that maximum. Gradient steps leave it
+        for the minimizer, the south pole."""
+        metric = Hypersphere(2).metric
+        answers = []
+        plain = metric._newton_direction
+
+        def recorded(*args):
+            answers.append(plain(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(metric, "_newton_direction", recorded)
+        result = frechet_mean(metric, ring(2.5), tol=1e-9, init=NEAR_NORTH)
+        assert result.converged
+        assert answers[0] is None and answers[-1] is not None
+        assert float(metric.dist(result.estimate, -NORTH)) < 1e-6
+
+    def test_tight_tolerance_takes_few_iterations(self):
+        # The sample of test_tight_tolerance_flow_never_halves, on which
+        # gradient steps took 11 iterations.
+        sphere = Hypersphere(5)
+        data = ball_sample(sphere, np.random.default_rng(0))
+        result = frechet_mean(sphere.metric, data, tol=1e-9)
+        assert result.converged and result.n_iter <= 5
 
 
 class TestFrechetVariance:
