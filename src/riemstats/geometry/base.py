@@ -42,6 +42,12 @@ def _shaped(array, shape, what):
 class Manifold(ABC):
     """A smooth manifold with an explicit point representation.
 
+    Subclass contract: implement the ``_membership_residual`` hook, never
+    ``membership_residual`` or ``belongs``. The public residual raises
+    ShapeError unless the trailing shape is ``point_shape``, gives a point
+    with a non-finite entry the residual ``inf``, and calls the hook on the
+    finite points only, as float64 arrays with float warnings silenced.
+
     Attributes
     ----------
     dim : int
@@ -60,24 +66,25 @@ class Manifold(ABC):
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, point_shape={self.point_shape})"
 
-    @abstractmethod
     def membership_residual(self, point):
-        """Scalar residual per point; zero (up to round-off) on the manifold."""
+        """Scalar residual per point: zero (up to round-off) on the manifold, inf if not finite."""
+        point = _shaped(point, self.point_shape, "point")
+        finite = np.isfinite(point).all(axis=tuple(range(-len(self.point_shape), 0)))
+        with np.errstate(all="ignore"):
+            if finite.all():
+                return self._membership_residual(point)
+            out = np.full(finite.shape, np.inf)
+            if finite.any():
+                out[finite] = self._membership_residual(point[finite])
+        return out[()]
+
+    @abstractmethod
+    def _membership_residual(self, point):
+        """Residual hook: finite float64 points of the right shape."""
 
     def belongs(self, point, atol=ATOL):
-        """Membership per point; a point with a non-finite entry is not a member.
-
-        ``membership_residual`` only sees finite points.
-        """
-        point = np.asarray(point, dtype=float)
-        finite = np.isfinite(point)
-        if finite.all():
-            return self.membership_residual(point) <= atol
-        finite = finite.all(axis=tuple(range(-len(self.point_shape), 0)))
-        out = np.zeros(finite.shape, dtype=bool)
-        if finite.any():
-            out[finite] = self.membership_residual(point[finite]) <= atol
-        return out[()]
+        """Membership per point; a point with a non-finite entry is not a member."""
+        return self.membership_residual(point) <= atol
 
     def check_point(self, point, atol=ATOL):
         point = np.asarray(point, dtype=float)
@@ -126,16 +133,20 @@ class RiemannianMetric(ABC):
     the generic identities (norm from inner product, squared distance from
     log, distance from squared distance, pole ladder for parallel transport).
 
-    Subclass contract: implement ``inner_product`` and the ``_exp`` and
-    ``_log`` hooks, never ``exp``/``log``: those check shapes (ShapeError),
-    finiteness of input and result (DomainError) and, in ``exp``, tangency,
-    then call the hook on float64 arrays with float warnings silenced. A
-    metric built on another calls its hooks. A closed-form distance
-    overrides ``squared_dist``, or ``dist`` when the closed form is the
-    distance itself. A closed-form transport overrides the ``_transport``
-    hook, never ``parallel_transport``, which validates the arguments and,
-    like ``exp``/``log``, calls the hook with float warnings silenced and
-    raises DomainError for a non-finite input or result.
+    Subclass contract: implement the ``_``-hooks, never a public op. Every
+    metric implements ``_inner_product``, ``_exp`` and ``_log``; a closed
+    form of the squared distance goes in ``_squared_dist`` and one of the
+    transport in ``_transport``, whose defaults are the squared norm of the
+    log and the pole ladder. The public ``inner_product``, ``exp``, ``log``,
+    ``squared_dist``, ``dist`` and ``parallel_transport`` convert their
+    inputs once, raise ShapeError on a wrong trailing shape and, in ``exp``
+    and ``parallel_transport``, TangencyError on a vector that is not
+    tangent; they call the hook on float64 arrays with float warnings
+    silenced and raise DomainError when an input or the result is not
+    finite. A metric built on another calls that metric's hooks, so one
+    public call validates once. ``dist`` is ``sqrt(squared_dist)``;
+    Minkowski space alone overrides it, because its squared interval is
+    negative on timelike separations, which have no real distance.
     """
 
     # True when an op's work on a base point (a factorization or transform
@@ -199,6 +210,16 @@ class RiemannianMetric(ABC):
             raise DomainError(f"{self.manifold.name} {op} overflows: the result is not finite")
         return out
 
+    def _all_finite(self, op, hook, *arrays):
+        """``hook(*arrays)``; DomainError if an input or the result is not finite.
+
+        The inputs are checked up front: a hook may map a non-finite input
+        to a finite result, as ``arctan2`` maps an infinite one to pi/2.
+        """
+        with np.errstate(all="ignore"):
+            self._require_finite(op, *arrays)
+            return self._finite_result(op, hook, *arrays)
+
     def random_tangent(self, base_point, n_samples=1, rng=None):
         """Gaussian ambient noise projected to the tangent space."""
         rng = _rng(rng)
@@ -208,9 +229,18 @@ class RiemannianMetric(ABC):
 
     # Core operations -----------------------------------------------------
 
-    @abstractmethod
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         """Metric inner product of two tangent vectors at a shared base point."""
+        tangent_vec_a = _shaped(tangent_vec_a, self.tangent_shape, "tangent vector")
+        tangent_vec_b = _shaped(tangent_vec_b, self.tangent_shape, "tangent vector")
+        base_point = _shaped(base_point, self.manifold.point_shape, "base point")
+        return self._all_finite(
+            "inner_product", self._inner_product, tangent_vec_a, tangent_vec_b, base_point
+        )
+
+    @abstractmethod
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        """Inner-product hook: finite float64 arrays of the right shapes."""
 
     def squared_norm(self, tangent_vec, base_point):
         return self.inner_product(tangent_vec, tangent_vec, base_point)
@@ -245,9 +275,21 @@ class RiemannianMetric(ABC):
         """Log hook: float64 arrays of the right shapes."""
 
     def squared_dist(self, point_a, point_b):
-        return self.squared_norm(self.log(point_b, point_a), point_a)
+        point_a = _shaped(point_a, self.manifold.point_shape, "point")
+        point_b = _shaped(point_b, self.manifold.point_shape, "point")
+        return self._all_finite("squared_dist", self._squared_dist, point_a, point_b)
+
+    def _squared_dist(self, point_a, point_b):
+        """Squared-distance hook: finite float64 points; the squared norm of the log."""
+        log = self._log(point_b, point_a)
+        return self._inner_product(log, log, point_a)
 
     def dist(self, point_a, point_b):
+        """``sqrt(squared_dist)``.
+
+        ``sqrt(x * x) == x`` in float64, so a ``_squared_dist`` hook that
+        squares a closed-form distance gives ``dist`` that form's bits.
+        """
         return np.sqrt(self.squared_dist(point_a, point_b))
 
     def geodesic(self, initial_point, initial_tangent_vec=None, end_point=None):

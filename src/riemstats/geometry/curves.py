@@ -57,10 +57,8 @@ class DiscretizedCurves(Manifold):
         self.k_sampling_points = k_sampling_points
         self.ambient_dim = ambient_dim
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
-        finite = np.all(np.isfinite(point), axis=(-2, -1))
-        return np.where(finite, 0.0, np.inf)
+    def _membership_residual(self, point):
+        return np.zeros(point.shape[:-2])
 
     def random_point(self, n_samples=1, rng=None):
         """Random walks: generic curves with nonvanishing velocities."""
@@ -93,11 +91,8 @@ class CurvesL2Metric(EuclideanMetric):
         weights[-1] *= 0.5
         self._weights = weights
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        dots = np.sum(
-            np.asarray(tangent_vec_a, dtype=float) * np.asarray(tangent_vec_b, dtype=float),
-            axis=-1,
-        )
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        dots = np.sum(tangent_vec_a * tangent_vec_b, axis=-1)
         return np.sum(self._weights * dots, axis=-1)
 
 
@@ -122,13 +117,9 @@ class SRVMetric(RiemannianMetric):
     def to_tangent(self, vector, base_point):
         return _shaped(vector, self.tangent_shape, "SRV tangent vector")
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         k = self.manifold.k_sampling_points
-        dots = np.sum(
-            np.asarray(tangent_vec_a, dtype=float) * np.asarray(tangent_vec_b, dtype=float),
-            axis=(-2, -1),
-        )
-        return dots / (k - 1.0)
+        return np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1)) / (k - 1.0)
 
     def _exp(self, tangent_vec, base_point):
         srv = srv_transform(base_point) + tangent_vec
@@ -140,7 +131,7 @@ class SRVMetric(RiemannianMetric):
     def _log(self, point, base_point):
         return srv_transform(point) - srv_transform(base_point)
 
-    def squared_dist(self, point_a, point_b):
+    def _squared_dist(self, point_a, point_b):
         diff = srv_transform(point_a) - srv_transform(point_b)
         k = self.manifold.k_sampling_points
         return np.sum(diff**2, axis=(-2, -1)) / (k - 1.0)

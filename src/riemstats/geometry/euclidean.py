@@ -23,10 +23,8 @@ class Euclidean(Manifold):
         super().__init__(n, (n,), "euclidean")
         self.n = n
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
-        finite = np.all(np.isfinite(point), axis=-1)
-        return np.where(finite, 0.0, np.inf)
+    def _membership_residual(self, point):
+        return np.zeros(point.shape[:-1])
 
     def random_point(self, n_samples=1, rng=None):
         rng = _rng(rng)
@@ -40,11 +38,8 @@ class Euclidean(Manifold):
 class EuclideanMetric(RiemannianMetric):
     """Flat metric: exp is addition, log subtraction, transport the identity."""
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return np.sum(
-            np.asarray(tangent_vec_a, dtype=float) * np.asarray(tangent_vec_b, dtype=float),
-            axis=-1,
-        )
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        return np.sum(tangent_vec_a * tangent_vec_b, axis=-1)
 
     def _exp(self, tangent_vec, base_point):
         return base_point + tangent_vec
@@ -81,15 +76,11 @@ class MinkowskiMetric(EuclideanMetric):
 
     ``squared_dist`` is the signed squared interval; ``dist`` is only defined
     for spacelike (or null) separations and raises :class:`DomainError` on
-    timelike ones.
+    timelike ones, so it is the one metric that overrides a public op.
     """
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         return minkowski_inner(tangent_vec_a, tangent_vec_b)
-
-    def squared_dist(self, point_a, point_b):
-        diff = self.log(point_b, point_a)
-        return minkowski_inner(diff, diff)
 
     def dist(self, point_a, point_b):
         sq = self.squared_dist(point_a, point_b)

@@ -34,12 +34,8 @@ class GeneralLinear(Manifold):
     def inverse(self, point):
         return np.linalg.inv(np.asarray(point, dtype=float))
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
-        det = np.abs(np.linalg.det(point))
-        finite = np.all(np.isfinite(point), axis=(-2, -1))
-        ok = finite & (det > _DET_ATOL)
-        return np.where(ok, 0.0, np.inf)
+    def _membership_residual(self, point):
+        return np.where(np.abs(np.linalg.det(point)) > _DET_ATOL, 0.0, np.inf)
 
     def lie_algebra_basis(self):
         eye = np.eye(self.n * self.n)
@@ -66,10 +62,9 @@ class GeneralLinear(Manifold):
 class GLGroupMetric(RiemannianMetric):
     """Group exp/log charts with the left-invariant Frobenius inner product."""
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        inv = np.linalg.inv(np.asarray(base_point, dtype=float))
-        return np.sum((inv @ np.asarray(tangent_vec_a, dtype=float))
-                      * (inv @ np.asarray(tangent_vec_b, dtype=float)), axis=(-2, -1))
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        inv = np.linalg.inv(base_point)
+        return np.sum((inv @ tangent_vec_a) * (inv @ tangent_vec_b), axis=(-2, -1))
 
     def _exp(self, tangent_vec, base_point):
         return base_point @ linalg.matrix_exp(np.linalg.inv(base_point) @ tangent_vec)
@@ -77,11 +72,8 @@ class GLGroupMetric(RiemannianMetric):
     def _log(self, point, base_point):
         return base_point @ linalg.matrix_log(np.linalg.inv(base_point) @ point)
 
-    def squared_dist(self, point_a, point_b):
-        relative = np.linalg.inv(np.asarray(point_a, dtype=float)) @ np.asarray(
-            point_b, dtype=float
-        )
-        log = linalg.matrix_log(relative)
+    def _squared_dist(self, point_a, point_b):
+        log = linalg.matrix_log(np.linalg.inv(point_a) @ point_b)
         return np.sum(log**2, axis=(-2, -1))
 
     def injectivity_radius(self, base_point):

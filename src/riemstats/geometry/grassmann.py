@@ -36,8 +36,7 @@ class Grassmann(Manifold):
         self.n = n
         self.p = p
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
+    def _membership_residual(self, point):
         asym = np.max(np.abs(point - linalg.transpose(point)), axis=(-2, -1))
         idem = np.max(np.abs(point @ point - point), axis=(-2, -1))
         trace = np.abs(np.trace(point, axis1=-2, axis2=-1) - self.p)
@@ -72,11 +71,8 @@ class Grassmann(Manifold):
 class GrassmannMetric(RiemannianMetric):
     """Canonical quotient metric in projector representation."""
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return 0.5 * np.sum(
-            np.asarray(tangent_vec_a, dtype=float) * np.asarray(tangent_vec_b, dtype=float),
-            axis=(-2, -1),
-        )
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        return 0.5 * np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1))
 
     def principal_angles(self, point_a, point_b):
         """Principal angles between two subspaces, ascending, shape (..., p).
@@ -97,7 +93,7 @@ class GrassmannMetric(RiemannianMetric):
         from_sin = np.arcsin(np.sort(sin_vals, axis=-1))
         return np.where(cos_vals**2 >= 0.5, from_sin, from_cos)
 
-    def squared_dist(self, point_a, point_b):
+    def _squared_dist(self, point_a, point_b):
         angles = self.principal_angles(point_a, point_b)
         return np.sum(angles**2, axis=-1)
 

@@ -63,8 +63,7 @@ class Hyperboloid(Manifold):
     def __init__(self, dim):
         super().__init__(dim, (dim + 1,), "hyperboloid")
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
+    def _membership_residual(self, point):
         constraint = np.abs(minkowski_inner(point, point) + 1.0)
         wrong_sheet = np.clip(1.0 - point[..., 0], 0.0, None)
         return np.maximum(constraint, wrong_sheet)
@@ -98,7 +97,7 @@ class Hyperboloid(Manifold):
 class HyperboloidMetric(RiemannianMetric):
     """Metric induced by the Minkowski form; curvature -1 closed forms."""
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         return minkowski_inner(tangent_vec_a, tangent_vec_b)
 
     def _exp(self, tangent_vec, base_point):
@@ -116,23 +115,18 @@ class HyperboloidMetric(RiemannianMetric):
         factor = np.where(small, 1.0 - d**2 / 6.0, d / np.where(small, 1.0, sinh_d))
         return factor[..., None] * flat
 
-    def dist(self, point_a, point_b):
-        """``2 asinh(sqrt(q) / 2)`` with ``q = <a - b, a - b>_M = 2 (cosh d - 1)``.
+    def _squared_dist(self, point_a, point_b):
+        """``d^2``: ``d = 2 asinh(sqrt(q) / 2)``, ``q = <a - b, a - b>_M = 2 (cosh d - 1)``.
 
         Both evaluations of ``q`` are symmetric in ``a`` and ``b``. The
         difference form is exact near coincident points, where ``-<a, b>_M``
         rounds to 1; far apart it cancels entries of size ``cosh(d)^2``, so
         ``2 (-<a, b>_M - 1)`` is used once ``-<a, b>_M`` exceeds 2.
         """
-        point_a = np.asarray(point_a, dtype=float)
-        point_b = np.asarray(point_b, dtype=float)
         diff = point_a - point_b
         beta = -minkowski_inner(point_a, point_b)
         q = np.where(beta > 2.0, 2.0 * (beta - 1.0), minkowski_inner(diff, diff))
-        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
-
-    def squared_dist(self, point_a, point_b):
-        return self.dist(point_a, point_b) ** 2
+        return (2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))) ** 2
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         if direction is None:
@@ -153,13 +147,13 @@ class PoincareBall(Manifold):
     def __init__(self, dim):
         super().__init__(dim, (dim,), "poincare_ball")
 
-    def membership_residual(self, point):
+    def _membership_residual(self, point):
         """Zero inside the open ball; ``||x||^2 >= 1`` on and outside its boundary.
 
         The ball is open, so a point with ``||x|| >= 1`` fails ``belongs`` at
         every tolerance below 1, boundary points included.
         """
-        sq = np.sum(np.asarray(point, dtype=float) ** 2, axis=-1)
+        sq = np.sum(point**2, axis=-1)
         return np.where(sq < 1.0, 0.0, sq)
 
     def random_point(self, n_samples=1, rng=None):
@@ -178,14 +172,9 @@ class PoincareBallMetric(RiemannianMetric):
         super().__init__(manifold)
         self._hyperboloid = HyperboloidMetric(Hyperboloid(manifold.dim))
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        base_point = np.asarray(base_point, dtype=float)
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         conformal = 2.0 / (1.0 - np.sum(base_point**2, axis=-1))
-        dots = np.sum(
-            np.asarray(tangent_vec_a, dtype=float) * np.asarray(tangent_vec_b, dtype=float),
-            axis=-1,
-        )
-        return conformal**2 * dots
+        return conformal**2 * np.sum(tangent_vec_a * tangent_vec_b, axis=-1)
 
     def _exp(self, tangent_vec, base_point):
         base = ball_to_hyperboloid(base_point)
@@ -202,11 +191,10 @@ class PoincareBallMetric(RiemannianMetric):
         target = ball_to_hyperboloid(point)
         return hyperboloid_to_ball_tangent(self._hyperboloid._log(target, base), base)
 
-    def dist(self, point_a, point_b):
-        return self._hyperboloid.dist(ball_to_hyperboloid(point_a), ball_to_hyperboloid(point_b))
-
-    def squared_dist(self, point_a, point_b):
-        return self.dist(point_a, point_b) ** 2
+    def _squared_dist(self, point_a, point_b):
+        return self._hyperboloid._squared_dist(
+            ball_to_hyperboloid(point_a), ball_to_hyperboloid(point_b)
+        )
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         base = ball_to_hyperboloid(base_point)

@@ -70,13 +70,10 @@ class InvariantMetric(RiemannianMetric):
 
     def _body_coords(self, tangent_vec, base_point):
         inv = self.manifold.inverse(base_point)
-        if self.side == "left":
-            algebra = inv @ np.asarray(tangent_vec, dtype=float)
-        else:
-            algebra = np.asarray(tangent_vec, dtype=float) @ inv
+        algebra = inv @ tangent_vec if self.side == "left" else tangent_vec @ inv
         return self._to_coords(algebra)
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         xa = self._body_coords(tangent_vec_a, base_point)
         xb = self._body_coords(tangent_vec_b, base_point)
         return np.einsum("...d,de,...e->...", xa, self.inner_matrix, xb)

@@ -27,9 +27,8 @@ class Landmarks(Manifold):
         self.base_manifold = base_manifold
         self.k_landmarks = k_landmarks
 
-    def membership_residual(self, point):
-        residuals = self.base_manifold.membership_residual(np.asarray(point, dtype=float))
-        return np.max(residuals, axis=-1)
+    def _membership_residual(self, point):
+        return np.max(self.base_manifold._membership_residual(point), axis=-1)
 
     def to_tangent(self, vector, base_point):
         return self.base_manifold.to_tangent(vector, base_point)
@@ -58,12 +57,8 @@ class LandmarksMetric(RiemannianMetric):
     def prefers_shared_base(self):
         return self.base_metric.prefers_shared_base
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        per_landmark = self.base_metric.inner_product(
-            np.asarray(tangent_vec_a, dtype=float),
-            np.asarray(tangent_vec_b, dtype=float),
-            np.asarray(base_point, dtype=float),
-        )
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        per_landmark = self.base_metric._inner_product(tangent_vec_a, tangent_vec_b, base_point)
         return np.sum(per_landmark, axis=-1)
 
     def _exp(self, tangent_vec, base_point):
@@ -72,8 +67,8 @@ class LandmarksMetric(RiemannianMetric):
     def _log(self, point, base_point):
         return self.base_metric._log(point, base_point)
 
-    def squared_dist(self, point_a, point_b):
-        return np.sum(self.base_metric.squared_dist(point_a, point_b), axis=-1)
+    def _squared_dist(self, point_a, point_b):
+        return np.sum(self.base_metric._squared_dist(point_a, point_b), axis=-1)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         return self.base_metric._transport(tangent_vec, base_point, direction, end_point)

@@ -75,15 +75,13 @@ class SpecialEuclidean(Manifold):
         rot_inv = linalg.transpose(rot)
         return homogeneous_from_parts(rot_inv, -np.einsum("...ij,...j->...i", rot_inv, trans))
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
+    def _membership_residual(self, point):
         n = self.n
-        rot_res = self.rotations.membership_residual(rotation_part(point))
+        rot_res = self.rotations._membership_residual(rotation_part(point))
         bottom = np.zeros(n + 1)
         bottom[n] = 1.0
         row_res = np.max(np.abs(point[..., n, :] - bottom), axis=-1)
-        finite = np.where(np.all(np.isfinite(point), axis=(-2, -1)), 0.0, np.inf)
-        return np.maximum(np.maximum(rot_res, row_res), finite)
+        return np.maximum(rot_res, row_res)
 
     def to_tangent(self, vector, base_point):
         vector = np.asarray(vector, dtype=float)
@@ -145,11 +143,8 @@ class SECanonicalLeftMetric(RiemannianMetric):
         super().__init__(manifold)
         self._so_metric = SOBiInvariantMetric(manifold.rotations)
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return np.sum(
-            np.asarray(tangent_vec_a, dtype=float) * np.asarray(tangent_vec_b, dtype=float),
-            axis=(-2, -1),
-        )
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        return np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1))
 
     def _exp(self, tangent_vec, base_point):
         rot = self._so_metric._exp(rotation_part(tangent_vec), rotation_part(base_point))
@@ -161,8 +156,8 @@ class SECanonicalLeftMetric(RiemannianMetric):
         trans = translation_part(point) - translation_part(base_point)
         return tangent_from_parts(rot_vec, trans)
 
-    def squared_dist(self, point_a, point_b):
-        rot_sq = self._so_metric.squared_dist(rotation_part(point_a), rotation_part(point_b))
+    def _squared_dist(self, point_a, point_b):
+        rot_sq = self._so_metric._squared_dist(rotation_part(point_a), rotation_part(point_b))
         diff = translation_part(point_b) - translation_part(point_a)
         return rot_sq + np.sum(diff**2, axis=-1)
 

@@ -92,8 +92,7 @@ class SpecialOrthogonal(Manifold):
     def inverse(self, point):
         return linalg.transpose(point)
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
+    def _membership_residual(self, point):
         ortho = np.max(
             np.abs(linalg.transpose(point) @ point - np.eye(self.n)), axis=(-2, -1)
         )
@@ -147,11 +146,8 @@ class SOBiInvariantMetric(RiemannianMetric):
     Geodesics are one-parameter subgroups: exp_R(V) = R expm(R^T V).
     """
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return np.sum(
-            np.asarray(tangent_vec_a, dtype=float) * np.asarray(tangent_vec_b, dtype=float),
-            axis=(-2, -1),
-        )
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        return np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1))
 
     def _exp(self, tangent_vec, base_point):
         algebra = linalg.skew(linalg.transpose(base_point) @ tangent_vec)
@@ -167,10 +163,8 @@ class SOBiInvariantMetric(RiemannianMetric):
     def _log(self, point, base_point):
         return base_point @ self._relative_log(point, base_point)
 
-    def squared_dist(self, point_a, point_b):
-        relative = linalg.transpose(np.asarray(point_a, dtype=float)) @ np.asarray(
-            point_b, dtype=float
-        )
+    def _squared_dist(self, point_a, point_b):
+        relative = linalg.transpose(point_a) @ point_b
         n = relative.shape[-1]
         if n == 3:
             _, angle = linalg._rotation_axis_angle_3x3(relative)

@@ -64,6 +64,22 @@ def _require_finite_exp(w):
         raise DomainError("spd exp overflows: the end point is not finite")
 
 
+def _base_frame(base_point):
+    """Cholesky frame of a base point; DomainError unless its spectrum is numerically positive.
+
+    The factorization alone succeeds on some points that are singular to
+    round-off, such as ``diag(1, 1e-17, 2)``, which ``belongs`` rejects.
+    ``tr(P) tr(P^-1) = |L|_F^2 |L^-1|_F^2`` bounds the condition number of
+    P = L L^T from above, so a batch it keeps 1000 times below the singular
+    threshold of ``_singular`` is positive without its eigenvalues.
+    """
+    low, inv_low = linalg.spd_frame(base_point, "base point")
+    bound = np.sum(low**2, axis=(-2, -1)) * np.sum(inv_low**2, axis=(-2, -1))
+    if not np.all(bound * low.shape[-1] * np.finfo(float).eps < 1e-3):
+        _require_positive(linalg.sym_eigvals(base_point), "base point")
+    return low, inv_low
+
+
 def _congruence(inv_low, mat):
     """sym(L^-1 mat L^-T): ``mat`` in the frame of the base point."""
     return linalg.sym(inv_low @ mat @ linalg.transpose(inv_low))
@@ -81,13 +97,12 @@ class SPDMatrices(Manifold):
         super().__init__(n * (n + 1) // 2, (n, n), "spd")
         self.n = n
 
-    def membership_residual(self, point):
+    def _membership_residual(self, point):
         """The asymmetry; infinite where the spectrum is not numerically positive.
 
         So ``belongs`` fails at every tolerance exactly where the metrics
         reject the point as singular.
         """
-        point = np.asarray(point, dtype=float)
         asym = np.max(np.abs(point - linalg.transpose(point)), axis=(-2, -1))
         eigvals = np.linalg.eigvalsh(linalg.sym(point))[..., ::-1]
         return np.where(_singular(eigvals), np.inf, asym)
@@ -122,13 +137,13 @@ class SPDAffineMetric(RiemannianMetric):
 
     prefers_shared_base = True  # each base point is Cholesky-factored
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        _, inv_low = linalg.spd_frame(base_point, "base point")
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        _, inv_low = _base_frame(base_point)
         return _trace_product(_congruence(inv_low, tangent_vec_a),
                               _congruence(inv_low, tangent_vec_b))
 
     def _exp(self, tangent_vec, base_point):
-        low, inv_low = linalg.spd_frame(base_point, "base point")
+        low, inv_low = _base_frame(base_point)
         middle = linalg.sym_function(_congruence(inv_low, tangent_vec), np.exp)
         return low @ middle @ linalg.transpose(low)
 
@@ -137,7 +152,7 @@ class SPDAffineMetric(RiemannianMetric):
         w, v = _spd_eig(_congruence(inv_low, linalg.check_symmetric(point)), "point")
         return low @ _spectral(np.log(w), v) @ linalg.transpose(low)
 
-    def squared_dist(self, point_a, point_b):
+    def _squared_dist(self, point_a, point_b):
         _, inv_low = linalg.spd_frame(point_a, "point")
         w = linalg.sym_eigvals(_congruence(inv_low, linalg.check_symmetric(point_b)))
         _require_positive(w, "point")
@@ -145,7 +160,7 @@ class SPDAffineMetric(RiemannianMetric):
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         """Closed form: V -> E V E^T with E = L (L^-1 Q L^-T)^1/2 L^-1, Q = exp_P(direction)."""
-        low, inv_low = linalg.spd_frame(base_point, "base point")
+        low, inv_low = _base_frame(base_point)
         if end_point is None:
             w, v = linalg.sym_eig(_congruence(inv_low, direction))
             _require_finite_exp(w)
@@ -175,7 +190,7 @@ class SPDLogEuclideanMetric(RiemannianMetric):
     def _dexp(chart_vec, log_w, v):
         return linalg.eig_function_derivative(log_w, v, chart_vec, np.exp, np.exp)
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         w, v = _spd_eig(base_point, "base point")
         ca = self._dlog(tangent_vec_a, w, v)
         cb = self._dlog(tangent_vec_b, w, v)
@@ -193,7 +208,7 @@ class SPDLogEuclideanMetric(RiemannianMetric):
         chart_diff = _spectral(np.log(w_point), v_point) - _spectral(log_w, v)
         return self._dexp(chart_diff, log_w, v)
 
-    def squared_dist(self, point_a, point_b):
+    def _squared_dist(self, point_a, point_b):
         w_a, v_a = _spd_eig(point_a, "point")
         w_b, v_b = _spd_eig(point_b, "point")
         diff = _spectral(np.log(w_a), v_a) - _spectral(np.log(w_b), v_b)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CutLocusError, DomainError
+from ..errors import CutLocusError
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 # Below this tangent norm, sin(x)/x style ratios switch to their 2-term series.
@@ -17,27 +17,13 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
 
-def _cos_angle(point_a, point_b):
-    """``<a, b>`` clipped to [-1, 1].
-
-    A NaN or inf entry in either point makes the dot product non-finite, so
-    checking it rejects non-finite input with :class:`DomainError`.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        dot = _dot(point_a, point_b)
-    if not np.all(np.isfinite(dot)):
-        raise DomainError("sphere points must be finite")
-    return np.clip(dot, -1.0, 1.0)
-
-
 class Hypersphere(Manifold):
     """S^n = {x in R^{n+1} : ||x|| = 1} with the round metric induced by R^{n+1}."""
 
     def __init__(self, dim):
         super().__init__(dim, (dim + 1,), "hypersphere")
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
+    def _membership_residual(self, point):
         return np.abs(np.linalg.norm(point, axis=-1) - 1.0)
 
     def project(self, point):
@@ -62,8 +48,8 @@ class Hypersphere(Manifold):
 class SphereMetric(RiemannianMetric):
     """Round metric: great-circle geodesics, closed-form exp/log/transport."""
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return _dot(np.asarray(tangent_vec_a, dtype=float), np.asarray(tangent_vec_b, dtype=float))
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
+        return _dot(tangent_vec_a, tangent_vec_b)
 
     def _exp(self, tangent_vec, base_point):
         angle = np.linalg.norm(tangent_vec, axis=-1)
@@ -83,15 +69,10 @@ class SphereMetric(RiemannianMetric):
         factor = np.where(small, 1.0 + angle**2 / 6.0, angle / safe_sin)
         return factor[..., None] * flat
 
-    def dist(self, point_a, point_b):
-        point_a = np.asarray(point_a, dtype=float)
-        point_b = np.asarray(point_b, dtype=float)
-        cos_angle = _cos_angle(point_a, point_b)
+    def _squared_dist(self, point_a, point_b):
+        cos_angle = np.clip(_dot(point_a, point_b), -1.0, 1.0)
         flat = point_b - cos_angle[..., None] * point_a
-        return np.arctan2(np.linalg.norm(flat, axis=-1), cos_angle)
-
-    def squared_dist(self, point_a, point_b):
-        return self.dist(point_a, point_b) ** 2
+        return np.arctan2(np.linalg.norm(flat, axis=-1), cos_angle) ** 2
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         """Closed-form transport along the great circle toward ``direction``."""

@@ -24,8 +24,7 @@ class Stiefel(Manifold):
         self.n = n
         self.p = p
 
-    def membership_residual(self, point):
-        point = np.asarray(point, dtype=float)
+    def _membership_residual(self, point):
         gram = linalg.transpose(point) @ point
         return np.max(np.abs(gram - np.eye(self.p)), axis=(-2, -1))
 
@@ -64,10 +63,7 @@ class Stiefel(Manifold):
 class StiefelCanonicalMetric(RiemannianMetric):
     """Canonical metric <U, V>_X = tr(U^T (I - X X^T / 2) V)."""
 
-    def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        tangent_vec_a = np.asarray(tangent_vec_a, dtype=float)
-        tangent_vec_b = np.asarray(tangent_vec_b, dtype=float)
-        base_point = np.asarray(base_point, dtype=float)
+    def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         plain = np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1))
         xa = linalg.transpose(base_point) @ tangent_vec_a
         xb = linalg.transpose(base_point) @ tangent_vec_b

@@ -83,9 +83,7 @@ def _average(sq, weights):
 
 def frechet_variance(metric, points, mean, weights=None):
     """Weighted average of squared distances from ``mean`` to ``points``."""
-    points = np.asarray(points, dtype=float)
-    sq = metric.squared_dist(np.asarray(mean, dtype=float), points)
-    return _average(sq, weights)
+    return _average(metric.squared_dist(mean, points), weights)
 
 
 def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1e-7,

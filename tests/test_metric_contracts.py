@@ -4,14 +4,15 @@ Smaller-sample versions of the acceptance suite, run per space for
 pinpointed failures: exp/log round-trips inside the injectivity bound,
 metric axioms on sampled triples, geodesic speed constancy, transport
 isometry, the transport argument contract, batch-equals-loop consistency,
-the exp/log input contract (shape, finiteness) and the projection.
+the input contract of the public point ops (shape, finiteness) and the
+projection.
 """
 
 import numpy as np
 import pytest
 
 from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError
-from riemstats.geometry import RiemannianMetric
+from riemstats.geometry import Manifold, RiemannianMetric
 
 
 def test_round_trip(space_case):
@@ -139,15 +140,29 @@ def test_no_metric_overrides_parallel_transport():
 
 
 def test_no_metric_overrides_exp_or_log():
-    """Closed forms go in the ``_exp``/``_log`` hooks, behind the base checks.
+    """Closed forms go in the ``_exp``, ``_log``, ``_squared_dist`` and
+    ``_inner_product`` hooks, behind the base checks.
 
     Binding the inherited method itself under the subclass is not an override.
+    Minkowski's ``dist`` is the one exception: its squared interval is
+    negative on timelike separations, which have no real distance.
     """
     offenders = [
         f"{sub.__qualname__}.{op}"
         for sub in _all_subclasses(RiemannianMetric)
-        for op in ("exp", "log")
+        for op in ("exp", "log", "squared_dist", "dist", "inner_product")
         if vars(sub).get(op, vars(RiemannianMetric)[op]) is not vars(RiemannianMetric)[op]
+    ]
+    assert offenders == ["MinkowskiMetric.dist"]
+
+
+def test_no_manifold_overrides_membership_residual_or_belongs():
+    """Residuals go in the ``_membership_residual`` hook, behind the base checks."""
+    offenders = [
+        f"{sub.__qualname__}.{op}"
+        for sub in _all_subclasses(Manifold)
+        for op in ("membership_residual", "belongs")
+        if op in vars(sub)
     ]
     assert offenders == []
 
@@ -167,18 +182,22 @@ def _with_first_entry(array, value):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("op", ["exp", "log"])
+@pytest.mark.parametrize("op", ["exp", "log", "squared_dist", "dist", "inner_product"])
 @pytest.mark.parametrize("where", ["nan_base", "nan_argument", "inf_base"])
 def test_non_finite_input_raises_domain_error(space_case, op, where):
     """Exactly ``DomainError``: not a subclass, a LinAlgError or a NaN result."""
     base, vec, point = _exp_log_inputs(space_case, 56)
-    argument = vec if op == "exp" else point
+    argument = vec if op in ("exp", "inner_product") else point
     if where == "nan_argument":
         argument = _with_first_entry(argument, np.nan)
     else:
         base = _with_first_entry(base, np.nan if where == "nan_base" else np.inf)
+    metric = space_case.metric
     with pytest.raises(DomainError) as info:
-        getattr(space_case.metric, op)(argument, base)
+        if op == "inner_product":
+            metric.inner_product(argument, vec, base)
+        else:
+            getattr(metric, op)(argument, base)
     assert type(info.value) is DomainError
     assert info.value.code == "domain_error"
 
@@ -191,6 +210,16 @@ def test_wrong_trailing_shape_raises_shape_error(space_case):
         space_case.metric.log(point[..., :-1], base)
     with pytest.raises(ShapeError):
         space_case.metric.log(point, base[..., :-1])
+    with pytest.raises(ShapeError):
+        space_case.metric.dist(point[..., :-1], base)
+    with pytest.raises(ShapeError):
+        space_case.metric.inner_product(vec[..., :-1], vec, base)
+    with pytest.raises(ShapeError):
+        space_case.metric.inner_product(vec, vec, base[..., :-1])
+    with pytest.raises(ShapeError):
+        space_case.manifold.membership_residual(point[..., :-1])
+    with pytest.raises(ShapeError):
+        space_case.manifold.belongs(point[..., :-1])
 
 
 def test_project_keeps_members_and_restores_perturbed_points(space_case):
@@ -280,14 +309,17 @@ def test_random_points_belong(space_case):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_do_not_belong(space_case, bad):
-    """``belongs`` is False exactly on the rows with a non-finite entry, without warnings."""
+    """``belongs`` is False exactly on the rows with a non-finite entry, whose
+    residual is inf, without warnings."""
     manifold = space_case.manifold
     points = space_case.random_points(5, np.random.default_rng(60))
     assert not manifold.belongs(np.full(manifold.point_shape, bad))
+    assert manifold.membership_residual(np.full(manifold.point_shape, bad)) == np.inf
     mixed = points.copy()
     mixed[1] = bad
     mixed[3].flat[-1] = bad
     np.testing.assert_array_equal(manifold.belongs(mixed), [True, False, True, False, True])
+    np.testing.assert_array_equal(manifold.membership_residual(mixed)[[1, 3]], [np.inf, np.inf])
     assert not np.any(manifold.belongs(mixed[[1, 3]]))
     with pytest.raises(MembershipError):
         manifold.check_point(mixed)

@@ -187,6 +187,7 @@ def _bad_spd_operands(good):
         ("inf", with_inf),
         ("indefinite", np.diag([1.0, -1.0, 2.0])),
         ("singular", np.diag([1.0, 0.0, 2.0])),
+        ("singular to round-off", np.diag([1.0, 1e-17, 2.0])),
     ]
 
 
@@ -230,6 +231,16 @@ class TestSPDOperands:
             metric.dist(points[0], singular)
         members = spd.belongs(np.concatenate([points, singular[None]]))
         assert members[:-1].all() and not members[-1]
+
+    def test_ill_conditioned_member_is_a_base_point(self, family):
+        """A member whose condition number the trace bound cannot certify
+        passes the spectrum test: every op answers at it."""
+        spd = SPDMatrices(3)
+        base = np.diag([1.0, 1e-13, 2.0])
+        assert spd.belongs(base)
+        vec = np.diag([0.0, 1e-14, 0.1])
+        for op, call in _spd_ops(getattr(spd, family), base, vec, vec, base).items():
+            assert np.all(np.isfinite(call())), op
 
     def test_overflowing_transport_direction_raises(self, family):
         metric = getattr(SPDMatrices(2), family)
