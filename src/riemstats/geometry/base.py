@@ -259,7 +259,8 @@ class RiemannianMetric(ABC):
     def log(self, point, base_point, **kwargs):
         """Initial velocity of the geodesic from ``base_point`` to ``point``.
 
-        The shooting logs take ``max_iter`` and ``tol`` as ``kwargs``.
+        The iterative logs (Stiefel, shooting) take ``max_iter`` and ``tol``
+        as ``kwargs``.
         """
         point = _shaped(point, self.manifold.point_shape, "point")
         base_point = _shaped(base_point, self.manifold.point_shape, "base point")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
+from ..errors import DomainError
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 _DET_ATOL = 1e-10
@@ -59,21 +60,29 @@ class GeneralLinear(Manifold):
         return GLGroupMetric(self)
 
 
+def _inverse(mat, what):
+    """``mat^-1``; DomainError naming ``what`` where a matrix is exactly singular."""
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        raise DomainError(f"{what} is singular") from None
+
+
 class GLGroupMetric(RiemannianMetric):
     """Group exp/log charts with the left-invariant Frobenius inner product."""
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        inv = np.linalg.inv(base_point)
+        inv = _inverse(base_point, "base point")
         return np.sum((inv @ tangent_vec_a) * (inv @ tangent_vec_b), axis=(-2, -1))
 
     def _exp(self, tangent_vec, base_point):
-        return base_point @ linalg.matrix_exp(np.linalg.inv(base_point) @ tangent_vec)
+        return base_point @ linalg.matrix_exp(_inverse(base_point, "base point") @ tangent_vec)
 
     def _log(self, point, base_point):
-        return base_point @ linalg.matrix_log(np.linalg.inv(base_point) @ point)
+        return base_point @ linalg.matrix_log(_inverse(base_point, "base point") @ point)
 
     def _squared_dist(self, point_a, point_b):
-        log = linalg.matrix_log(np.linalg.inv(point_a) @ point_b)
+        log = linalg.matrix_log(_inverse(point_a, "point") @ point_b)
         return np.sum(log**2, axis=(-2, -1))
 
     def injectivity_radius(self, base_point):

@@ -319,13 +319,15 @@ def transport_by_ladder(metric, tangent_vec, base_point, end_point, n_rungs=20):
     end_point = np.asarray(end_point, dtype=float)
 
     whole = metric.log(end_point, base_point)
+    # Every rung's start, midpoint and end on the base->end geodesic, from
+    # one batched exp: point j is exp((j / 2) / n_rungs * whole), so rung i
+    # runs from point 2i through point 2i + 1 to point 2i + 2.
+    fracs = np.arange(2 * n_rungs + 1) * 0.5 / n_rungs
+    points = metric.exp(fracs.reshape((-1,) + (1,) * whole.ndim) * whole, base_point)
     vec = tangent_vec
-    start = metric.exp(0.0 * whole, base_point)
     for i in range(n_rungs):
-        mid = metric.exp(((i + 0.5) / n_rungs) * whole, base_point)
-        nxt = metric.exp(((i + 1.0) / n_rungs) * whole, base_point)
+        start, mid, nxt = points[2 * i], points[2 * i + 1], points[2 * i + 2]
         lifted = metric.exp(vec, start)
         reflected = metric.exp(-metric.log(lifted, mid), mid)
         vec = -metric.log(reflected, nxt)
-        start = nxt
     return vec

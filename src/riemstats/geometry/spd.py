@@ -148,7 +148,7 @@ class SPDAffineMetric(RiemannianMetric):
         return low @ middle @ linalg.transpose(low)
 
     def _log(self, point, base_point):
-        low, inv_low = linalg.spd_frame(base_point, "base point")
+        low, inv_low = _base_frame(base_point)
         w, v = _spd_eig(_congruence(inv_low, linalg.check_symmetric(point)), "point")
         return low @ _spectral(np.log(w), v) @ linalg.transpose(low)
 

@@ -29,6 +29,14 @@ _EIG_GAP_RTOL = 1e-8
 # Higham 2008, ch. 11).
 _PADE_RADIUS = 0.25
 _MAX_ROOTS = 64
+# A rotation of size >= 4 takes the one-``eigh`` log when every eigenvalue of
+# its symmetric part is above this, that is, every angle below
+# arccos(-0.9) = 2.69 rad. Nearer pi the factor arccos(c) / sqrt(1 - c^2)
+# amplifies the round-off of c (5.5e-4 relative error at pi - 1e-6), where
+# the general log keeps 1e-10.
+_ROTATION_MIN_COS = -0.9
+# Below this 1 - c, arccos(c) / sqrt(1 - c^2) = 1 + (1 - c) / 3 to within 2e-17.
+_ROTATION_SERIES_GAP = 1e-8
 # The 7-point Gauss-Legendre rule moved to [0, 1]: ``0.5 * (x + 1)`` and
 # ``0.5 * w`` for ``x, w = numpy.polynomial.legendre.leggauss(7)``, written
 # out so that importing the library does not load ``numpy.polynomial``.
@@ -388,15 +396,57 @@ def _log_general(mat):
     x = root - eye
     shifted = eye + _GL_NODES[:, None, None, None] * x
     terms = np.linalg.solve(shifted, np.broadcast_to(x, shifted.shape))
-    log = np.tensordot(_GL_WEIGHTS, terms, axes=1)
+    # Summed term by term: ``np.tensordot`` hands the sum to a BLAS product
+    # whose rounding depends on the stack size, hence on the rest of the batch.
+    log = sum(w * t for w, t in zip(_GL_WEIGHTS, terms))
     return np.ldexp(log, n_roots[:, None, None])
+
+
+def _log_rotation_eigh(sym_vals, sym_vecs, rot):
+    """Principal log of rotations from the eigendecomposition of their symmetric part.
+
+    A rotation R is normal, so sym(R) = W diag(c) W^T commutes with skew(R),
+    and on each plane of rotation by theta, c = cos(theta) and skew(R) is
+    sin(theta) times the unit generator. So log R = g(sym R) skew(R) with
+    g(c) = arccos(c) / sqrt(1 - c^2) (Gallier and Xu, "Computing exponentials
+    of skew-symmetric matrices and logarithms of orthogonal matrices", 2002).
+    The caller keeps every c above ``_ROTATION_MIN_COS``.
+    """
+    cos = np.minimum(sym_vals, 1.0)
+    gap = 1.0 - cos
+    series = gap < _ROTATION_SERIES_GAP
+    exact = np.arccos(cos) / np.sqrt(np.where(series, 1.0, gap * (1.0 + cos)))
+    factor = np.where(series, 1.0 + gap / 3.0, exact)
+    return skew((sym_vecs * factor[..., None, :]) @ transpose(sym_vecs) @ skew(rot))
+
+
+def _log_by_member(flat):
+    """Principal log of a stack ``(k, n, n)``, n >= 4, each member on its own path.
+
+    A rotation whose angles are all below 2.69 rad takes the one-``eigh``
+    form; every other member goes to ``_log_general`` in one batch. The path
+    depends on the member alone, so its result does not depend on the batch.
+    """
+    out = np.empty_like(flat)
+    rot = np.flatnonzero(_is_rotation(flat, atol=1e-10))
+    sym_vals, sym_vecs = np.linalg.eigh(sym(flat[rot]))
+    fast = sym_vals[:, 0] > _ROTATION_MIN_COS  # eigh sorts ascending
+    done = rot[fast]
+    out[done] = _log_rotation_eigh(sym_vals[fast], sym_vecs[fast], flat[done])
+    rest = np.ones(len(flat), dtype=bool)
+    rest[done] = False
+    if rest.any():
+        out[rest] = _log_general(flat[rest])
+    return out
 
 
 def matrix_log(mat, atol=ATOL_SYM):
     """Principal matrix logarithm.
 
     Fast paths: symmetric positive definite input goes through ``sym_eig``;
-    rotation matrices of size <= 3 use the axis-angle closed form. Any other
+    rotation matrices of size <= 3 use the axis-angle closed form, and each
+    larger rotation whose angles are all below 2.69 rad takes
+    ``g(sym R) skew(R)`` from one ``eigh`` of its symmetric part. Any other
     input, a single matrix or a stack, takes one batched inverse
     scaling-and-squaring pass with no per-matrix Python loop: each matrix is
     square-rooted (Denman-Beavers) until ``||A - I||_1 <= 0.25``, then
@@ -422,7 +472,9 @@ def matrix_log(mat, atol=ATOL_SYM):
             raise DomainError("matrix log undefined at rotation angle pi")
         return log
 
-    return _log_general(mat.reshape((-1, n, n))).reshape(mat.shape)
+    flat = mat.reshape((-1, n, n))
+    log = _log_general(flat) if n <= 3 else _log_by_member(flat)
+    return log.reshape(mat.shape)
 
 
 def qr(mat, rtol=RTOL_RANK):

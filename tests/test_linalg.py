@@ -132,6 +132,18 @@ def _rotations(rng, count, n, max_angle=0.9 * np.pi):
     return q @ blocks @ np.swapaxes(q, -1, -2)
 
 
+def _wide_rotations(rng, count, n):
+    """Rotations with one angle in [2.75, 3.0] rad, past the one-``eigh`` path,
+    and one in [0, 2] rad."""
+    blocks = np.broadcast_to(np.eye(n), (count, n, n)).copy()
+    for j, angle in enumerate([rng.uniform(2.75, 3.0, count), rng.uniform(0.0, 2.0, count)]):
+        c, s = np.cos(angle), np.sin(angle)
+        blocks[:, 2 * j, 2 * j], blocks[:, 2 * j, 2 * j + 1] = c, -s
+        blocks[:, 2 * j + 1, 2 * j], blocks[:, 2 * j + 1, 2 * j + 1] = s, c
+    q = _rotations(rng, count, n)
+    return q @ blocks @ np.swapaxes(q, -1, -2)
+
+
 def _general(rng, count, n):
     """Invertible matrices expm(B) with Gaussian B: a real principal log exists."""
     return scipy.linalg.expm(0.6 * rng.standard_normal((count, n, n)))
@@ -230,6 +242,43 @@ class TestBatchedMatrixLog:
         monkeypatch.setattr(linalg, "_SQRT_MAX_ITER", 1)
         with pytest.raises(DomainError, match="did not converge"):
             linalg.matrix_log(_general(np.random.default_rng(15), 5, 3))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_mixed_stack_routes_each_member(self, n, monkeypatch):
+        """Rotations with every angle below 2.69 rad take the one-``eigh`` log;
+        wider rotations and general matrices go to ``_log_general`` in one batch.
+        Each member gets its element-wise bits, and every path matches scipy."""
+        rng = np.random.default_rng(17)
+        near = _rotations(rng, 6, n, max_angle=2.6)
+        mats = np.concatenate([near, _wide_rotations(rng, 4, n), _general(rng, 4, n)])
+        mats = mats[rng.permutation(len(mats))]
+        general_log = linalg._log_general
+        batches = []
+
+        def counting(flat):
+            batches.append(len(flat))
+            return general_log(flat)
+
+        monkeypatch.setattr(linalg, "_log_general", counting)
+        out = linalg.matrix_log(mats)
+        assert batches == [8]
+        loop = np.stack([linalg.matrix_log(m) for m in mats])
+        np.testing.assert_array_equal(out, loop)
+        ref = np.stack([scipy.linalg.logm(m) for m in mats])
+        assert np.max(np.abs(ref.imag)) <= 1e-12
+        assert _rel_err(out, ref.real) <= 1e-12
+
+    def test_rotation_log_near_identity(self):
+        """The series branch of arccos(c) / sqrt(1 - c^2) near c = 1."""
+        rng = np.random.default_rng(18)
+        q = _rotations(rng, 3, 4)
+        algebra = np.zeros((3, 4, 4))
+        for i, angles in enumerate([(1e-9, 0.0), (1e-5, 2e-10), (1e-4, 0.3)]):
+            for j, angle in enumerate(angles):
+                algebra[i, 2 * j + 1, 2 * j], algebra[i, 2 * j, 2 * j + 1] = angle, -angle
+        rots = q @ scipy.linalg.expm(algebra) @ np.swapaxes(q, -1, -2)
+        exact = q @ algebra @ np.swapaxes(q, -1, -2)
+        np.testing.assert_allclose(linalg.matrix_log(rots), exact, rtol=0.0, atol=1e-15)
 
     def test_no_per_matrix_logm(self, monkeypatch):
         """Large batches must not fall back to a per-matrix scipy loop."""

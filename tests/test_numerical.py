@@ -388,7 +388,37 @@ class TestPoleLadder:
         base, end = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
         out = transport_by_ladder(Counting(), np.array([0.0, 0.0, 1.0]), base, end, n_rungs=7)
         np.testing.assert_allclose(out, [0.0, 0.0, 1.0], atol=1e-12)
-        assert calls == {"exp": 1 + 4 * 7, "log": 1 + 2 * 7}
+        # One batched exp gives every rung's start, midpoint and end; each
+        # rung then makes two exps and two logs.
+        assert calls == {"exp": 1 + 2 * 7, "log": 1 + 2 * 7}
+
+    @pytest.mark.parametrize("space", ["stiefel52", "sphere2"])
+    def test_batched_rung_points_equal_per_rung_exps(self, space):
+        """The rung points of one batched exp give the bits of one exp per point."""
+        from riemstats.geometry import Stiefel
+
+        rng = np.random.default_rng(41)
+        manifold = Stiefel(5, 2) if space == "stiefel52" else Hypersphere(2)
+        metric = manifold.metric
+        base = manifold.random_point(rng=rng)
+        vec = metric.random_tangent(base, rng=rng)
+        vec = 0.3 * vec / metric.norm(vec, base)
+        direction = metric.random_tangent(base, rng=rng)
+        end = metric.exp(0.4 * direction / metric.norm(direction, base), base)
+
+        n_rungs = 6
+        whole = metric.log(end, base)
+        expected = vec
+        start = metric.exp(0.0 * whole, base)
+        for i in range(n_rungs):
+            mid = metric.exp(((i + 0.5) / n_rungs) * whole, base)
+            nxt = metric.exp(((i + 1.0) / n_rungs) * whole, base)
+            reflected = metric.exp(-metric.log(metric.exp(expected, start), mid), mid)
+            expected = -metric.log(reflected, nxt)
+            start = nxt
+        np.testing.assert_array_equal(
+            transport_by_ladder(metric, vec, base, end, n_rungs=n_rungs), expected
+        )
 
     def test_norm_drift_under_20_rungs(self):
         from riemstats.geometry import Hyperboloid

@@ -232,6 +232,11 @@ class TestSPDOperands:
         members = spd.belongs(np.concatenate([points, singular[None]]))
         assert members[:-1].all() and not members[-1]
 
+    def test_log_names_a_round_off_singular_base_point(self, family):
+        metric = getattr(SPDMatrices(3), family)
+        with pytest.raises(DomainError, match="^base point is not positive definite$"):
+            metric.log(np.eye(3), np.diag([1.0, 1e-17, 2.0]))
+
     def test_ill_conditioned_member_is_a_base_point(self, family):
         """A member whose condition number the trace bound cannot certify
         passes the spectrum test: every op answers at it."""
@@ -576,6 +581,22 @@ class TestGeneralLinear:
         b = self.gl3.random_point(20, rng)
         np.testing.assert_allclose(self.metric.dist(a, b), self.metric.dist(b, a), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "op, operand",
+        [("inner_product", "base point"), ("exp", "base point"), ("log", "base point"),
+         ("dist", "point")],
+    )
+    def test_singular_operand_raises_domain_error(self, op, operand):
+        singular, zero, eye = np.diag([1.0, 0.0, 2.0]), np.zeros((3, 3)), np.eye(3)
+        calls = {
+            "inner_product": lambda: self.metric.inner_product(zero, zero, singular),
+            "exp": lambda: self.metric.exp(zero, singular),
+            "log": lambda: self.metric.log(eye, singular),
+            "dist": lambda: self.metric.dist(singular, eye),
+        }
+        with pytest.raises(DomainError, match=f"^{operand} is singular$"):
+            calls[op]()
+
 
 class TestStiefel:
     stiefel = Stiefel(4, 2)
@@ -659,6 +680,88 @@ class TestStiefel:
         with pytest.raises(ConvergenceError) as info:
             self.metric.log(target, base, max_iter=1, tol=1e-14)
         assert info.value.residual is not None and info.value.residual > 1e-14
+
+
+STIEFEL_SHAPES = [(4, 2), (5, 2), (6, 3), (3, 2), (4, 1), (3, 3)]
+
+
+def _stiefel_pairs(n, p, seed, count=6):
+    """Base points and targets at canonical distances 0.1 to 1.0."""
+    stiefel = Stiefel(n, p)
+    metric = stiefel.canonical_metric
+    rng = np.random.default_rng(seed)
+    base = stiefel.random_point(count, rng)
+    vecs = metric.random_tangent(base, count, rng)
+    vecs = vecs * (np.linspace(0.1, 1.0, count) / metric.norm(vecs, base))[:, None, None]
+    return stiefel, metric, base, metric.exp(vecs, base)
+
+
+@pytest.mark.parametrize("n, p", STIEFEL_SHAPES, ids=[f"st{n}{p}" for n, p in STIEFEL_SHAPES])
+class TestStiefelLog:
+    """Zimmermann's log against its stopping bound, its loop and the shooting log."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-11])
+    def test_exp_residual_within_tol(self, n, p, tol):
+        _, metric, base, target = _stiefel_pairs(n, p, 61)
+        log = metric.log(target, base, tol=tol)
+        assert np.max(np.abs(metric.exp(log, base) - target)) <= tol
+
+    def test_batch_equals_loop(self, n, p):
+        _, metric, base, target = _stiefel_pairs(n, p, 62)
+        loop = np.stack([metric.log(t, b) for t, b in zip(target, base)])
+        np.testing.assert_array_equal(metric.log(target, base), loop)
+
+    def test_matches_shooting_log(self, n, p):
+        from riemstats.geometry import log_by_shooting, orthonormal_tangent_basis
+
+        stiefel, metric, base, target = _stiefel_pairs(n, p, 63)
+        log = metric.log(target, base)
+        for b, t, v in zip(base, target, log):
+            shot = log_by_shooting(
+                metric,
+                b,
+                t,
+                tangent_basis=orthonormal_tangent_basis(metric, b),
+                initial_tangent=stiefel.to_tangent(t - b, b),
+                max_iter=100,
+                tol=1e-11,
+                point_ndim=2,
+            )
+            np.testing.assert_allclose(v, shot, rtol=0.0, atol=1e-8)
+
+
+def test_logs_below_the_rotation_bound_skip_shooting_and_the_general_log(monkeypatch):
+    """The Stiefel log, and the SO(4) and Grassmann(4, 2) logs at rotation
+    angles below 2.69 rad, reach neither the shooting log nor ``_log_general``."""
+    from riemstats import linalg
+    from riemstats.geometry import numerical, stiefel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fallback called")
+
+    monkeypatch.setattr(numerical, "log_by_shooting", forbidden)
+    monkeypatch.setattr(linalg, "_log_general", forbidden)
+    assert not hasattr(stiefel, "log_by_shooting")
+    rng = np.random.default_rng(64)
+    for n, p in [(4, 2), (5, 2), (6, 3)]:
+        _, metric, base, target = _stiefel_pairs(n, p, 65)
+        assert np.all(np.isfinite(metric.log(target, base)))
+
+    so4 = SpecialOrthogonal(4)
+    frame = so4.random_point(10, rng)
+    algebra = np.zeros((10, 4, 4))
+    algebra[:, 1, 0], algebra[:, 3, 2] = rng.uniform(0.0, 2.65, 10), rng.uniform(0.0, 2.65, 10)
+    rotation = linalg.matrix_exp(algebra - np.swapaxes(algebra, -1, -2))
+    relative = frame @ rotation @ np.swapaxes(frame, -1, -2)
+    base = so4.random_point(10, rng)
+    assert np.all(np.isfinite(so4.metric.log(base @ relative, base)))
+
+    grassmann = Grassmann(4, 2)
+    base = grassmann.random_point(10, rng)
+    vecs = grassmann.metric.random_tangent(base, 10, rng)
+    vecs = vecs * (1.3 / grassmann.metric.norm(vecs, base))[:, None, None]
+    target = grassmann.metric.exp(vecs, base)
+    assert np.all(np.isfinite(grassmann.metric.log(target, base)))
 
 
 class TestGrassmann:
