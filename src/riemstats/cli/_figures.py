@@ -10,12 +10,13 @@ import numpy as np
 
 from ..geometry import Hyperboloid, hyperboloid_to_ball, rotation_part, translation_part
 from ..learning import riemannian_gradient_descent
+from ..linalg import norm
 from ._specs import SchemaError, read_array, read_point, resolve_manifold, take_fields
 
 # Documented defaults for the sphere-descent demonstration: a linear field
 # f(x) = <a, x>, minimized on S^2 at -a.
 DEFAULT_FIELD_VECTOR = (1.0 / np.sqrt(3.0)) * np.ones(3)
-DEFAULT_DESCENT_START = np.array([1.0, -0.3, 0.1]) / np.linalg.norm([1.0, -0.3, 0.1])
+DEFAULT_DESCENT_START = np.array([1.0, -0.3, 0.1]) / norm(np.array([1.0, -0.3, 0.1]))
 
 # Documented default endpoints for the SE(3) geodesic demonstration.
 DEFAULT_SE3_START = {"rotation": np.eye(3).tolist(), "translation": [0.0, 0.0, 0.0]}

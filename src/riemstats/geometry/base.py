@@ -156,10 +156,11 @@ class RiemannianMetric(ABC):
     prefers_shared_base = False
 
     # Metrics with a closed-form Hessian of the Frechet function define
-    # ``_newton_direction(logs, weights, base_point, gradient)``: the Newton
-    # direction of one Karcher-flow segment, or None where that Hessian is
-    # not positive definite. None here: the flow takes gradient steps.
-    _newton_direction = None
+    # ``_newton_directions(logs, weights, base_points, gradients)``: the
+    # Newton directions of the Karcher-flow segments still searching, one
+    # call per flow iteration, and the mask of the segments whose Hessian is
+    # positive definite. None here: the flow takes gradient steps.
+    _newton_directions = None
 
     def __init__(self, manifold):
         self.manifold = manifold

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
+from ..linalg import inner, norm
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape, _shaped
 from .euclidean import EuclideanMetric
 
@@ -28,7 +29,7 @@ def srv_transform(curve):
     curve = np.asarray(curve, dtype=float)
     k = curve.shape[-2]
     velocity = (k - 1.0) * (curve[..., 1:, :] - curve[..., :-1, :])
-    speed = np.linalg.norm(velocity, axis=-1)
+    speed = norm(velocity)
     if np.any(speed <= _MIN_SPEED):
         raise DomainError("SRV transform needs nonvanishing discrete velocity")
     return velocity / np.sqrt(speed)[..., None]
@@ -39,7 +40,7 @@ def srv_inverse(srv, anchor):
     srv = np.asarray(srv, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
     k = srv.shape[-2] + 1
-    velocity = srv * np.linalg.norm(srv, axis=-1)[..., None]
+    velocity = srv * norm(srv)[..., None]
     steps = velocity / (k - 1.0)
     start = np.broadcast_to(anchor, steps.shape[:-2] + anchor.shape[-1:])[..., None, :]
     return np.concatenate([start, start + np.cumsum(steps, axis=-2)], axis=-2)
@@ -92,8 +93,7 @@ class CurvesL2Metric(EuclideanMetric):
         self._weights = weights
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        dots = np.sum(tangent_vec_a * tangent_vec_b, axis=-1)
-        return np.sum(self._weights * dots, axis=-1)
+        return inner(self._weights, inner(tangent_vec_a, tangent_vec_b))
 
 
 class SRVMetric(RiemannianMetric):
@@ -119,11 +119,11 @@ class SRVMetric(RiemannianMetric):
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         k = self.manifold.k_sampling_points
-        return np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1)) / (k - 1.0)
+        return inner(tangent_vec_a, tangent_vec_b, axes=2) / (k - 1.0)
 
     def _exp(self, tangent_vec, base_point):
         srv = srv_transform(base_point) + tangent_vec
-        speed_sq = np.sum(srv**2, axis=-1)
+        speed_sq = inner(srv, srv)
         if np.any(speed_sq <= _MIN_SPEED):
             raise DomainError("SRV exp produced a curve with vanishing velocity")
         return srv_inverse(srv, base_point[..., 0, :])
@@ -134,7 +134,7 @@ class SRVMetric(RiemannianMetric):
     def _squared_dist(self, point_a, point_b):
         diff = srv_transform(point_a) - srv_transform(point_b)
         k = self.manifold.k_sampling_points
-        return np.sum(diff**2, axis=(-2, -1)) / (k - 1.0)
+        return inner(diff, diff, axes=2) / (k - 1.0)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         # The chart is flat and shared between base points; the vector
@@ -148,5 +148,5 @@ class SRVMetric(RiemannianMetric):
         """Chart distance from the base to the nearest vanishing-velocity curve."""
         srv = srv_transform(base_point)
         k = self.manifold.k_sampling_points
-        speeds = np.linalg.norm(srv, axis=-1)
+        speeds = norm(srv)
         return np.min(speeds, axis=-1) / np.sqrt(k - 1.0)

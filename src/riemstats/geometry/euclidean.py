@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
+from ..linalg import inner
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 
@@ -12,7 +13,7 @@ def minkowski_inner(vec_a, vec_b):
     """Bilinear form with signature (-, +, ..., +) on the first axis entry."""
     vec_a = np.asarray(vec_a, dtype=float)
     vec_b = np.asarray(vec_b, dtype=float)
-    spatial = np.sum(vec_a[..., 1:] * vec_b[..., 1:], axis=-1)
+    spatial = inner(vec_a[..., 1:], vec_b[..., 1:])
     return spatial - vec_a[..., 0] * vec_b[..., 0]
 
 
@@ -39,7 +40,7 @@ class EuclideanMetric(RiemannianMetric):
     """Flat metric: exp is addition, log subtraction, transport the identity."""
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return np.sum(tangent_vec_a * tangent_vec_b, axis=-1)
+        return inner(tangent_vec_a, tangent_vec_b)
 
     def _exp(self, tangent_vec, base_point):
         return base_point + tangent_vec

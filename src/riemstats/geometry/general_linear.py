@@ -73,7 +73,7 @@ class GLGroupMetric(RiemannianMetric):
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         inv = _inverse(base_point, "base point")
-        return np.sum((inv @ tangent_vec_a) * (inv @ tangent_vec_b), axis=(-2, -1))
+        return linalg.inner(inv @ tangent_vec_a, inv @ tangent_vec_b, axes=2)
 
     def _exp(self, tangent_vec, base_point):
         return base_point @ linalg.matrix_exp(_inverse(base_point, "base point") @ tangent_vec)
@@ -83,7 +83,7 @@ class GLGroupMetric(RiemannianMetric):
 
     def _squared_dist(self, point_a, point_b):
         log = linalg.matrix_log(_inverse(point_a, "point") @ point_b)
-        return np.sum(log**2, axis=(-2, -1))
+        return linalg.inner(log, log, axes=2)
 
     def injectivity_radius(self, base_point):
         # Conservative: within log(2) of the identity in the body chart the

@@ -72,7 +72,7 @@ class GrassmannMetric(RiemannianMetric):
     """Canonical quotient metric in projector representation."""
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return 0.5 * np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1))
+        return 0.5 * linalg.inner(tangent_vec_a, tangent_vec_b, axes=2)
 
     def principal_angles(self, point_a, point_b):
         """Principal angles between two subspaces, ascending, shape (..., p).
@@ -95,7 +95,7 @@ class GrassmannMetric(RiemannianMetric):
 
     def _squared_dist(self, point_a, point_b):
         angles = self.principal_angles(point_a, point_b)
-        return np.sum(angles**2, axis=-1)
+        return linalg.inner(angles, angles)
 
     def _exp(self, tangent_vec, base_point):
         omega = tangent_vec @ base_point - base_point @ tangent_vec

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
+from ..linalg import inner
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 from .euclidean import minkowski_inner
 
@@ -19,7 +20,7 @@ _SERIES_THRESHOLD = 1e-7
 def ball_to_hyperboloid(point):
     """Poincare-ball vector (norm < 1) to hyperboloid coordinates."""
     point = np.asarray(point, dtype=float)
-    sq = np.sum(point**2, axis=-1)
+    sq = inner(point, point)
     if np.any(sq >= 1.0):
         raise DomainError("Poincare-ball points must have norm < 1")
     denom = (1.0 - sq)[..., None]
@@ -37,9 +38,9 @@ def ball_to_hyperboloid_tangent(tangent_vec, base_point):
     """Differential of :func:`ball_to_hyperboloid` at a ball point."""
     tangent_vec = np.asarray(tangent_vec, dtype=float)
     base_point = np.asarray(base_point, dtype=float)
-    sq = np.sum(base_point**2, axis=-1)
+    sq = inner(base_point, base_point)
     denom = 1.0 - sq
-    dot = np.sum(base_point * tangent_vec, axis=-1)
+    dot = inner(base_point, tangent_vec)
     first = (4.0 * dot / denom**2)[..., None]
     rest = 2.0 * tangent_vec / denom[..., None] + (4.0 * dot / denom**2)[
         ..., None
@@ -153,7 +154,7 @@ class PoincareBall(Manifold):
         The ball is open, so a point with ``||x|| >= 1`` fails ``belongs`` at
         every tolerance below 1, boundary points included.
         """
-        sq = np.sum(point**2, axis=-1)
+        sq = inner(point, point)
         return np.where(sq < 1.0, 0.0, sq)
 
     def random_point(self, n_samples=1, rng=None):
@@ -173,8 +174,8 @@ class PoincareBallMetric(RiemannianMetric):
         self._hyperboloid = HyperboloidMetric(Hyperboloid(manifold.dim))
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        conformal = 2.0 / (1.0 - np.sum(base_point**2, axis=-1))
-        return conformal**2 * np.sum(tangent_vec_a * tangent_vec_b, axis=-1)
+        conformal = 2.0 / (1.0 - inner(base_point, base_point))
+        return conformal**2 * inner(tangent_vec_a, tangent_vec_b)
 
     def _exp(self, tangent_vec, base_point):
         base = ball_to_hyperboloid(base_point)

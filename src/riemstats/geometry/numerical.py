@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError
+from ..linalg import norm
 
 _FD_STEP = 1e-5  # central differences of the metric matrix
 _SHOOTING_FD = 1e-7  # forward differences of the shooting residual
@@ -264,7 +265,7 @@ def log_by_shooting(
         return np.einsum("pd,pdm->pm", c, basis_flat)
 
     res = residuals_from_tangents(tangent_of(coeff))
-    norms = np.linalg.norm(res, axis=-1)
+    norms = norm(res)
     for _ in range(max_iter):
         # Converged problems are frozen so that a batched solve iterates each
         # problem exactly as its element-wise run would.
@@ -286,7 +287,7 @@ def log_by_shooting(
         for _ in range(30):
             trial = coeff + lam[:, None] * delta
             trial_res = residuals_from_tangents(tangent_of(trial))
-            trial_norms = np.linalg.norm(trial_res, axis=-1)
+            trial_norms = norm(trial_res)
             better = active & ~improved & (trial_norms < cand_norms)
             cand = np.where(better[:, None], trial, cand)
             cand_res = np.where(better[:, None], trial_res, cand_res)

@@ -144,7 +144,7 @@ class SECanonicalLeftMetric(RiemannianMetric):
         self._so_metric = SOBiInvariantMetric(manifold.rotations)
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1))
+        return linalg.inner(tangent_vec_a, tangent_vec_b, axes=2)
 
     def _exp(self, tangent_vec, base_point):
         rot = self._so_metric._exp(rotation_part(tangent_vec), rotation_part(base_point))
@@ -159,7 +159,7 @@ class SECanonicalLeftMetric(RiemannianMetric):
     def _squared_dist(self, point_a, point_b):
         rot_sq = self._so_metric._squared_dist(rotation_part(point_a), rotation_part(point_b))
         diff = translation_part(point_b) - translation_part(point_a)
-        return rot_sq + np.sum(diff**2, axis=-1)
+        return rot_sq + linalg.inner(diff, diff)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         """SO(n) transport of the rotation block; the translation block is kept."""

@@ -41,7 +41,7 @@ def vee(mat):
 def matrix_from_rotation_vector(rot_vec):
     """Rodrigues formula: axis-angle vector to rotation matrix."""
     rot_vec = np.asarray(rot_vec, dtype=float)
-    angle = np.linalg.norm(rot_vec, axis=-1)
+    angle = linalg.norm(rot_vec)
     small = angle < _SERIES_THRESHOLD
     sq = angle**2
     coef_sin = np.where(small, 1.0 - sq / 6.0, np.sin(angle) / np.where(small, 1.0, angle))
@@ -147,7 +147,7 @@ class SOBiInvariantMetric(RiemannianMetric):
     """
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1))
+        return linalg.inner(tangent_vec_a, tangent_vec_b, axes=2)
 
     def _exp(self, tangent_vec, base_point):
         algebra = linalg.skew(linalg.transpose(base_point) @ tangent_vec)
@@ -172,7 +172,8 @@ class SOBiInvariantMetric(RiemannianMetric):
         if n == 2:
             angle = np.arctan2(relative[..., 1, 0], relative[..., 0, 0])
             return 2.0 * angle**2
-        return np.sum(rotation_angles(relative) ** 2, axis=-1)
+        angles = rotation_angles(relative)
+        return linalg.inner(angles, angles)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         """Bi-invariant transport: conjugation by the half-way group element."""

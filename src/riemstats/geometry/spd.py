@@ -74,7 +74,7 @@ def _base_frame(base_point):
     threshold of ``_singular`` is positive without its eigenvalues.
     """
     low, inv_low = linalg.spd_frame(base_point, "base point")
-    bound = np.sum(low**2, axis=(-2, -1)) * np.sum(inv_low**2, axis=(-2, -1))
+    bound = linalg.inner(low, low, axes=2) * linalg.inner(inv_low, inv_low, axes=2)
     if not np.all(bound * low.shape[-1] * np.finfo(float).eps < 1e-3):
         _require_positive(linalg.sym_eigvals(base_point), "base point")
     return low, inv_low
@@ -156,7 +156,8 @@ class SPDAffineMetric(RiemannianMetric):
         _, inv_low = linalg.spd_frame(point_a, "point")
         w = linalg.sym_eigvals(_congruence(inv_low, linalg.check_symmetric(point_b)))
         _require_positive(w, "point")
-        return np.sum(np.log(w) ** 2, axis=-1)
+        log_w = np.log(w)
+        return linalg.inner(log_w, log_w)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         """Closed form: V -> E V E^T with E = L (L^-1 Q L^-T)^1/2 L^-1, Q = exp_P(direction)."""
@@ -194,7 +195,7 @@ class SPDLogEuclideanMetric(RiemannianMetric):
         w, v = _spd_eig(base_point, "base point")
         ca = self._dlog(tangent_vec_a, w, v)
         cb = self._dlog(tangent_vec_b, w, v)
-        return np.sum(ca * cb, axis=(-2, -1))
+        return linalg.inner(ca, cb, axes=2)
 
     def _exp(self, tangent_vec, base_point):
         w, v = _spd_eig(base_point, "base point")
@@ -212,7 +213,7 @@ class SPDLogEuclideanMetric(RiemannianMetric):
         w_a, v_a = _spd_eig(point_a, "point")
         w_b, v_b = _spd_eig(point_b, "point")
         diff = _spectral(np.log(w_a), v_a) - _spectral(np.log(w_b), v_b)
-        return np.sum(diff**2, axis=(-2, -1))
+        return linalg.inner(diff, diff, axes=2)
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         w, v = _spd_eig(base_point, "base point")

@@ -5,16 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CutLocusError
+from ..linalg import inner, norm, positive_definite
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 # Below this tangent norm, sin(x)/x style ratios switch to their 2-term series.
 _SERIES_THRESHOLD = 1e-7
 # Angles this close to pi count as the cut locus.
 _ANTIPODAL_ATOL = 1e-7
-
-
-def _dot(a, b):
-    return np.sum(a * b, axis=-1)
 
 
 class Hypersphere(Manifold):
@@ -24,16 +21,16 @@ class Hypersphere(Manifold):
         super().__init__(dim, (dim + 1,), "hypersphere")
 
     def _membership_residual(self, point):
-        return np.abs(np.linalg.norm(point, axis=-1) - 1.0)
+        return np.abs(norm(point) - 1.0)
 
     def project(self, point):
         point = np.asarray(point, dtype=float)
-        return point / np.linalg.norm(point, axis=-1, keepdims=True)
+        return point / norm(point)[..., None]
 
     def to_tangent(self, vector, base_point):
         vector = np.asarray(vector, dtype=float)
         base_point = np.asarray(base_point, dtype=float)
-        return vector - _dot(base_point, vector)[..., None] * base_point
+        return vector - inner(base_point, vector)[..., None] * base_point
 
     def random_point(self, n_samples=1, rng=None):
         """Uniform samples: normalized standard-normal vectors."""
@@ -49,18 +46,18 @@ class SphereMetric(RiemannianMetric):
     """Round metric: great-circle geodesics, closed-form exp/log/transport."""
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        return _dot(tangent_vec_a, tangent_vec_b)
+        return inner(tangent_vec_a, tangent_vec_b)
 
     def _exp(self, tangent_vec, base_point):
-        angle = np.linalg.norm(tangent_vec, axis=-1)
+        angle = norm(tangent_vec)
         small = angle < _SERIES_THRESHOLD
         sinc = np.where(small, 1.0 - angle**2 / 6.0, np.sin(angle) / np.where(small, 1.0, angle))
         return np.cos(angle)[..., None] * base_point + sinc[..., None] * tangent_vec
 
     def _log(self, point, base_point):
-        cos_angle = np.clip(_dot(base_point, point), -1.0, 1.0)
+        cos_angle = np.clip(inner(base_point, point), -1.0, 1.0)
         flat = point - cos_angle[..., None] * base_point  # sin(angle) * direction
-        sin_angle = np.linalg.norm(flat, axis=-1)
+        sin_angle = norm(flat)
         angle = np.arctan2(sin_angle, cos_angle)
         if np.any(angle > np.pi - _ANTIPODAL_ATOL):
             raise CutLocusError("sphere log is undefined at (near-)antipodal points")
@@ -70,9 +67,9 @@ class SphereMetric(RiemannianMetric):
         return factor[..., None] * flat
 
     def _squared_dist(self, point_a, point_b):
-        cos_angle = np.clip(_dot(point_a, point_b), -1.0, 1.0)
+        cos_angle = np.clip(inner(point_a, point_b), -1.0, 1.0)
         flat = point_b - cos_angle[..., None] * point_a
-        return np.arctan2(np.linalg.norm(flat, axis=-1), cos_angle) ** 2
+        return np.arctan2(norm(flat), cos_angle) ** 2
 
     def _transport(self, tangent_vec, base_point, direction, end_point):
         """Closed-form transport along the great circle toward ``direction``."""
@@ -80,10 +77,10 @@ class SphereMetric(RiemannianMetric):
             direction = self.log(end_point, base_point)
             self._check_tangent("parallel_transport", direction, base_point)
 
-        angle = np.linalg.norm(direction, axis=-1)
+        angle = norm(direction)
         safe = np.where(angle > 0.0, angle, 1.0)
         unit = direction / safe[..., None]
-        component = _dot(unit, tangent_vec)
+        component = inner(unit, tangent_vec)
         correction = (
             (np.cos(angle) - 1.0)[..., None] * unit - np.sin(angle)[..., None] * base_point
         )
@@ -92,28 +89,44 @@ class SphereMetric(RiemannianMetric):
     def injectivity_radius(self, base_point):
         return np.pi
 
-    def _newton_direction(self, logs, weights, base_point, gradient):
-        """Newton direction of one Karcher-flow segment, or None.
+    def _newton_directions(self, logs, weights, base_points, gradients):
+        """Newton directions of Karcher-flow segments, and where they exist.
 
-        With u_i = ``logs[i]``, theta_i = |u_i| and c_i = theta_i cot theta_i,
-        the Hessian of ``1/2 sum_i w_i d^2(., p_i)`` at x is
+        Segment s holds the logs ``u_i = logs[s][i]`` of its points at
+        ``x = base_points[s]``, their normalized ``weights[s]`` and its mean
+        log ``gradients[s]``. With theta_i = |u_i| and c_i = theta_i cot
+        theta_i, the Hessian of ``1/2 sum_i w_i d^2(., p_i)`` at x is
         ``H = sum_i w_i [(1 - c_i) u_i u_i^T / theta_i^2 + c_i (I - x x^T)]``:
         1 along the geodesic to p_i and c_i across it (Groisser 2004).
         ``H + x x^T`` is H on T_x and the identity along x, so it is positive
-        definite exactly when H is on T_x. Then the direction solves
-        ``H v = gradient`` on T_x; otherwise the answer is None.
+        definite exactly when H is on T_x. All segments' matrices take one
+        stacked Cholesky test and the positive-definite ones one batched
+        solve of ``H v = gradient`` on T_x. Every step works on each segment
+        alone, so its direction does not depend on the other segments.
+
+        Returns ``(directions, positive_definite)``; a direction is zero
+        where its segment's Hessian is not positive definite.
         """
-        theta = np.linalg.norm(logs, axis=-1)
+        bounds = np.cumsum([0] + [len(log) for log in logs])
+        flat = np.concatenate(logs)
+        theta = norm(flat)
         small = theta < _SERIES_THRESHOLD
         safe = np.where(small, 1.0, theta)
         cross = np.where(small, 1.0 - theta**2 / 3.0, safe / np.tan(safe))
         along = np.where(small, 1.0 / 3.0, (1.0 - cross) / safe**2)
-        level = np.dot(weights, cross)
-        shifted = (logs.T * (weights * along)) @ logs
-        shifted += level * np.eye(len(base_point))
-        shifted += (1.0 - level) * np.outer(base_point, base_point)
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            return None
-        return self.manifold.to_tangent(np.linalg.solve(shifted, gradient), base_point)
+        weights = np.concatenate(weights)
+        level = np.add.reduceat(weights * cross, bounds[:-1])
+        scaled = flat * (weights * along)[:, None]
+        # One (d, n) @ (n, d) product per segment on its own rows.
+        shifted = np.stack(
+            [scaled[a:b].T @ flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        )
+        shifted += level[:, None, None] * np.eye(base_points.shape[-1])
+        shifted += (1.0 - level)[:, None, None] * (base_points[:, :, None] * base_points[:, None, :])
+        positive = positive_definite(shifted)
+        directions = np.zeros_like(gradients)
+        directions[positive] = self.manifold.to_tangent(
+            np.linalg.solve(shifted[positive], gradients[positive][..., None])[..., 0],
+            base_points[positive],
+        )
+        return directions, positive

@@ -66,10 +66,10 @@ class StiefelCanonicalMetric(RiemannianMetric):
     """Canonical metric <U, V>_X = tr(U^T (I - X X^T / 2) V)."""
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        plain = np.sum(tangent_vec_a * tangent_vec_b, axis=(-2, -1))
+        plain = linalg.inner(tangent_vec_a, tangent_vec_b, axes=2)
         xa = linalg.transpose(base_point) @ tangent_vec_a
         xb = linalg.transpose(base_point) @ tangent_vec_b
-        return plain - 0.5 * np.sum(xa * xb, axis=(-2, -1))
+        return plain - 0.5 * linalg.inner(xa, xb, axes=2)
 
     def _exp(self, tangent_vec, base_point):
         base_point, tangent_vec = np.broadcast_arrays(base_point, tangent_vec)
@@ -124,7 +124,7 @@ class StiefelCanonicalMetric(RiemannianMetric):
         for step in range(max_iter + 1):
             log = linalg.skew(linalg.matrix_log(rot[active]))
             corner = log[:, p:, p:]
-            residual = np.linalg.norm(corner, axis=(-2, -1))
+            residual = linalg.norm(corner, axes=2)
             done = residual <= tol
             logs[active[done]] = log[done]
             active, corner = active[~done], corner[~done]

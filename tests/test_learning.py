@@ -36,6 +36,18 @@ def sphere_cap(center, radius, n, rng):
     return S_METRIC.exp(vecs * scales[:, None], center)
 
 
+def hyperboloid_clusters(metric, rng, n_clusters=4):
+    """5-29 points within 1.2 of each of ``n_clusters`` random centres, and the segment bounds."""
+    space = metric.manifold
+    sizes = rng.integers(5, 30, n_clusters)
+    segments = []
+    for center, n in zip(space.random_point(len(sizes), rng), sizes):
+        vecs = metric.random_tangent(center, n, rng)
+        vecs *= (rng.uniform(0.1, 1.2, n) / metric.norm(vecs, center))[:, None]
+        segments.append(metric.exp(vecs, center))
+    return np.concatenate(segments), np.concatenate([[0], np.cumsum(sizes)])
+
+
 def brute_force_sphere_minimizer(data, init, span=0.6, levels=14, grid=9):
     """Variance minimizer by refined grid search over the tangent plane.
 
@@ -192,19 +204,11 @@ class TestFrechetMean:
         iteration and one squared_dist per line-search round, whatever the
         number of segments; each segment's mean is its own frechet_mean bit
         for bit."""
-        space = Hyperboloid(2)
-        metric = space.metric
-        assert metric._newton_direction is None
+        metric = Hyperboloid(2).metric
+        assert metric._newton_directions is None
         rng = np.random.default_rng(32)
-        sizes = rng.integers(5, 30, 4)
-        segments = []
-        for center, n in zip(space.random_point(len(sizes), rng), sizes):
-            vecs = metric.random_tangent(center, n, rng)
-            vecs *= (rng.uniform(0.1, 1.2, n) / metric.norm(vecs, center))[:, None]
-            segments.append(metric.exp(vecs, center))
-        data = np.concatenate(segments)
+        data, bounds = hyperboloid_clusters(metric, rng)
         weights = rng.uniform(0.2, 2.0, len(data)) if weighted else None
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
         options = dict(step_size=step_size, max_iter=40, tol=1e-8)
         expected = [
             frechet_mean(
@@ -237,6 +241,23 @@ class TestFrechetMean:
         for s, mean in enumerate(expected):
             np.testing.assert_array_equal(result.estimate[s], mean.estimate)
             assert result.n_iter[s] == mean.n_iter
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_long_steps_converge_on_every_segment(self, weighted):
+        """On the hyperboloid the Hessian of the Frechet function, d coth d,
+        exceeds 1, so a step of 2.5 overshoots. Near round-off the line search
+        no longer sees the overshoot: restarting every search at the full step
+        left 3 of these 4 segments cycling after 100 iterations. A segment
+        that has halved and whose mean log then grows starts at half the step."""
+        metric = Hyperboloid(2).metric
+        rng = np.random.default_rng(32)
+        data, bounds = hyperboloid_clusters(metric, rng)
+        weights = rng.uniform(0.2, 2.0, len(data)) if weighted else None
+        result = karcher_flow(
+            metric, data, bounds, data[bounds[:-1]], weights, step_size=2.5, max_iter=40, tol=1e-8
+        )
+        assert result.converged.all()
+        assert np.all(result.final_step_norm < 1e-8)
 
     @pytest.mark.parametrize("family", ["affine_invariant_metric", "log_euclidean_metric"])
     def test_flow_passes_one_base_when_metric_prefers_it(self, monkeypatch, family):
@@ -368,7 +389,9 @@ class TestSphereNewton:
         base = data[0]
         logs = metric.log(data, base)
         gradient = np.sum(weights[:, None] * logs, axis=0)
-        direction = metric._newton_direction(logs, weights, base, gradient)
+        directions, positive = metric._newton_directions([logs], [weights], base[None], gradient[None])
+        assert positive.tolist() == [True]
+        direction = directions[0]
 
         basis = orthonormal_tangent_basis(metric, base)
 
@@ -406,17 +429,59 @@ class TestSphereNewton:
         for the minimizer, the south pole."""
         metric = Hypersphere(2).metric
         answers = []
-        plain = metric._newton_direction
+        plain = metric._newton_directions
 
         def recorded(*args):
-            answers.append(plain(*args))
-            return answers[-1]
+            directions, positive = plain(*args)
+            answers.append(positive.tolist())
+            return directions, positive
 
-        monkeypatch.setattr(metric, "_newton_direction", recorded)
+        monkeypatch.setattr(metric, "_newton_directions", recorded)
         result = frechet_mean(metric, ring(2.5), tol=1e-9, init=NEAR_NORTH)
         assert result.converged
-        assert answers[0] is None and answers[-1] is not None
+        assert answers[0] == [False] and answers[-1] == [True]
         assert float(metric.dist(result.estimate, -NORTH)) < 1e-6
+
+    def test_mixed_batch_takes_newton_and_gradient_steps(self, monkeypatch):
+        """One hook call covers both segments of a flow. A cap within 1 rad
+        has a positive-definite Hessian and takes Newton steps; the ring at
+        2.5 rad seen from near its pole has not, and takes the gradient step.
+        Each segment's mean is its own frechet_mean bit for bit."""
+        sphere = Hypersphere(2)
+        metric = sphere.metric
+        cap = ball_sample(sphere, np.random.default_rng(44), 30)
+        data = np.concatenate([cap, ring(2.5)])
+        bounds = [0, len(cap), len(data)]
+        inits = np.stack([cap[0], NEAR_NORTH])
+        expected = [
+            frechet_mean(metric, data[a:b], init=init, tol=1e-9)
+            for a, b, init in zip(bounds[:-1], bounds[1:], inits)
+        ]
+
+        answers = []
+        plain = metric._newton_directions
+
+        def recorded(*args):
+            directions, positive = plain(*args)
+            answers.append(positive.tolist())
+            return directions, positive
+
+        monkeypatch.setattr(metric, "_newton_directions", recorded)
+        result = karcher_flow(metric, data, bounds, inits, tol=1e-9)
+        assert answers[0] == [True, False]
+        assert len(answers) == result.n_iter.max() - 1
+        assert result.converged.all()
+        for s, mean in enumerate(expected):
+            np.testing.assert_array_equal(result.estimate[s], mean.estimate)
+            assert result.n_iter[s] == mean.n_iter
+
+        # After one iteration the ring's segment sits where a gradient step
+        # puts it, and the cap's does not.
+        newton = karcher_flow(metric, data, bounds, inits, max_iter=1, tol=1e-9)
+        monkeypatch.setattr(metric, "_newton_directions", None)
+        gradient = karcher_flow(metric, data, bounds, inits, max_iter=1, tol=1e-9)
+        np.testing.assert_array_equal(newton.estimate[1], gradient.estimate[1])
+        assert not np.allclose(newton.estimate[0], gradient.estimate[0], rtol=0, atol=1e-6)
 
     def test_tight_tolerance_takes_few_iterations(self):
         # The sample of test_tight_tolerance_flow_never_halves, on which

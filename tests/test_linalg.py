@@ -501,3 +501,53 @@ class TestSPDKernels:
             linalg.spd_frame(np.diag([1.0, 0.0, 2.0]), "base point")
         with pytest.raises(DomainError, match="matrix is not positive definite"):
             linalg.spd_frame(np.stack([np.eye(2), -np.eye(2)]))
+
+
+class TestInnerKernel:
+    @pytest.mark.parametrize("axes", [1, 2])
+    @pytest.mark.parametrize("size", [1, 7, 3000])
+    def test_batch_equals_loop_bit_for_bit(self, axes, size):
+        rng = np.random.default_rng(13 + size)
+        shape = (6,) if axes == 1 else (5, 4)
+        a = rng.standard_normal((size,) + shape)
+        b = rng.standard_normal((size,) + shape)
+        base = rng.standard_normal(shape)
+        np.testing.assert_array_equal(
+            linalg.inner(a, b, axes), [linalg.inner(x, y, axes) for x, y in zip(a, b)]
+        )
+        np.testing.assert_array_equal(
+            linalg.inner(base, b, axes), [linalg.inner(base, y, axes) for y in b]
+        )
+        np.testing.assert_array_equal(
+            linalg.inner(base, b, axes), linalg.inner(np.broadcast_to(base, b.shape).copy(), b, axes)
+        )
+        np.testing.assert_array_equal(
+            linalg.norm(a, axes), [linalg.norm(x, axes) for x in a]
+        )
+
+    @pytest.mark.parametrize("axes", [1, 2])
+    def test_matches_sum_of_products(self, axes):
+        rng = np.random.default_rng(14)
+        a, b = rng.standard_normal((2, 40, 3, 5))
+        summed = tuple(range(-axes, 0))
+        np.testing.assert_allclose(
+            linalg.inner(a, b, axes), np.sum(a * b, axis=summed), rtol=1e-13, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            linalg.norm(a, axes), np.linalg.norm(a, axis=summed), rtol=1e-14
+        )
+
+    @pytest.mark.parametrize("axes, shape", [(1, (6,)), (2, (3, 3))])
+    def test_unbatched_input_gives_a_float64(self, axes, shape):
+        # As ``np.sum`` does: callers use the result as a scalar.
+        a = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        assert type(linalg.inner(a, a, axes)) is np.float64
+        assert type(linalg.norm(a, axes)) is np.float64
+
+
+class TestPositiveDefinite:
+    def test_mask_marks_each_matrix_on_its_own(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, -1.0, 2.0]), 2.0 * np.eye(3), np.zeros((3, 3))])
+        np.testing.assert_array_equal(linalg.positive_definite(stack), [True, False, True, False])
+        np.testing.assert_array_equal(linalg.positive_definite(stack[::2]), [True, True])
+        assert linalg.positive_definite(stack.reshape(2, 2, 3, 3)).shape == (2, 2)

@@ -8,6 +8,8 @@ the input contract of the public point ops (shape, finiteness) and the
 projection.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,20 @@ def test_no_manifold_overrides_membership_residual_or_belongs():
         for sub in _all_subclasses(Manifold)
         for op in ("membership_residual", "belongs")
         if op in vars(sub)
+    ]
+    assert offenders == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "riemstats"
+
+
+def test_no_np_linalg_norm_outside_linalg():
+    """Trailing-axis norms go through ``linalg.norm``: one einsum contraction,
+    the same kernel for a batch as for each of its rows."""
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "linalg.py" and "np.linalg.norm(" in path.read_text()
     ]
     assert offenders == []
 
