@@ -39,6 +39,22 @@ def _shaped(array, shape, what):
     return array
 
 
+def _check_batches(op, *operands):
+    """ShapeError unless the batch axes of the ``(array, trailing_shape)`` operands broadcast.
+
+    Only two or more batched operands are compared, by broadcasting views of
+    their first trailing entries, so a per-sample call pays one ``ndim`` test
+    per operand.
+    """
+    batched = [a[(...,) + (0,) * len(shape)] for a, shape in operands if a.ndim > len(shape)]
+    if len(batched) > 1:
+        try:
+            np.broadcast(*batched)
+        except ValueError:
+            shapes = ", ".join(str(b.shape) for b in batched)
+            raise ShapeError(f"{op}: operand batch shapes {shapes} do not broadcast") from None
+
+
 class Manifold(ABC):
     """A smooth manifold with an explicit point representation.
 
@@ -136,12 +152,15 @@ class RiemannianMetric(ABC):
     Subclass contract: implement the ``_``-hooks, never a public op. Every
     metric implements ``_inner_product``, ``_exp`` and ``_log``; a closed
     form of the squared distance goes in ``_squared_dist`` and one of the
-    transport in ``_transport``, whose defaults are the squared norm of the
-    log and the pole ladder. The public ``inner_product``, ``exp``, ``log``,
-    ``squared_dist``, ``dist`` and ``parallel_transport`` convert their
-    inputs once, raise ShapeError on a wrong trailing shape and, in ``exp``
-    and ``parallel_transport``, TangencyError on a vector that is not
-    tangent; they call the hook on float64 arrays with float warnings
+    transport along an initial velocity in ``_transport``, whose defaults
+    are the squared norm of the log and the pole ladder. An end point goes
+    to ``_transport_to``, by default ``_transport`` of the tangency-checked
+    log; only a closed form that skips the log overrides it. The public
+    ``inner_product``, ``exp``, ``log``, ``squared_dist``, ``dist`` and
+    ``parallel_transport`` convert their inputs once, raise ShapeError on a
+    wrong trailing shape or on batch axes that do not broadcast and, in
+    ``exp`` and ``parallel_transport``, TangencyError on a vector that is
+    not tangent; they call the hook on float64 arrays with float warnings
     silenced and raise DomainError when an input or the result is not
     finite. A metric built on another calls that metric's hooks, so one
     public call validates once. ``dist`` is ``sqrt(squared_dist)``;
@@ -235,6 +254,12 @@ class RiemannianMetric(ABC):
         tangent_vec_a = _shaped(tangent_vec_a, self.tangent_shape, "tangent vector")
         tangent_vec_b = _shaped(tangent_vec_b, self.tangent_shape, "tangent vector")
         base_point = _shaped(base_point, self.manifold.point_shape, "base point")
+        _check_batches(
+            "inner_product",
+            (tangent_vec_a, self.tangent_shape),
+            (tangent_vec_b, self.tangent_shape),
+            (base_point, self.manifold.point_shape),
+        )
         return self._all_finite(
             "inner_product", self._inner_product, tangent_vec_a, tangent_vec_b, base_point
         )
@@ -253,6 +278,9 @@ class RiemannianMetric(ABC):
         """Point reached after unit time along the geodesic with given velocity."""
         tangent_vec = _shaped(tangent_vec, self.tangent_shape, "tangent vector")
         base_point = _shaped(base_point, self.manifold.point_shape, "base point")
+        _check_batches(
+            "exp", (tangent_vec, self.tangent_shape), (base_point, self.manifold.point_shape)
+        )
         with np.errstate(all="ignore"):
             self._check_tangent("exp", tangent_vec, base_point)
             return self._finite_result("exp", self._exp, tangent_vec, base_point)
@@ -265,6 +293,9 @@ class RiemannianMetric(ABC):
         """
         point = _shaped(point, self.manifold.point_shape, "point")
         base_point = _shaped(base_point, self.manifold.point_shape, "base point")
+        _check_batches(
+            "log", (point, self.manifold.point_shape), (base_point, self.manifold.point_shape)
+        )
         with np.errstate(all="ignore"):
             return self._finite_result("log", self._log, point, base_point, **kwargs)
 
@@ -279,6 +310,11 @@ class RiemannianMetric(ABC):
     def squared_dist(self, point_a, point_b):
         point_a = _shaped(point_a, self.manifold.point_shape, "point")
         point_b = _shaped(point_b, self.manifold.point_shape, "point")
+        _check_batches(
+            "squared_dist",
+            (point_a, self.manifold.point_shape),
+            (point_b, self.manifold.point_shape),
+        )
         return self._all_finite("squared_dist", self._squared_dist, point_a, point_b)
 
     def _squared_dist(self, point_a, point_b):
@@ -313,27 +349,38 @@ class RiemannianMetric(ABC):
             raise ValueError("provide exactly one of direction / end_point")
         base_point = _shaped(base_point, self.manifold.point_shape, "base point")
         tangent_vec = _shaped(tangent_vec, self.tangent_shape, "tangent vector")
-        if end_point is not None:
-            end_point = _shaped(end_point, self.manifold.point_shape, "end point")
+        if direction is None:
+            hook, shape = self._transport_to, self.manifold.point_shape
+            target = end_point = _shaped(end_point, shape, "end point")
+        else:
+            hook, shape = self._transport, self.tangent_shape
+            target = _shaped(direction, shape, "direction")
+        _check_batches(
+            "parallel_transport",
+            (tangent_vec, self.tangent_shape),
+            (base_point, self.manifold.point_shape),
+            (target, shape),
+        )
         with np.errstate(all="ignore"):
+            # A flat metric's hook ignores the points; a non-finite vector
+            # fails its tangency check, whose residual is then not finite.
+            self._require_finite("parallel_transport", base_point, end_point)
             self._check_tangent("parallel_transport", tangent_vec, base_point)
             if direction is not None:
-                direction = _shaped(direction, self.tangent_shape, "direction")
-                self._check_tangent("parallel_transport", direction, base_point)
-            return self._finite_result(
-                "parallel_transport", self._transport, tangent_vec, base_point, direction, end_point
-            )
+                self._check_tangent("parallel_transport", target, base_point)
+            return self._finite_result("parallel_transport", hook, tangent_vec, base_point, target)
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
-        """Transport hook; exactly one of ``direction``/``end_point`` is given.
-
-        Metrics without a closed form inherit this pole-ladder fallback.
-        """
-        if end_point is None:
-            end_point = self.exp(direction, base_point)
+    def _transport(self, tangent_vec, base_point, direction):
+        """Transport hook along the initial velocity ``direction``: the pole-ladder fallback."""
         from .numerical import transport_by_ladder
 
-        return transport_by_ladder(self, tangent_vec, base_point, end_point)
+        return transport_by_ladder(self, tangent_vec, base_point, self.exp(direction, base_point))
+
+    def _transport_to(self, tangent_vec, base_point, end_point):
+        """End-point transport hook: ``_transport`` along the tangency-checked log."""
+        direction = self.log(end_point, base_point)
+        self._check_tangent("parallel_transport", direction, base_point)
+        return self._transport(tangent_vec, base_point, direction)
 
     def injectivity_radius(self, base_point):
         """Conservative lower bound on the injectivity radius at a point."""

@@ -136,12 +136,10 @@ class SRVMetric(RiemannianMetric):
         k = self.manifold.k_sampling_points
         return inner(diff, diff, axes=2) / (k - 1.0)
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
-        # The chart is flat and shared between base points; the vector
-        # broadcasts over the batch axes of the direction or end point, whose
-        # trailing two axes are a tangent or a curve shape respectively.
-        target = end_point if end_point is not None else direction
-        batch = np.broadcast_shapes(tangent_vec.shape[:-2], target.shape[:-2])
+    def _transport(self, tangent_vec, base_point, direction):
+        # The chart is flat and shared between base points: the identity,
+        # broadcast over the batch axes of the base curve and the direction.
+        batch = np.broadcast_shapes(*(a.shape[:-2] for a in (tangent_vec, base_point, direction)))
         return np.broadcast_to(tangent_vec, batch + tangent_vec.shape[-2:]).copy()
 
     def injectivity_radius(self, base_point):

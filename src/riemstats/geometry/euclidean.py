@@ -48,9 +48,8 @@ class EuclideanMetric(RiemannianMetric):
     def _log(self, point, base_point):
         return point - base_point
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
-        target = end_point if end_point is not None else direction
-        vec, _ = np.broadcast_arrays(tangent_vec, target)
+    def _transport(self, tangent_vec, base_point, direction):
+        vec, _, _ = np.broadcast_arrays(tangent_vec, base_point, direction)
         return vec.copy()
 
 

@@ -113,10 +113,8 @@ class GrassmannMetric(RiemannianMetric):
         omega = 0.5 * linalg.skew(linalg.matrix_log(rot))
         return omega @ base_point - base_point @ omega
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
+    def _transport(self, tangent_vec, base_point, direction):
         """Conjugation by the geodesic rotation e^Omega."""
-        if direction is None:
-            direction = self.log(end_point, base_point)
         omega = direction @ base_point - base_point @ direction
         rot = linalg.matrix_exp(omega)
         return rot @ tangent_vec @ linalg.transpose(rot)

@@ -129,11 +129,7 @@ class HyperboloidMetric(RiemannianMetric):
         q = np.where(beta > 2.0, 2.0 * (beta - 1.0), minkowski_inner(diff, diff))
         return (2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))) ** 2
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
-        if direction is None:
-            direction = self.log(end_point, base_point)
-            self._check_tangent("parallel_transport", direction, base_point)
-
+    def _transport(self, tangent_vec, base_point, direction):
         r = np.sqrt(np.clip(minkowski_inner(direction, direction), 0.0, None))
         safe = np.where(r > 0.0, r, 1.0)
         unit = direction / safe[..., None]
@@ -197,11 +193,9 @@ class PoincareBallMetric(RiemannianMetric):
             ball_to_hyperboloid(point_a), ball_to_hyperboloid(point_b)
         )
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
+    def _transport(self, tangent_vec, base_point, direction):
         base = ball_to_hyperboloid(base_point)
-        if direction is None:
-            end = ball_to_hyperboloid(end_point)
-        else:
-            end = self._hyperboloid._exp(ball_to_hyperboloid_tangent(direction, base_point), base)
+        velocity = ball_to_hyperboloid_tangent(direction, base_point)
         vec = ball_to_hyperboloid_tangent(tangent_vec, base_point)
-        return hyperboloid_to_ball_tangent(self._hyperboloid._transport(vec, base, None, end), end)
+        moved = self._hyperboloid._transport(vec, base, velocity)
+        return hyperboloid_to_ball_tangent(moved, self._hyperboloid._exp(velocity, base))

@@ -70,8 +70,11 @@ class LandmarksMetric(RiemannianMetric):
     def _squared_dist(self, point_a, point_b):
         return np.sum(self.base_metric._squared_dist(point_a, point_b), axis=-1)
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
-        return self.base_metric._transport(tangent_vec, base_point, direction, end_point)
+    def _transport(self, tangent_vec, base_point, direction):
+        return self.base_metric._transport(tangent_vec, base_point, direction)
+
+    def _transport_to(self, tangent_vec, base_point, end_point):
+        return self.base_metric._transport_to(tangent_vec, base_point, end_point)
 
     def injectivity_radius(self, base_point):
         return np.min(self.base_metric.injectivity_radius(base_point))

@@ -161,10 +161,9 @@ class SECanonicalLeftMetric(RiemannianMetric):
         diff = translation_part(point_b) - translation_part(point_a)
         return rot_sq + linalg.inner(diff, diff)
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
+    def _transport(self, tangent_vec, base_point, direction):
         """SO(n) transport of the rotation block; the translation block is kept."""
-        blocks = [None if arr is None else rotation_part(arr)
-                  for arr in (tangent_vec, base_point, direction, end_point)]
+        blocks = [rotation_part(arr) for arr in (tangent_vec, base_point, direction)]
         return tangent_from_parts(self._so_metric._transport(*blocks), translation_part(tangent_vec))
 
     def injectivity_radius(self, base_point):

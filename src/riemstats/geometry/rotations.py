@@ -153,15 +153,12 @@ class SOBiInvariantMetric(RiemannianMetric):
         algebra = linalg.skew(linalg.transpose(base_point) @ tangent_vec)
         return base_point @ linalg.matrix_exp(algebra)
 
-    def _relative_log(self, point, base_point):
+    def _log(self, point, base_point):
         relative = linalg.transpose(base_point) @ point
         angle = np.max(rotation_angles(relative), axis=-1)
         if np.any(angle >= np.pi - _ANGLE_PI_ATOL):
             raise CutLocusError("SO(n) log is undefined at rotation angle pi")
-        return linalg.skew(linalg.matrix_log(relative))
-
-    def _log(self, point, base_point):
-        return base_point @ self._relative_log(point, base_point)
+        return base_point @ linalg.skew(linalg.matrix_log(relative))
 
     def _squared_dist(self, point_a, point_b):
         relative = linalg.transpose(point_a) @ point_b
@@ -175,12 +172,9 @@ class SOBiInvariantMetric(RiemannianMetric):
         angles = rotation_angles(relative)
         return linalg.inner(angles, angles)
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
+    def _transport(self, tangent_vec, base_point, direction):
         """Bi-invariant transport: conjugation by the half-way group element."""
-        if direction is None:
-            algebra = self._relative_log(end_point, base_point)
-        else:
-            algebra = linalg.skew(linalg.transpose(base_point) @ direction)
+        algebra = linalg.skew(linalg.transpose(base_point) @ direction)
         half = linalg.matrix_exp(0.5 * algebra)
         body = linalg.transpose(base_point) @ tangent_vec
         return base_point @ half @ body @ half

@@ -10,8 +10,8 @@ works with S = sym(L^-1 X L^-T):
 * exp_P(V) = L expm(S) L^T, with X = V;
 * log_P(Q) = L logm(S) L^T, with X = Q;
 * d(P, Q)^2 = sum_i log^2 lambda_i(S), with X = Q: eigenvalues only;
-* transport V -> E V E^T, with E = L expm(S/2) L^-1 for X the direction,
-  or E = L S^1/2 L^-1 for X the end point;
+* transport V -> E V E^T: E = L expm(S/2) L^-1 for X the direction in
+  ``_transport``, E = L S^1/2 L^-1 for X the end point in ``_transport_to``;
 * <A, B>_P = tr(A~ B~) with A~ = L^-1 A L^-T.
 
 Each of exp, log and transport makes one symmetric eigendecomposition.
@@ -159,17 +159,19 @@ class SPDAffineMetric(RiemannianMetric):
         log_w = np.log(w)
         return linalg.inner(log_w, log_w)
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
-        """Closed form: V -> E V E^T with E = L (L^-1 Q L^-T)^1/2 L^-1, Q = exp_P(direction)."""
+    def _transport(self, tangent_vec, base_point, direction):
+        """V -> E V E^T with E = L expm(S/2) L^-1, X the direction."""
         low, inv_low = _base_frame(base_point)
-        if end_point is None:
-            w, v = linalg.sym_eig(_congruence(inv_low, direction))
-            _require_finite_exp(w)
-            half = _spectral(np.exp(0.5 * w), v)
-        else:
-            w, v = _spd_eig(_congruence(inv_low, linalg.check_symmetric(end_point)), "end point")
-            half = _spectral(np.sqrt(w), v)
-        shifter = low @ half @ inv_low
+        w, v = linalg.sym_eig(_congruence(inv_low, direction))
+        _require_finite_exp(w)
+        shifter = low @ _spectral(np.exp(0.5 * w), v) @ inv_low
+        return shifter @ tangent_vec @ linalg.transpose(shifter)
+
+    def _transport_to(self, tangent_vec, base_point, end_point):
+        """V -> E V E^T with E = L S^1/2 L^-1, X the end point: no log needed."""
+        low, inv_low = _base_frame(base_point)
+        w, v = _spd_eig(_congruence(inv_low, linalg.check_symmetric(end_point)), "end point")
+        shifter = low @ _spectral(np.sqrt(w), v) @ inv_low
         return shifter @ tangent_vec @ linalg.transpose(shifter)
 
 
@@ -215,14 +217,15 @@ class SPDLogEuclideanMetric(RiemannianMetric):
         diff = _spectral(np.log(w_a), v_a) - _spectral(np.log(w_b), v_b)
         return linalg.inner(diff, diff, axes=2)
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
+    def _transport(self, tangent_vec, base_point, direction):
         w, v = _spd_eig(base_point, "base point")
-        if end_point is None:
-            # The end point's chart is the base chart plus dlog(direction).
-            chart_end = _spectral(np.log(w), v) + self._dlog(direction, w, v)
-            log_w_end, v_end = linalg.sym_eig(chart_end)
-            _require_finite_exp(log_w_end)
-        else:
-            w_end, v_end = _spd_eig(end_point, "end point")
-            log_w_end = np.log(w_end)
+        # The end point's chart is the base chart plus dlog(direction).
+        chart_end = _spectral(np.log(w), v) + self._dlog(direction, w, v)
+        log_w_end, v_end = linalg.sym_eig(chart_end)
+        _require_finite_exp(log_w_end)
         return self._dexp(self._dlog(tangent_vec, w, v), log_w_end, v_end)
+
+    def _transport_to(self, tangent_vec, base_point, end_point):
+        w, v = _spd_eig(base_point, "base point")
+        w_end, v_end = _spd_eig(end_point, "end point")
+        return self._dexp(self._dlog(tangent_vec, w, v), np.log(w_end), v_end)

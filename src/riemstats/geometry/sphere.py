@@ -71,12 +71,8 @@ class SphereMetric(RiemannianMetric):
         flat = point_b - cos_angle[..., None] * point_a
         return np.arctan2(norm(flat), cos_angle) ** 2
 
-    def _transport(self, tangent_vec, base_point, direction, end_point):
+    def _transport(self, tangent_vec, base_point, direction):
         """Closed-form transport along the great circle toward ``direction``."""
-        if direction is None:
-            direction = self.log(end_point, base_point)
-            self._check_tangent("parallel_transport", direction, base_point)
-
         angle = norm(direction)
         safe = np.where(angle > 0.0, angle, 1.0)
         unit = direction / safe[..., None]

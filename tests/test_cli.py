@@ -436,6 +436,22 @@ def test_invalid_input_exits_2(argv, capsys):
     assert (code, error["code"]) == (2, "invalid_input"), error
 
 
+TWO = "[[1, 0, 0], [0, 1, 0]]"
+THREE = "[[0, 0, 1], [0, 1, 0], [0.6, 0.8, 0]]"
+MISMATCHED_BATCHES = {
+    "dist": op("dist", f'{{"point_a": {TWO}, "point_b": {THREE}}}'),
+    "exp": op("exp", f'{{"base": {TWO}, "tangent": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}'),
+    "transport": op("transport", f'{{"vector": [0, 0, 0], "base": {TWO}, "target": {THREE}}}'),
+}
+
+
+@pytest.mark.parametrize("argv", MISMATCHED_BATCHES.values(), ids=MISMATCHED_BATCHES.keys())
+def test_batches_that_do_not_broadcast_exit_2(argv, capsys):
+    code, error = run_inline(argv, capsys)
+    assert (code, error["code"]) == (2, "shape_error"), error
+    assert "(2,)" in error["message"] and "(3,)" in error["message"]
+
+
 def test_linear_field_on_matrix_points(capsys):
     argv = ["learn", "rgrad", "--manifold-spec", '{"name": "spd", "n": 2}', "--max-iter", "3",
             "--allow-unconverged", "--field", '{"type": "linear", "vector": [[1, 0], [0, 1]]}',

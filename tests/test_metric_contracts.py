@@ -8,13 +8,16 @@ the input contract of the public point ops (shape, finiteness) and the
 projection.
 """
 
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError
-from riemstats.geometry import Manifold, RiemannianMetric
+from riemstats.geometry import Manifold, RiemannianMetric, numerical
+
+from conftest import ALL_CASES
 
 
 def test_round_trip(space_case):
@@ -102,7 +105,7 @@ def test_parallel_transport_isometry(space_case):
 
 
 def test_parallel_transport_contract(space_case):
-    """Exactly one of direction / end_point, both agree, and a batch equals its loop."""
+    """Exactly one of direction / end_point, both agree, and a batch of either equals its loop."""
     rng = np.random.default_rng(55)
     case = space_case
     metric = case.metric
@@ -124,6 +127,24 @@ def test_parallel_transport_contract(space_case):
     looped = np.stack([metric.parallel_transport(vec, base, direction=d) for d in directions])
     np.testing.assert_allclose(batched, looped, atol=1e-12)
 
+    ends = metric.exp(directions, base)
+    batched = metric.parallel_transport(vec, base, end_point=ends)
+    assert batched.shape == (3,) + tuple(metric.tangent_shape)
+    looped = np.stack([metric.parallel_transport(vec, base, end_point=e) for e in ends])
+    np.testing.assert_allclose(batched, looped, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["euclidean3", "minkowski3", "curves_l2", "curves_srv"])
+def test_flat_transport_keeps_the_base_batch(name):
+    """A flat transport is the identity, yet its result carries the base points'
+    batch axes, as the end-point form and every curved metric's result do."""
+    case = next(case for case in ALL_CASES if case.name == name)
+    rng = np.random.default_rng(62)
+    bases = case.random_points(4, rng)
+    vec = case.scaled_tangents(bases[0], 1, rng)[0]
+    for target in ({"direction": vec}, {"end_point": bases[0]}):
+        out = case.metric.parallel_transport(vec, bases, **target)
+        np.testing.assert_array_equal(out, np.broadcast_to(vec, (4,) + vec.shape))
 
 def _all_subclasses(cls):
     for sub in cls.__subclasses__():
@@ -139,6 +160,44 @@ def test_no_metric_overrides_parallel_transport():
         if "parallel_transport" in vars(sub)
     ]
     assert offenders == []
+
+
+def test_transport_hooks_take_the_initial_velocity():
+    """Every ``_transport`` takes a direction; base.py turns an end point into one."""
+    offenders = [
+        sub.__qualname__
+        for sub in _all_subclasses(RiemannianMetric)
+        if "_transport" in vars(sub)
+        and list(inspect.signature(vars(sub)["_transport"]).parameters)
+        != ["self", "tangent_vec", "base_point", "direction"]
+    ]
+    assert offenders == []
+
+
+def test_only_cheaper_end_point_forms_override_transport_to():
+    """The default ``_transport_to`` is ``_transport`` of the log; only a
+    cheaper closed form in the end point, or a forward to one, replaces it."""
+    overriders = sorted(
+        sub.__qualname__
+        for sub in _all_subclasses(RiemannianMetric)
+        if "_transport_to" in vars(sub)
+    )
+    assert overriders == ["LandmarksMetric", "SPDAffineMetric", "SPDLogEuclideanMetric"]
+
+
+@pytest.mark.parametrize("by", ["direction", "end_point"])
+def test_closed_form_transports_never_reach_the_ladder(space_case, by, monkeypatch):
+    if not space_case.has_transport:
+        pytest.skip("this space transports by the ladder")
+
+    def ladder(*args, **kwargs):
+        raise AssertionError("the pole ladder ran")
+
+    monkeypatch.setattr(numerical, "transport_by_ladder", ladder)
+    base, vec, end = _exp_log_inputs(space_case, 60)
+    target = {"direction": vec, "end_point": end}[by]
+    out = space_case.metric.parallel_transport(vec, base, **{by: target})
+    assert out.shape == tuple(space_case.metric.tangent_shape)
 
 
 def test_no_metric_overrides_exp_or_log():
@@ -198,12 +257,16 @@ def _with_first_entry(array, value):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("op", ["exp", "log", "squared_dist", "dist", "inner_product"])
+@pytest.mark.parametrize(
+    "op", ["exp", "log", "squared_dist", "dist", "inner_product", "transport_direction",
+           "transport_end"]
+)
 @pytest.mark.parametrize("where", ["nan_base", "nan_argument", "inf_base"])
 def test_non_finite_input_raises_domain_error(space_case, op, where):
-    """Exactly ``DomainError``: not a subclass, a LinAlgError or a NaN result."""
+    """Exactly ``DomainError``: not a subclass, a LinAlgError, a NaN result, or a
+    finite result from a hook that ignores the bad input."""
     base, vec, point = _exp_log_inputs(space_case, 56)
-    argument = vec if op in ("exp", "inner_product") else point
+    argument = vec if op in ("exp", "inner_product", "transport_direction") else point
     if where == "nan_argument":
         argument = _with_first_entry(argument, np.nan)
     else:
@@ -212,6 +275,10 @@ def test_non_finite_input_raises_domain_error(space_case, op, where):
     with pytest.raises(DomainError) as info:
         if op == "inner_product":
             metric.inner_product(argument, vec, base)
+        elif op == "transport_direction":
+            metric.parallel_transport(vec, base, direction=argument)
+        elif op == "transport_end":
+            metric.parallel_transport(vec, base, end_point=argument)
         else:
             getattr(metric, op)(argument, base)
     assert type(info.value) is DomainError
@@ -236,6 +303,31 @@ def test_wrong_trailing_shape_raises_shape_error(space_case):
         space_case.manifold.membership_residual(point[..., :-1])
     with pytest.raises(ShapeError):
         space_case.manifold.belongs(point[..., :-1])
+
+
+@pytest.mark.parametrize(
+    "op", ["exp", "log", "squared_dist", "dist", "inner_product", "transport_direction",
+           "transport_end"]
+)
+def test_batches_that_do_not_broadcast_raise_shape_error(space_case, op):
+    """Batches of 2 and 3 raise ShapeError naming both batch shapes: not a numpy
+    ValueError, nor a result shaped by the operands the hook happens to read."""
+    rng = np.random.default_rng(61)
+    metric = space_case.metric
+    bases = space_case.random_points(2, rng)
+    points = space_case.random_points(3, rng)
+    vecs = space_case.scaled_tangents(bases[0], 3, rng)
+    calls = {
+        "exp": lambda: metric.exp(vecs, bases),
+        "log": lambda: metric.log(points, bases),
+        "squared_dist": lambda: metric.squared_dist(points, bases),
+        "dist": lambda: metric.dist(points, bases),
+        "inner_product": lambda: metric.inner_product(vecs, vecs, bases),
+        "transport_direction": lambda: metric.parallel_transport(vecs[0], bases, direction=vecs),
+        "transport_end": lambda: metric.parallel_transport(vecs[0], bases, end_point=points),
+    }
+    with pytest.raises(ShapeError, match=r"\(3,\).*\(2,\)|\(2,\).*\(3,\)"):
+        calls[op]()
 
 
 def test_project_keeps_members_and_restores_perturbed_points(space_case):
