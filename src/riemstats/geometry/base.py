@@ -39,20 +39,17 @@ def _shaped(array, shape, what):
     return array
 
 
-def _check_batches(op, *operands):
-    """ShapeError unless the batch axes of the ``(array, trailing_shape)`` operands broadcast.
+# Operand roles of the metric's tangent shape; any other role has the point shape.
+_TANGENT_ROLES = ("tangent vector", "direction")
 
-    Only two or more batched operands are compared, by broadcasting views of
-    their first trailing entries, so a per-sample call pays one ``ndim`` test
-    per operand.
-    """
-    batched = [a[(...,) + (0,) * len(shape)] for a, shape in operands if a.ndim > len(shape)]
-    if len(batched) > 1:
-        try:
-            np.broadcast(*batched)
-        except ValueError:
-            shapes = ", ".join(str(b.shape) for b in batched)
-            raise ShapeError(f"{op}: operand batch shapes {shapes} do not broadcast") from None
+
+def _one_point(metric, op, array, role):
+    """``array`` checked by ``metric._inputs``; ShapeError unless it is one point."""
+    (array,) = metric._inputs(op, (array, role))
+    shape = metric.manifold.point_shape
+    if array.shape != shape:
+        raise ShapeError(f"{op} takes one {role} of shape {shape}, got {array.shape}")
+    return array
 
 
 class Manifold(ABC):
@@ -157,15 +154,16 @@ class RiemannianMetric(ABC):
     to ``_transport_to``, by default ``_transport`` of the tangency-checked
     log; only a closed form that skips the log overrides it. The public
     ``inner_product``, ``exp``, ``log``, ``squared_dist``, ``dist`` and
-    ``parallel_transport`` convert their inputs once, raise ShapeError on a
-    wrong trailing shape or on batch axes that do not broadcast and, in
-    ``exp`` and ``parallel_transport``, TangencyError on a vector that is
-    not tangent; they call the hook on float64 arrays with float warnings
-    silenced and raise DomainError when an input or the result is not
-    finite. A metric built on another calls that metric's hooks, so one
-    public call validates once. ``dist`` is ``sqrt(squared_dist)``;
-    Minkowski space alone overrides it, because its squared interval is
-    negative on timelike separations, which have no real distance.
+    ``parallel_transport`` share one rule, ``_checked``: ``_inputs`` raises
+    ShapeError on a wrong trailing shape or batch axes that do not
+    broadcast and DomainError on a non-finite entry; ``exp`` and
+    ``parallel_transport`` raise TangencyError on a vector that is not
+    tangent; the hook runs with float warnings silenced; ``_result`` raises
+    DomainError unless its output is finite. A metric built on another, and
+    an estimator that checks its data once through ``_inputs``, call the
+    hooks. ``dist`` is ``sqrt(squared_dist)``; Minkowski space alone
+    overrides it, because its squared interval is negative on timelike
+    separations, which have no real distance.
     """
 
     # True when an op's work on a base point (a factorization or transform
@@ -206,39 +204,62 @@ class RiemannianMetric(ABC):
             return False
         return self.manifold.is_tangent(vector, base_point, atol=atol)
 
-    def _check_tangent(self, op, vector, base_point):
-        """One tangency residual for the whole batch; call with float warnings silenced."""
-        if not np.abs(vector - self.to_tangent(vector, base_point)).max(initial=0.0) <= ATOL:
-            self._require_finite(op, vector, base_point)
-            raise TangencyError(
-                f"vector is not tangent to {self.manifold.name} at the base point"
-            )
+    def _inputs(self, op, *operands):
+        """The ``(array, role)`` operands of an ``op`` call as float64 arrays.
 
-    def _require_finite(self, op, *arrays):
-        if not all(a is None or np.isfinite(a).all() for a in arrays):
+        ShapeError unless each has its role's trailing shape and the batch
+        axes broadcast (compared on views of the first trailing entries);
+        DomainError unless every entry is finite, since a hook may map a
+        non-finite input to a finite result, as ``arctan2`` maps inf to pi/2.
+        """
+        arrays, batched = [], []
+        for array, role in operands:
+            shape = self.tangent_shape if role in _TANGENT_ROLES else self.manifold.point_shape
+            array = _shaped(array, shape, role)
+            if array.ndim > len(shape):
+                batched.append(array[(...,) + (0,) * len(shape)])
+            arrays.append(array)
+        if len(batched) > 1:
+            try:
+                np.broadcast(*batched)
+            except ValueError:
+                shapes = ", ".join(str(b.shape) for b in batched)
+                raise ShapeError(f"{op}: operand batch shapes {shapes} do not broadcast") from None
+        if not all(np.isfinite(a).all() for a in arrays):
             raise DomainError(f"non-finite input to {self.manifold.name} {op}")
+        return arrays
 
-    def _finite_result(self, op, hook, *args, **kwargs):
-        """``hook(*args)``; DomainError if the input or the result is not finite."""
-        try:
-            out = hook(*args, **kwargs)
-        except (GeometryError, np.linalg.LinAlgError):
-            self._require_finite(op, *args)
-            raise
+    def _require_tangent(self, vector, base_point):
+        """TangencyError unless the finite ``vector`` is tangent; call with warnings silenced.
+
+        Where the metric and the manifold keep the identity ``to_tangent``,
+        every finite vector is tangent and the residual pass is skipped.
+        """
+        if type(self).to_tangent is RiemannianMetric.to_tangent:
+            if type(self.manifold).to_tangent is Manifold.to_tangent:
+                return
+        if not np.abs(vector - self.to_tangent(vector, base_point)).max(initial=0.0) <= ATOL:
+            raise TangencyError(f"vector is not tangent to {self.manifold.name} at the base point")
+
+    def _result(self, op, out):
+        """``out`` of a hook of ``op``; DomainError unless it is finite."""
         if not np.isfinite(out).all():
-            self._require_finite(op, *args)
             raise DomainError(f"{self.manifold.name} {op} overflows: the result is not finite")
         return out
 
-    def _all_finite(self, op, hook, *arrays):
-        """``hook(*arrays)``; DomainError if an input or the result is not finite.
+    def _checked(self, op, hook, *operands, tangent=False, **kwargs):
+        """``hook`` of the checked ``(array, role)`` operands, passed in order.
 
-        The inputs are checked up front: a hook may map a non-finite input
-        to a finite result, as ``arctan2`` maps an infinite one to pi/2.
+        With ``tangent``, each tangent vector and direction must be tangent
+        at the second operand, the base point.
         """
+        arrays = self._inputs(op, *operands)
         with np.errstate(all="ignore"):
-            self._require_finite(op, *arrays)
-            return self._finite_result(op, hook, *arrays)
+            if tangent:
+                for array, (_, role) in zip(arrays, operands):
+                    if role in _TANGENT_ROLES:
+                        self._require_tangent(array, arrays[1])
+            return self._result(op, hook(*arrays, **kwargs))
 
     def random_tangent(self, base_point, n_samples=1, rng=None):
         """Gaussian ambient noise projected to the tangent space."""
@@ -251,17 +272,9 @@ class RiemannianMetric(ABC):
 
     def inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         """Metric inner product of two tangent vectors at a shared base point."""
-        tangent_vec_a = _shaped(tangent_vec_a, self.tangent_shape, "tangent vector")
-        tangent_vec_b = _shaped(tangent_vec_b, self.tangent_shape, "tangent vector")
-        base_point = _shaped(base_point, self.manifold.point_shape, "base point")
-        _check_batches(
-            "inner_product",
-            (tangent_vec_a, self.tangent_shape),
-            (tangent_vec_b, self.tangent_shape),
-            (base_point, self.manifold.point_shape),
-        )
-        return self._all_finite(
-            "inner_product", self._inner_product, tangent_vec_a, tangent_vec_b, base_point
+        return self._checked(
+            "inner_product", self._inner_product, (tangent_vec_a, "tangent vector"),
+            (tangent_vec_b, "tangent vector"), (base_point, "base point"),
         )
 
     @abstractmethod
@@ -276,14 +289,10 @@ class RiemannianMetric(ABC):
 
     def exp(self, tangent_vec, base_point):
         """Point reached after unit time along the geodesic with given velocity."""
-        tangent_vec = _shaped(tangent_vec, self.tangent_shape, "tangent vector")
-        base_point = _shaped(base_point, self.manifold.point_shape, "base point")
-        _check_batches(
-            "exp", (tangent_vec, self.tangent_shape), (base_point, self.manifold.point_shape)
+        return self._checked(
+            "exp", self._exp, (tangent_vec, "tangent vector"), (base_point, "base point"),
+            tangent=True,
         )
-        with np.errstate(all="ignore"):
-            self._check_tangent("exp", tangent_vec, base_point)
-            return self._finite_result("exp", self._exp, tangent_vec, base_point)
 
     def log(self, point, base_point, **kwargs):
         """Initial velocity of the geodesic from ``base_point`` to ``point``.
@@ -291,13 +300,9 @@ class RiemannianMetric(ABC):
         The iterative logs (Stiefel, shooting) take ``max_iter`` and ``tol``
         as ``kwargs``.
         """
-        point = _shaped(point, self.manifold.point_shape, "point")
-        base_point = _shaped(base_point, self.manifold.point_shape, "base point")
-        _check_batches(
-            "log", (point, self.manifold.point_shape), (base_point, self.manifold.point_shape)
+        return self._checked(
+            "log", self._log, (point, "point"), (base_point, "base point"), **kwargs
         )
-        with np.errstate(all="ignore"):
-            return self._finite_result("log", self._log, point, base_point, **kwargs)
 
     @abstractmethod
     def _exp(self, tangent_vec, base_point):
@@ -308,14 +313,9 @@ class RiemannianMetric(ABC):
         """Log hook: float64 arrays of the right shapes."""
 
     def squared_dist(self, point_a, point_b):
-        point_a = _shaped(point_a, self.manifold.point_shape, "point")
-        point_b = _shaped(point_b, self.manifold.point_shape, "point")
-        _check_batches(
-            "squared_dist",
-            (point_a, self.manifold.point_shape),
-            (point_b, self.manifold.point_shape),
+        return self._checked(
+            "squared_dist", self._squared_dist, (point_a, "point"), (point_b, "point")
         )
-        return self._all_finite("squared_dist", self._squared_dist, point_a, point_b)
 
     def _squared_dist(self, point_a, point_b):
         """Squared-distance hook: finite float64 points; the squared norm of the log."""
@@ -347,28 +347,14 @@ class RiemannianMetric(ABC):
         """
         if (direction is None) == (end_point is None):
             raise ValueError("provide exactly one of direction / end_point")
-        base_point = _shaped(base_point, self.manifold.point_shape, "base point")
-        tangent_vec = _shaped(tangent_vec, self.tangent_shape, "tangent vector")
         if direction is None:
-            hook, shape = self._transport_to, self.manifold.point_shape
-            target = end_point = _shaped(end_point, shape, "end point")
+            hook, target = self._transport_to, (end_point, "end point")
         else:
-            hook, shape = self._transport, self.tangent_shape
-            target = _shaped(direction, shape, "direction")
-        _check_batches(
-            "parallel_transport",
-            (tangent_vec, self.tangent_shape),
-            (base_point, self.manifold.point_shape),
-            (target, shape),
+            hook, target = self._transport, (direction, "direction")
+        return self._checked(
+            "parallel_transport", hook, (tangent_vec, "tangent vector"), (base_point, "base point"),
+            target, tangent=True,
         )
-        with np.errstate(all="ignore"):
-            # A flat metric's hook ignores the points; a non-finite vector
-            # fails its tangency check, whose residual is then not finite.
-            self._require_finite("parallel_transport", base_point, end_point)
-            self._check_tangent("parallel_transport", tangent_vec, base_point)
-            if direction is not None:
-                self._check_tangent("parallel_transport", target, base_point)
-            return self._finite_result("parallel_transport", hook, tangent_vec, base_point, target)
 
     def _transport(self, tangent_vec, base_point, direction):
         """Transport hook along the initial velocity ``direction``: the pole-ladder fallback."""
@@ -379,7 +365,7 @@ class RiemannianMetric(ABC):
     def _transport_to(self, tangent_vec, base_point, end_point):
         """End-point transport hook: ``_transport`` along the tangency-checked log."""
         direction = self.log(end_point, base_point)
-        self._check_tangent("parallel_transport", direction, base_point)
+        self._require_tangent(direction, base_point)
         return self._transport(tangent_vec, base_point, direction)
 
     def injectivity_radius(self, base_point):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..geometry.base import _one_point
+
 _MAX_HALVINGS = 30
 
 
@@ -37,6 +39,11 @@ def riemannian_gradient_descent(
 ):
     """Minimize ``fun`` over an embedded manifold.
 
+    The start point and each ``grad`` output must be one finite point-shaped
+    array (else ShapeError or DomainError, as from the public ops). Steps
+    then call the metric's hooks with float warnings silenced, keeping the
+    tangency and finiteness checks; ``fun`` and ``grad`` keep their warnings.
+
     Parameters
     ----------
     fun, grad : callables
@@ -48,25 +55,27 @@ def riemannian_gradient_descent(
         Stop when the Riemannian gradient norm falls below this.
     """
     metric = metric if metric is not None else manifold.default_metric
-    x = np.asarray(initial_point, dtype=float)
+    x = _one_point(metric, "gradient descent", initial_point, "initial point")
     trace = [x]
     values = [float(fun(x))]
     converged = False
     for _ in range(max_iter):
-        riem_grad = manifold.to_tangent(np.asarray(grad(x), dtype=float), x)
-        if float(metric.norm(riem_grad, x)) < tol:
+        raw = _one_point(metric, "gradient descent", grad(x), "gradient")
+        with np.errstate(all="ignore"):
+            riem_grad = manifold.to_tangent(raw, x)
+            sq_norm = metric._inner_product(riem_grad, riem_grad, x)
+        if float(np.sqrt(metric._result("inner_product", sq_norm))) < tol:
             converged = True
             break
-        rate = learning_rate
         current = values[-1]
-        candidate = metric.exp(-rate * riem_grad, x)
-        cand_value = float(fun(candidate))
-        for _ in range(_MAX_HALVINGS):
+        for halvings in range(_MAX_HALVINGS + 1):
+            step = -(learning_rate * 0.5**halvings) * riem_grad
+            with np.errstate(all="ignore"):
+                metric._require_tangent(step, x)
+                candidate = metric._result("exp", metric._exp(step, x))
+            cand_value = float(fun(candidate))
             if cand_value <= current:
                 break
-            rate *= 0.5
-            candidate = metric.exp(-rate * riem_grad, x)
-            cand_value = float(fun(candidate))
         if cand_value > current:
             break  # backtracking exhausted: flat to machine precision
         x = candidate

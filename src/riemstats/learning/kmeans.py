@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from ..errors import CutLocusError, DomainError
+from ..errors import CutLocusError, DomainError, ShapeError
+from ..geometry.base import _one_point
 from .frechet import karcher_flow
 
 
@@ -151,7 +152,11 @@ class OnlineKMeans:
     The first samples fill empty centroids; afterwards the nearest centroid
     with count n moves to ``exp_c(log_c(x) / (n + 1))``, projected onto the
     manifold. A sample whose logarithm does not exist at its nearest
-    centroid (cut locus) is skipped and tallied in ``n_rejected_``.
+    centroid (cut locus), or whose step is not tangent or not finite, is
+    skipped and tallied in ``n_rejected_``. ``fit`` checks its whole batch
+    once, before any update, with the public ops' errors; the updates then
+    call the metric's hooks, keeping the step's tangency check and each
+    result's finiteness check.
     """
 
     def __init__(self, metric, n_clusters):
@@ -164,32 +169,43 @@ class OnlineKMeans:
         self.n_rejected_ = 0
 
     def partial_fit(self, point):
-        point = np.asarray(point, dtype=float)
+        """Update with one point, of shape ``point_shape``."""
+        return self.fit(_one_point(self.metric, "online k-means", point, "point")[None])
+
+    def fit(self, points):
+        """Update with each point of ``points``, shape ``(n, *point_shape)``, in order."""
+        metric = self.metric
+        (points,) = metric._inputs("online k-means", (points, "point"))
+        if points.ndim != len(metric.manifold.point_shape) + 1:
+            raise ShapeError(f"online k-means fit takes one batch of points, got {points.shape}")
+        with np.errstate(all="ignore"):
+            for point in points:
+                self._update(point)
+        return self
+
+    def _update(self, point):
+        """One streaming step on a checked point; call with float warnings silenced."""
+        metric = self.metric
         if self.centroids_ is None:
             self.centroids_ = np.zeros((self.n_clusters,) + point.shape)
         if np.any(self.counts_ == 0):
             slot = int(np.argmin(self.counts_ > 0))
             self.centroids_[slot] = point
             self.counts_[slot] += 1
-            return self
-        sq = _pairwise_sq_dist(self.metric, point[None], self.centroids_)[0]
-        nearest = int(np.argmin(sq))
-        count = self.counts_[nearest]
+            return
+        # The operand shapes, and so the bits, of ``_pairwise_sq_dist``.
+        sq = metric._squared_dist(self.centroids_[:, None], point[None])
+        nearest = int(np.argmin(metric._result("squared_dist", sq)[:, 0]))
+        centroid = self.centroids_[nearest]
         try:
-            step = self.metric.log(point, self.centroids_[nearest]) / (count + 1.0)
-            self.centroids_[nearest] = self.metric.manifold.project(
-                self.metric.exp(step, self.centroids_[nearest])
-            )
+            step = metric._result("log", metric._log(point, centroid))
+            step = step / (self.counts_[nearest] + 1.0)
+            metric._require_tangent(step, centroid)
+            moved = metric._result("exp", metric._exp(step, centroid))
+            self.centroids_[nearest] = metric.manifold.project(moved)
+            self.counts_[nearest] += 1
         except (CutLocusError, DomainError):
             self.n_rejected_ += 1
-            return self
-        self.counts_[nearest] += 1
-        return self
-
-    def fit(self, points):
-        for point in np.asarray(points, dtype=float):
-            self.partial_fit(point)
-        return self
 
     def predict(self, points):
         sq = _pairwise_sq_dist(self.metric, np.asarray(points, dtype=float), self.centroids_)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riemstats.errors import ShapeError
+from riemstats.errors import DomainError, ShapeError
 from riemstats.geometry import (
     Euclidean,
     Hyperboloid,
@@ -757,6 +757,64 @@ class TestOnlineKMeans:
         assert model.n_rejected_ == 0
         assert worst <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_fit_counts_a_cut_locus_sample_as_rejected(self):
+        stream = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        model = OnlineKMeans(S_METRIC, 1).fit(stream)
+        assert model.n_rejected_ == 1
+        assert model.counts_.tolist() == [2]
+
+    def test_partial_fit_takes_exactly_one_point(self):
+        """A batch is not a point: it used to fill a slot with a batch-shaped centroid."""
+        model = OnlineKMeans(S_METRIC, 2)
+        with pytest.raises(ShapeError):
+            model.partial_fit(SPHERE.random_point(3, rng=32))
+        with pytest.raises(ShapeError):
+            model.partial_fit(np.ones(4))
+        assert model.centroids_ is None
+        assert model.counts_.tolist() == [0, 0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_partial_fit_rejects_a_non_finite_first_point(self, bad):
+        """It used to become a non-finite centroid."""
+        model = OnlineKMeans(S_METRIC, 2)
+        with pytest.raises(DomainError) as info:
+            model.partial_fit(np.array([bad, 0.0, 1.0]))
+        assert type(info.value) is DomainError
+        assert model.centroids_ is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_online_kmeans_rejects_a_non_finite_sample_before_any_update(space_case, bad):
+    """Exactly DomainError, as from the public ops, and the model is left unfitted."""
+    points = space_case.random_points(6, np.random.default_rng(63))
+    points[4].flat[0] = bad
+    model = OnlineKMeans(space_case.metric, 2)
+    with pytest.raises(DomainError) as info:
+        model.fit(points)
+    assert type(info.value) is DomainError
+    assert model.centroids_ is None
+    assert model.n_rejected_ == 0 and not model.counts_.any()
+
+
+def test_online_kmeans_rejects_a_wrong_shape(space_case):
+    """ShapeError for a wrong trailing shape, and for a batch where one point
+    belongs or one point where a batch belongs."""
+    points = space_case.random_points(4, np.random.default_rng(64))
+    model = OnlineKMeans(space_case.metric, 2)
+    for call, arg in [
+        (model.fit, points[..., :-1]),
+        (model.fit, points[0]),
+        (model.fit, points[None]),
+        (model.partial_fit, points[0, ..., :-1]),
+        (model.partial_fit, points),
+    ]:
+        with pytest.raises(ShapeError):
+            call(arg)
+    assert model.centroids_ is None
+
 
 class TestGradientDescent:
     def test_linear_field_reaches_minus_a(self):
@@ -817,3 +875,59 @@ class TestGradientDescent:
                 2 * h
             )
             assert float(np.dot(riem_grad, direction)) == pytest.approx(fd, abs=1e-5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_raises_domain_error(self, bad):
+        a = np.array([0.3, 0.7, -0.2])
+        with pytest.raises(DomainError) as info:
+            riemannian_gradient_descent(
+                SPHERE, lambda x: float(np.dot(a, x)), lambda x: a, np.array([bad, 0.6, 0.8])
+            )
+        assert type(info.value) is DomainError
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_raises_domain_error(self, bad):
+        start = SPHERE.random_point(rng=33)
+        with pytest.raises(DomainError) as info:
+            riemannian_gradient_descent(
+                SPHERE, lambda x: 0.0, lambda x: np.array([bad, 1.0, 0.0]), start
+            )
+        assert type(info.value) is DomainError
+
+    @pytest.mark.parametrize(
+        "start, gradient",
+        [
+            (np.array([0.0, 0.0, 0.0, 1.0]), np.ones(3)),
+            (SPHERE.random_point(2, rng=34), np.ones(3)),
+            (np.array([0.0, 0.0, 1.0]), np.ones(4)),
+            (np.array([0.0, 0.0, 1.0]), np.ones((2, 3))),
+        ],
+        ids=["start_trailing", "start_batch", "gradient_trailing", "gradient_batch"],
+    )
+    def test_wrong_shape_raises_shape_error(self, start, gradient):
+        """Checked before the gradient is projected: not numpy's ValueError."""
+        with pytest.raises(ShapeError):
+            riemannian_gradient_descent(SPHERE, lambda x: 0.0, lambda x: gradient, start)
+
+    @pytest.mark.parametrize("callback", ["fun", "grad"])
+    def test_callbacks_keep_their_float_warnings(self, callback):
+        """Only the hooks run with float warnings silenced, not the user's fields."""
+        a = np.array([0.3, 0.7, -0.2])
+
+        def overflow():
+            return np.exp(np.float64(1000.0))
+
+        def fun(x):
+            if callback == "fun":
+                overflow()
+            return float(np.dot(a, x))
+
+        def grad(x):
+            if callback == "grad":
+                overflow()
+            return a
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            riemannian_gradient_descent(SPHERE, fun, grad, SPHERE.random_point(rng=35), max_iter=3)

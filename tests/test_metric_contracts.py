@@ -16,6 +16,7 @@ import pytest
 
 from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError
 from riemstats.geometry import Manifold, RiemannianMetric, numerical
+from riemstats.learning import OnlineKMeans, riemannian_gradient_descent
 
 from conftest import ALL_CASES
 
@@ -198,6 +199,31 @@ def test_closed_form_transports_never_reach_the_ladder(space_case, by, monkeypat
     target = {"direction": vec, "end_point": end}[by]
     out = space_case.metric.parallel_transport(vec, base, **{by: target})
     assert out.shape == tuple(space_case.metric.tangent_shape)
+
+
+def test_streaming_estimators_never_reach_the_public_ops(space_case, monkeypatch):
+    """Online K-means and gradient descent check their data once, then call the
+    hooks: no public op runs per sample or per iteration."""
+    metric, manifold = space_case.metric, space_case.manifold
+    rng = np.random.default_rng(65)
+    points = space_case.random_points(12, rng)
+    start = space_case.random_point(rng)
+    a = rng.standard_normal(manifold.point_shape)
+
+    def public(*args, **kwargs):
+        raise AssertionError("a public op ran")
+
+    for op in ("exp", "log", "squared_dist", "inner_product"):
+        monkeypatch.setattr(metric, op, public)
+    model = OnlineKMeans(metric, 2).fit(points)
+    assert model.counts_.sum() + model.n_rejected_ == len(points)
+    if metric.tangent_shape != manifold.point_shape or not space_case.true_metric:
+        return  # descent follows an ambient gradient under a positive-definite metric
+    result = riemannian_gradient_descent(
+        manifold, lambda x: float(np.sum(a * x)), lambda x: a, start, metric=metric,
+        learning_rate=0.01, max_iter=3,
+    )
+    assert result.n_iter >= 1
 
 
 def test_no_metric_overrides_exp_or_log():
