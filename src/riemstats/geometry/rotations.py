@@ -2,7 +2,10 @@
 
 The Lie-algebra inner product is the plain Frobenius form tr(A^T B), so the
 distance between rotations R1, R2 is ||logm(R1^T R2)||_F; in 3D that equals
-sqrt(2) times the relative rotation angle.
+sqrt(2) times the relative rotation angle. The log raises CutLocusError
+within ``_ANGLE_PI_ATOL`` of rotation angle pi; ``linalg.matrix_log`` makes
+that test on the angles of its own decomposition. ``hat``/``vee`` and the
+rotation angles of ``dist`` come from ``linalg``.
 """
 
 from __future__ import annotations
@@ -10,32 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from ..errors import CutLocusError
+from ..linalg import hat, vee  # both re-exported by riemstats.geometry
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 # Rotation angles within this of pi sit on the cut locus of the log.
 _ANGLE_PI_ATOL = 1e-6
 _SERIES_THRESHOLD = 1e-7
-
-
-def hat(vec):
-    """so(3) matrix of a 3-vector: hat(v) w = v x w."""
-    vec = np.asarray(vec, dtype=float)
-    zero = np.zeros_like(vec[..., 0])
-    return np.stack(
-        [
-            np.stack([zero, -vec[..., 2], vec[..., 1]], axis=-1),
-            np.stack([vec[..., 2], zero, -vec[..., 0]], axis=-1),
-            np.stack([-vec[..., 1], vec[..., 0], zero], axis=-1),
-        ],
-        axis=-2,
-    )
-
-
-def vee(mat):
-    """Inverse of :func:`hat` on skew 3x3 matrices."""
-    mat = np.asarray(mat, dtype=float)
-    return np.stack([mat[..., 2, 1], mat[..., 0, 2], mat[..., 1, 0]], axis=-1)
 
 
 def matrix_from_rotation_vector(rot_vec):
@@ -60,17 +43,6 @@ def rotation_vector_from_matrix(rot):
     """Principal axis-angle vector of a rotation matrix (angle in [0, pi])."""
     axis, angle = linalg._rotation_axis_angle_3x3(np.asarray(rot, dtype=float))
     return axis * angle[..., None]
-
-
-def rotation_angles(rot):
-    """Principal rotation angles, so that ||logm(rot)||_F^2 = sum(angles^2).
-
-    Counts each conjugate eigenvalue pair twice, matching the Frobenius norm
-    of the skew logarithm.
-    """
-    rot = np.asarray(rot, dtype=float)
-    eigvals = np.linalg.eigvals(rot)
-    return np.abs(np.angle(eigvals))
 
 
 class SpecialOrthogonal(Manifold):
@@ -155,21 +127,10 @@ class SOBiInvariantMetric(RiemannianMetric):
 
     def _log(self, point, base_point):
         relative = linalg.transpose(base_point) @ point
-        angle = np.max(rotation_angles(relative), axis=-1)
-        if np.any(angle >= np.pi - _ANGLE_PI_ATOL):
-            raise CutLocusError("SO(n) log is undefined at rotation angle pi")
-        return base_point @ linalg.skew(linalg.matrix_log(relative))
+        return base_point @ linalg.skew(linalg.matrix_log(relative, cut_atol=_ANGLE_PI_ATOL))
 
     def _squared_dist(self, point_a, point_b):
-        relative = linalg.transpose(point_a) @ point_b
-        n = relative.shape[-1]
-        if n == 3:
-            _, angle = linalg._rotation_axis_angle_3x3(relative)
-            return 2.0 * angle**2
-        if n == 2:
-            angle = np.arctan2(relative[..., 1, 0], relative[..., 0, 0])
-            return 2.0 * angle**2
-        angles = rotation_angles(relative)
+        angles = linalg.rotation_angles(linalg.transpose(point_a) @ point_b)
         return linalg.inner(angles, angles)
 
     def _transport(self, tangent_vec, base_point, direction):

@@ -208,5 +208,9 @@ class OnlineKMeans:
             self.n_rejected_ += 1
 
     def predict(self, points):
-        sq = _pairwise_sq_dist(self.metric, np.asarray(points, dtype=float), self.centroids_)
-        return np.argmin(sq, axis=-1)
+        """Index of the nearest centroid among the clusters that hold a sample."""
+        filled = np.flatnonzero(self.counts_)
+        if filled.size == 0:
+            raise ValueError("online k-means predict needs at least one fitted sample")
+        sq = _pairwise_sq_dist(self.metric, np.asarray(points, dtype=float), self.centroids_[filled])
+        return filled[np.argmin(sq, axis=-1)]

@@ -10,13 +10,15 @@ Conventions
   each eigenvector's largest-magnitude entry is made positive.
 * ``spd_frame`` factors with the lower Cholesky factor ``L``, ``mat = L L^T``.
 * ``qr`` forces a positive diagonal on R.
+* ``matrix_log`` routes each member of a stack on its own and is the one
+  place that decides a rotation's cut locus, its ``cut_atol`` keyword.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import CutLocusError, DomainError, ShapeError
 
 ATOL_SYM = 1e-10
 RTOL_RANK = 1e-10
@@ -294,32 +296,42 @@ def matrix_exp(mat):
     return out.reshape(mat.shape)
 
 
-def _skew_vec_3x3(rot):
-    """Entries of the skew part: equals sin(angle) * axis for a rotation."""
-    return 0.5 * np.stack(
+def hat(vec):
+    """so(3) matrix of a 3-vector: hat(v) w = v x w."""
+    vec = np.asarray(vec, dtype=float)
+    zero = np.zeros_like(vec[..., 0])
+    return np.stack(
         [
-            rot[..., 2, 1] - rot[..., 1, 2],
-            rot[..., 0, 2] - rot[..., 2, 0],
-            rot[..., 1, 0] - rot[..., 0, 1],
+            np.stack([zero, -vec[..., 2], vec[..., 1]], axis=-1),
+            np.stack([vec[..., 2], zero, -vec[..., 0]], axis=-1),
+            np.stack([-vec[..., 1], vec[..., 0], zero], axis=-1),
         ],
-        axis=-1,
+        axis=-2,
     )
+
+
+def vee(mat):
+    """Inverse of :func:`hat` on skew 3x3 matrices."""
+    mat = np.asarray(mat, dtype=float)
+    return np.stack([mat[..., 2, 1], mat[..., 0, 2], mat[..., 1, 0]], axis=-1)
+
+
+def _rotation_angle_3x3(rot):
+    """``(sin(angle) * axis, cos(angle), angle)`` of 3x3 rotations; the angle,
+    atan2 of the skew and trace parts, is well conditioned on all of [0, pi]."""
+    skew_vec = vee(skew(rot))
+    cos_theta = 0.5 * (np.trace(rot, axis1=-2, axis2=-1) - 1.0)
+    return skew_vec, cos_theta, np.arctan2(norm(skew_vec), cos_theta)
 
 
 def _rotation_axis_angle_3x3(rot):
     """Axis (unit) and angle in [0, pi] of a stacked 3x3 rotation.
 
-    The angle comes from atan2 of the skew and trace parts, well conditioned
-    over the whole range. The axis is recovered from the skew part away from
-    angle pi and from the symmetric rank-one part near pi, where the skew
-    part degenerates.
+    The axis is recovered from the skew part away from angle pi and from the
+    symmetric rank-one part near pi, where the skew part degenerates.
     """
-    rot = np.asarray(rot, dtype=float)
-    skew_vec = _skew_vec_3x3(rot)
+    skew_vec, cos_theta, theta = _rotation_angle_3x3(rot)
     sin_theta = norm(skew_vec)
-    cos_theta = 0.5 * (np.trace(rot, axis1=-2, axis2=-1) - 1.0)
-    theta = np.arctan2(sin_theta, cos_theta)
-
     axis_skew = skew_vec / np.where(sin_theta > 1e-12, sin_theta, 1.0)[..., None]
 
     # Near pi: (sym(R) - cos * I) / (1 - cos) = axis axis^T.
@@ -350,17 +362,22 @@ def _log_rotation_2x2(rot):
 
 def _log_rotation_3x3(rot):
     axis, theta = _rotation_axis_angle_3x3(rot)
-    v = axis * theta[..., None]
-    zero = np.zeros_like(theta)
-    log = np.stack(
-        [
-            np.stack([zero, -v[..., 2], v[..., 1]], axis=-1),
-            np.stack([v[..., 2], zero, -v[..., 0]], axis=-1),
-            np.stack([-v[..., 1], v[..., 0], zero], axis=-1),
-        ],
-        axis=-2,
-    )
-    return log, theta
+    return hat(axis * theta[..., None]), theta
+
+
+def rotation_angles(rot):
+    """Principal angles of ``(..., n, n)`` rotations, n >= 2, a conjugate pair
+    twice, so ``inner(angles, angles) = ||logm(rot)||_F^2``: atan2 for 2x2,
+    the axis-angle closed form for 3x3, eigenvalue arguments beyond."""
+    rot = np.asarray(rot, dtype=float)
+    n = rot.shape[-1]
+    if n == 2:
+        theta = np.abs(np.arctan2(rot[..., 1, 0], rot[..., 0, 0]))
+        return np.stack([theta, theta], axis=-1)
+    if n == 3:
+        theta = _rotation_angle_3x3(rot)[2]
+        return np.stack([theta, theta, np.zeros_like(theta)], axis=-1)
+    return np.abs(np.angle(np.linalg.eigvals(rot)))
 
 
 def _is_rotation(mat, atol):
@@ -409,18 +426,11 @@ def _sqrtm(mat):
 
 
 def _log_general(mat):
-    """Principal logarithm of a stack ``(k, n, n)`` by inverse scaling-and-squaring."""
-    eigvals = np.linalg.eigvals(mat)
-    mags = np.abs(eigvals)
-    top = np.max(mags, axis=-1, keepdims=True)
-    if np.any(top == 0.0) or np.any(mags <= 1e-12 * top):
-        raise DomainError("matrix log of a (numerically) singular matrix")
-    on_neg_axis = (eigvals.real < 0) & (np.abs(eigvals.imag) <= 1e-12 * mags)
-    if np.any(on_neg_axis):
-        raise DomainError(
-            "matrix log undefined: eigenvalue on the closed negative real axis"
-        )
+    """Principal logarithm of a stack ``(k, n, n)`` by inverse scaling-and-squaring.
 
+    The caller has checked that no eigenvalue is zero or on the closed
+    negative real axis.
+    """
     eye = np.eye(mat.shape[-1])
     root = mat.copy()
     n_roots = np.zeros(len(mat), dtype=int)
@@ -462,61 +472,75 @@ def _log_rotation_eigh(sym_vals, sym_vecs, rot):
     return skew((sym_vecs * factor[..., None, :]) @ transpose(sym_vecs) @ skew(rot))
 
 
-def _log_by_member(flat):
-    """Principal log of a stack ``(k, n, n)``, n >= 4, each member on its own path.
+def matrix_log(mat, atol=ATOL_SYM, cut_atol=1e-12):
+    """Principal matrix logarithm; each member of a stack takes its own route.
 
-    A rotation whose angles are all below 2.69 rad takes the one-``eigh``
-    form; every other member goes to ``_log_general`` in one batch. The path
-    depends on the member alone, so its result does not depend on the batch.
-    """
-    out = np.empty_like(flat)
-    rot = np.flatnonzero(_is_rotation(flat, atol=1e-10))
-    sym_vals, sym_vecs = np.linalg.eigh(sym(flat[rot]))
-    fast = sym_vals[:, 0] > _ROTATION_MIN_COS  # eigh sorts ascending
-    done = rot[fast]
-    out[done] = _log_rotation_eigh(sym_vals[fast], sym_vecs[fast], flat[done])
-    rest = np.ones(len(flat), dtype=bool)
-    rest[done] = False
-    if rest.any():
-        out[rest] = _log_general(flat[rest])
-    return out
+    A symmetric positive-definite member goes through ``sym_eig``. Any other
+    rotation (orthogonal within 1e-10, positive determinant) of size 2 or 3
+    takes the axis-angle closed form, and a larger one whose angles are all
+    below 2.69 rad and short of the cut takes ``g(sym R) skew(R)`` from one
+    ``eigh`` of its symmetric part; so a symmetric rotation other than the
+    identity, a half turn, reaches the cut-locus test. Every remaining
+    member takes one batched inverse scaling-and-squaring pass with no
+    per-matrix Python loop: each matrix is square-rooted
+    (Denman-Beavers) until ``||A - I||_1 <= 0.25``, then ``log(I + X)``
+    comes from the degree-7 Gauss-Legendre partial-fraction Pade approximant
+    and is scaled back by ``2^s`` (Higham, *Functions of Matrices*, SIAM
+    2008, ch. 11; Al-Mohy and Higham, "Improved inverse scaling and squaring
+    algorithms for the matrix logarithm", SIAM J. Sci. Comput. 34, 2012).
+    The route depends on the member alone, so a stack equals its loop bit
+    for bit.
 
-
-def matrix_log(mat, atol=ATOL_SYM):
-    """Principal matrix logarithm.
-
-    Fast paths: symmetric positive definite input goes through ``sym_eig``;
-    rotation matrices of size <= 3 use the axis-angle closed form, and each
-    larger rotation whose angles are all below 2.69 rad takes
-    ``g(sym R) skew(R)`` from one ``eigh`` of its symmetric part. Any other
-    input, a single matrix or a stack, takes one batched inverse
-    scaling-and-squaring pass with no per-matrix Python loop: each matrix is
-    square-rooted (Denman-Beavers) until ``||A - I||_1 <= 0.25``, then
-    ``log(I + X)`` comes from the degree-7 Gauss-Legendre partial-fraction
-    Pade approximant and is scaled back by ``2^s`` (Higham, *Functions of
-    Matrices*, SIAM 2008, ch. 11; Al-Mohy and Higham, "Improved inverse
-    scaling and squaring algorithms for the matrix logarithm", SIAM J. Sci.
-    Comput. 34, 2012). Raises :class:`DomainError` if any matrix is singular
-    or has spectrum on the closed negative real axis.
+    Raises :class:`CutLocusError` if a rotation's largest angle is within
+    ``cut_atol`` of pi; the angle is read from the decomposition its route
+    makes anyway (the closed-form angle, the ``eigh`` cosines or the general
+    route's eigenvalues). Raises :class:`DomainError` if any other matrix is
+    singular or has spectrum on the closed negative real axis, a symmetric
+    one included.
     """
     mat = _as_square(mat)
     n = mat.shape[-1]
-
-    if np.all(is_symmetric(mat, atol=atol)):
-        w, v = sym_eig(mat, atol=atol)
-        if np.any(w <= 0.0):
-            raise DomainError("matrix log of a symmetric matrix needs positive eigenvalues")
-        return (v * np.log(w)[..., None, :]) @ transpose(v)
-
-    if n <= 3 and np.all(_is_rotation(mat, atol=1e-10)):
-        log, theta = _log_rotation_2x2(mat) if n == 2 else _log_rotation_3x3(mat)
-        if np.any(theta >= np.pi - 1e-12):
-            raise DomainError("matrix log undefined at rotation angle pi")
-        return log
-
     flat = mat.reshape((-1, n, n))
-    log = _log_general(flat) if n <= 3 else _log_by_member(flat)
-    return log.reshape(mat.shape)
+    out = np.empty_like(flat)
+    spd = is_symmetric(flat, atol=atol)
+    if spd.any():
+        members = np.flatnonzero(spd)
+        w, v = sym_eig(flat[members], atol=atol)
+        positive = np.all(w > 0.0, axis=-1)
+        v = v[positive]
+        out[members[positive]] = (v * np.log(w[positive])[..., None, :]) @ transpose(v)
+        spd[members[~positive]] = False
+    rot = _is_rotation(flat, atol=1e-10) & ~spd
+    general = ~(spd | rot)
+    angle = np.zeros(len(flat))  # the largest angle of each rotation
+    if rot.any():
+        members = np.flatnonzero(rot)
+        if n in (2, 3):
+            log, angle[members] = (_log_rotation_2x2 if n == 2 else _log_rotation_3x3)(flat[members])
+            out[members] = log
+        else:
+            cos, vecs = np.linalg.eigh(sym(flat[members]))
+            # eigh sorts ascending: the smallest cosine is of the largest
+            # angle, which must be below 2.69 rad and short of the cut.
+            fast = cos[:, 0] > max(_ROTATION_MIN_COS, -np.cos(cut_atol))
+            done = members[fast]
+            out[done] = _log_rotation_eigh(cos[fast], vecs[fast], flat[done])
+            general[members[~fast]] = True
+    if general.any():
+        rest = flat[general]
+        eigvals = np.linalg.eigvals(rest)
+        angle[general & rot] = np.max(np.abs(np.angle(eigvals[rot[general]])), axis=-1)
+    if (angle >= np.pi - cut_atol).any():
+        raise CutLocusError(f"matrix log undefined: rotation angle within {cut_atol:g} of pi")
+    if general.any():
+        mags = np.abs(eigvals)
+        top = np.max(mags, axis=-1, keepdims=True)
+        if np.any(top == 0.0) or np.any(mags <= 1e-12 * top):
+            raise DomainError("matrix log of a (numerically) singular matrix")
+        if np.any((eigvals.real < 0) & (np.abs(eigvals.imag) <= 1e-12 * mags)):
+            raise DomainError("matrix log undefined: eigenvalue on the closed negative real axis")
+        out[general] = _log_general(rest)
+    return out.reshape(mat.shape)
 
 
 def qr(mat, rtol=RTOL_RANK):

@@ -784,6 +784,24 @@ class TestOnlineKMeans:
         assert type(info.value) is DomainError
         assert model.centroids_ is None
 
+    @pytest.mark.parametrize("space", ["sphere", "spd"])
+    def test_predict_uses_only_clusters_with_a_sample(self, space):
+        """The empty slots hold zeros: on the sphere the nearest one won, and
+        on SPD(2) the zero matrix raised DomainError."""
+        if space == "sphere":
+            metric, first = S_METRIC, np.array([0.0, 0.0, 1.0])
+            points = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+        else:
+            metric, first = SPDMatrices(2).metric, np.eye(2)
+            points = np.array([np.diag([4.0, 0.5]), [[2.0, 0.5], [0.5, 1.0]]])
+        model = OnlineKMeans(metric, 3)
+        model.partial_fit(first)
+        assert model.predict(points).tolist() == [0, 0]
+
+    def test_predict_before_any_sample_raises_value_error(self):
+        with pytest.raises(ValueError, match="at least one fitted sample"):
+            OnlineKMeans(S_METRIC, 2).predict(np.array([[0.0, 0.0, 1.0]]))
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from riemstats import linalg
-from riemstats.errors import DomainError, ShapeError
+from riemstats.errors import CutLocusError, DomainError, ShapeError
 
 
 def _rodrigues(axis, angle):
@@ -267,6 +267,37 @@ class TestBatchedMatrixLog:
         ref = np.stack([scipy.linalg.logm(m) for m in mats])
         assert np.max(np.abs(ref.imag)) <= 1e-12
         assert _rel_err(out, ref.real) <= 1e-12
+
+    def test_3x3_stack_routes_each_member(self):
+        """One general matrix among 3x3 rotations used to send the whole stack
+        to ``_log_general``; each member now takes its own route."""
+        rng = np.random.default_rng(19)
+        mats = _rotations(rng, 6, 3)
+        mats[2] = _general(rng, 1, 3)[0]
+        loop = np.stack([linalg.matrix_log(m) for m in mats])
+        np.testing.assert_array_equal(linalg.matrix_log(mats), loop)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rotation_angles_give_the_log_norm(self, n):
+        rots = _rotations(np.random.default_rng(20), 8, n)
+        angles = linalg.rotation_angles(rots)
+        assert angles.shape == (8, n)
+        np.testing.assert_allclose(
+            linalg.inner(angles, angles), linalg.norm(linalg.matrix_log(rots), axes=2) ** 2,
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cut_tolerance_is_a_keyword(self, n):
+        """A rotation by pi - 1e-7 has a log at the default tolerance, 1e-12,
+        accurate to its conditioning eps * pi / 1e-7, and raises CutLocusError
+        at 1e-6."""
+        rot = np.eye(n)
+        c, s = np.cos(np.pi - 1e-7), np.sin(np.pi - 1e-7)
+        rot[:2, :2] = [[c, -s], [s, c]]
+        assert linalg.matrix_log(rot)[1, 0] == pytest.approx(np.pi - 1e-7, rel=1e-8)
+        with pytest.raises(CutLocusError):
+            linalg.matrix_log(rot, cut_atol=1e-6)
 
     def test_rotation_log_near_identity(self):
         """The series branch of arccos(c) / sqrt(1 - c^2) near c = 1."""

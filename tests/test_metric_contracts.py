@@ -226,6 +226,25 @@ def test_streaming_estimators_never_reach_the_public_ops(space_case, monkeypatch
     assert result.n_iter >= 1
 
 
+def test_srv_exp_and_transport_skip_the_tangency_pass(monkeypatch):
+    """Tangency is the manifold's ``tangency_residual``, skipped where the
+    manifold keeps the identity ``to_tangent``: the SRV metric's own
+    ``to_tangent`` is a shape check that ``_inputs`` already makes."""
+    from riemstats.geometry.curves import SRVMetric
+
+    case = next(c for c in ALL_CASES if c.name == "curves_srv")
+    base, vec, end = _exp_log_inputs(case, 66)
+
+    def projection(*args, **kwargs):
+        raise AssertionError("SRVMetric.to_tangent ran")
+
+    monkeypatch.setattr(SRVMetric, "to_tangent", projection)
+    metric = case.metric
+    np.testing.assert_array_equal(metric.exp(vec, base), end)
+    for target in ({"direction": vec}, {"end_point": end}):
+        assert metric.parallel_transport(vec, base, **target).shape == vec.shape
+
+
 def test_no_metric_overrides_exp_or_log():
     """Closed forms go in the ``_exp``, ``_log``, ``_squared_dist`` and
     ``_inner_product`` hooks, behind the base checks.
@@ -264,6 +283,18 @@ def test_no_np_linalg_norm_outside_linalg():
         str(path.relative_to(SRC))
         for path in sorted(SRC.rglob("*.py"))
         if path != SRC / "linalg.py" and "np.linalg.norm(" in path.read_text()
+    ]
+    assert offenders == []
+
+
+def test_no_np_linalg_eigvals_outside_linalg():
+    """Rotation angles come from ``linalg``, and the cut locus of a rotation
+    log is decided once, inside ``linalg.matrix_log``, from the decomposition
+    its route already makes."""
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "linalg.py" and "np.linalg.eigvals(" in path.read_text()
     ]
     assert offenders == []
 

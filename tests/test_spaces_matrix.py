@@ -764,6 +764,84 @@ def test_logs_below_the_rotation_bound_skip_shooting_and_the_general_log(monkeyp
     assert np.all(np.isfinite(grassmann.metric.log(target, base)))
 
 
+def _pair_short_of_the_cut(name, gap, rng):
+    """A base point and a target ``gap`` short of the cut locus: on SO(3) and
+    SO(4) at largest rotation angle pi - gap (SO(4) turns a second plane by
+    0.7), on Grassmann(4, 2) at largest principal angle pi/2 - gap (the
+    other 0.7). Both points are turned by one random rotation."""
+    n = 3 if name == "so3" else 4
+    frame = SpecialOrthogonal(n).random_point(rng=rng)
+    if name == "grassmann42":
+        basis = np.zeros((4, 2))
+        for j, angle in enumerate([0.5 * np.pi - gap, 0.7]):
+            basis[[j, j + 2], j] = np.cos(angle), np.sin(angle)
+        return Grassmann(4, 2), projector_from_basis(frame[:, :2]), projector_from_basis(frame @ basis)
+    block = np.eye(n)
+    for j, angle in enumerate([np.pi - gap, 0.7][: n // 2]):
+        c, s = np.cos(angle), np.sin(angle)
+        block[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[c, -s], [s, c]]
+    return SpecialOrthogonal(n), frame, frame @ block
+
+
+@pytest.mark.parametrize("name", ["so3", "so4", "grassmann42"])
+def test_cut_locus_threshold(name):
+    """The SO(n) log raises within 1e-6 of rotation angle pi and the Grassmann
+    log within 1e-6 of principal angle pi/2; just outside, each returns a
+    finite tangent vector."""
+    atol = 1e-6
+    rng = np.random.default_rng(70)
+    space, base, target = _pair_short_of_the_cut(name, 0.5 * atol, rng)
+    with pytest.raises(CutLocusError):
+        space.metric.log(target, base)
+    space, base, target = _pair_short_of_the_cut(name, 2.0 * atol, rng)
+    log = space.metric.log(target, base)
+    assert np.all(np.isfinite(log)) and space.metric.is_tangent(log, base)
+
+
+def test_rotation_logs_take_the_cut_locus_from_their_own_decomposition(monkeypatch):
+    """No ``np.linalg.eigvals`` call in SO(3) logs, nor in SO(4) and
+    Grassmann(4, 2) logs at rotation angles below 2.69 rad; the Grassmann log
+    never computes principal angles, also where it raises at the cut locus."""
+    from riemstats.geometry.grassmann import GrassmannMetric
+
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(mat):
+        calls.append(np.shape(mat))
+        return eigvals(mat)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("principal_angles called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(GrassmannMetric, "principal_angles", forbidden)
+    rng = np.random.default_rng(71)
+    so3 = SpecialOrthogonal(3)
+    base = so3.random_point(50, rng)
+    assert np.all(np.isfinite(so3.metric.log(so3.random_point(50, rng), base)))
+    for space in (SpecialOrthogonal(4), Grassmann(4, 2)):
+        base = space.random_point(20, rng)
+        vecs = space.metric.random_tangent(base, 20, rng)
+        # Largest rotation angle at most 1.3 / sqrt(2) on SO(4), and twice the
+        # largest principal angle, at most 2.6, on Grassmann.
+        vecs = vecs * (1.3 / space.metric.norm(vecs, base))[:, None, None]
+        assert np.all(np.isfinite(space.metric.log(space.metric.exp(vecs, base), base)))
+    assert calls == []
+    space, base, target = _pair_short_of_the_cut("grassmann42", 0.5e-6, rng)
+    with pytest.raises(CutLocusError):
+        space.metric.log(target, base)
+
+
+@pytest.mark.parametrize("diagonal", [[1.0, -1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+def test_symmetric_half_turns_raise_cut_locus_error(diagonal):
+    """Symmetric rotations other than the identity reach the rotation route of
+    ``matrix_log``, not its symmetric one, which would raise a plain DomainError."""
+    so = SpecialOrthogonal(len(diagonal))
+    with pytest.raises(CutLocusError):
+        so.metric.log(np.diag(diagonal), so.identity)
+
+
 class TestGrassmann:
     grassmann = Grassmann(4, 2)
     metric = grassmann.metric
