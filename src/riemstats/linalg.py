@@ -10,6 +10,11 @@ Conventions
   each eigenvector's largest-magnitude entry is made positive.
 * ``spd_frame`` factors with the lower Cholesky factor ``L``, ``mat = L L^T``.
 * ``qr`` forces a positive diagonal on R.
+* ``matrix_exp`` routes each member of a stack on its own: an exactly skew
+  2x2 or 3x3 member takes a closed form (a rotation, or Rodrigues'
+  formula), every other one Pade scaling and squaring. Skew members of size
+  4 or more stay on Pade, because the one-``eigh`` exponential of Gallier
+  and Xu was 47% slower on 200 4x4 members.
 * ``matrix_log`` routes each member of a stack on its own and is the one
   place that decides a rotation's cut locus, its ``cut_atol`` keyword.
 """
@@ -39,6 +44,18 @@ _MAX_ROOTS = 64
 _ROTATION_MIN_COS = -0.9
 # Below this 1 - c, arccos(c) / sqrt(1 - c^2) = 1 + (1 - c) / 3 to within 2e-17.
 _ROTATION_SERIES_GAP = 1e-8
+# A member takes a rotation route of ``matrix_log`` when ||A^T A - I||_F is
+# within _ROTATION_ATOL, and the symmetric route when ||A - A^T||_F is within
+# the ``atol`` keyword. Those routes drop the part of the log that the
+# defect carries (its symmetric or its skew part), so each also needs the
+# defect to be at most _ROUTE_DEFECT_RTOL times ||A - I||_F, about the size
+# of the log near I: with the absolute bound alone, the log of I + 2e-11 B
+# (B Gaussian) lost half of itself, 55% in 3x3 and 63% in 4x4. A computed
+# rotation or symmetric matrix has a defect of a few round-offs, so it keeps
+# its route down to angles or eigenvalue gaps near 1e-7; nearer I the
+# general route's log is as accurate.
+_ROTATION_ATOL = 1e-10
+_ROUTE_DEFECT_RTOL = 1e-8
 # The 7-point Gauss-Legendre rule moved to [0, 1]: ``0.5 * (x + 1)`` and
 # ``0.5 * w`` for ``x, w = numpy.polynomial.legendre.leggauss(7)``, written
 # out so that importing the library does not load ``numpy.polynomial``.
@@ -74,13 +91,16 @@ _EXP_PADE = {
          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
          16380.0, 182.0, 1.0),
 }
+# Below this angle Rodrigues' coefficients take their two-term series, exact
+# to 1e-18: sin(t) / t = 1 - t^2/6 and 2 sin^2(t/2) / t^2 = 1/2 - t^2/24.
+_RODRIGUES_SERIES = 1e-4
 
 
 def _as_matrix(a, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim < 2:
         raise ShapeError(f"{name} must have at least 2 dimensions, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError(f"{name} has non-finite entries")
     return a
 
@@ -258,26 +278,45 @@ def _exp_pade(a, m):
     return np.linalg.solve(v - u, v + u)
 
 
-def matrix_exp(mat):
-    """Matrix exponential by scaling and squaring, with no per-matrix Python loop.
+def _exp_skew_2x2(a):
+    """Exponentials of a stack of skew 2x2 matrices: rotations by ``a[:, 1, 0]``."""
+    theta = a[:, 1, 0]
+    cos, sin = np.cos(theta), np.sin(theta)
+    out = np.empty_like(a)
+    out[:, 0, 0] = out[:, 1, 1] = cos
+    out[:, 1, 0] = sin
+    out[:, 0, 1] = -sin
+    return out
 
-    Each matrix of the stack gets its own Pade degree ``m`` in (3, 5, 7, 9,
-    13) and scaling ``s`` from its 1-norm and the ``theta_m`` bounds of
-    Higham, "The scaling and squaring method for the matrix exponential
-    revisited", SIAM J. Matrix Anal. Appl. 26 (2005): the smallest degree
-    whose ``theta_m`` covers the norm, else degree 13 on ``A / 2^s`` with
-    ``||A||_1 / 2^s <= theta_13``. So a matrix's result does not depend on
-    the rest of the batch. All members of one degree are evaluated together
-    with stacked products and one batched solve, and only the members with
-    squarings left are squared. The refinement of Al-Mohy and Higham, "A new
-    scaling and squaring algorithm for the matrix exponential", SIAM J.
-    Matrix Anal. Appl. 31 (2009), which bounds ``||A^k||^(1/k)`` to avoid
-    overscaling strongly non-normal input, is not applied. Raises
-    :class:`DomainError` if any result overflows.
-    """
-    mat = _as_square(mat)
-    n = mat.shape[-1]
-    flat = mat.reshape((-1, n, n))
+
+def _exp_skew_3x3(a):
+    """Exponentials of a stack of skew 3x3 matrices by Rodrigues' formula,
+    ``I + (sin t / t) A + (2 sin^2(t/2) / t^2) A^2`` with ``t = |vee(A)|``."""
+    theta = norm(vee(a))
+    series = theta < _RODRIGUES_SERIES
+    safe = np.where(series, 1.0, theta)
+    half = np.sin(0.5 * safe) / safe
+    first = np.sin(safe) / safe
+    second = 2.0 * half * half
+    if series.any():
+        t2 = theta * theta
+        first = np.where(series, 1.0 - t2 / 6.0, first)
+        second = np.where(series, 0.5 - t2 / 24.0, second)
+    return np.eye(3) + first[:, None, None] * a + second[:, None, None] * (a @ a)
+
+
+def _skew_members(flat):
+    """Mask of the exactly skew members of a stack ``(k, n, n)``, or None if none is."""
+    # A nonzero first diagonal entry settles a general member in one compare.
+    if (flat[:, 0, 0] != 0.0).all():
+        return None
+    # For finite x and y, x + y == 0 exactly when y == -x exactly.
+    skew = ~(flat + np.swapaxes(flat, -1, -2)).reshape(len(flat), -1).any(axis=-1)
+    return skew if skew.any() else None
+
+
+def _exp_scaled_pade(flat):
+    """Scaling-and-squaring Pade exponentials of a stack ``(k, n, n)``."""
     norms = _norm_1(flat)
     group = np.minimum(np.searchsorted(_EXP_THETA, norms), len(_EXP_DEGREES) - 1)
     out = np.empty_like(flat)
@@ -291,6 +330,48 @@ def matrix_exp(mat):
             active = np.flatnonzero(n_squarings > step)
             root = out[active]
             out[active] = root @ root
+    return out
+
+
+def matrix_exp(mat):
+    """Matrix exponential, with no per-matrix Python loop.
+
+    An exactly skew 2x2 or 3x3 member (``A == -A^T`` entry for entry, as
+    ``skew`` builds it) takes a closed form: the rotation by ``A[1, 0]``, or
+    Rodrigues' formula (Gallier and Xu, "Computing exponentials of
+    skew-symmetric matrices and logarithms of orthogonal matrices", 2002),
+    with a series below angle 1e-4. Every other member, skew ones of size 4
+    or more included, takes scaling and squaring: it gets its own Pade
+    degree ``m`` in (3, 5, 7, 9, 13) and scaling ``s`` from its 1-norm and
+    the ``theta_m`` bounds of Higham, "The scaling and squaring method for
+    the matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005):
+    the smallest degree whose ``theta_m`` covers the norm, else degree 13 on
+    ``A / 2^s`` with ``||A||_1 / 2^s <= theta_13``. For skew n >= 4 the
+    one-``eigh`` exponential of Gallier and Xu was slower (+47% on 200 4x4
+    members), so Pade stays there. The route, degree and scaling depend on
+    the member alone, so a stack equals its loop bit for bit. All members
+    of one degree are evaluated together with stacked products and one
+    batched solve, and only the members with squarings left are squared.
+    The refinement of Al-Mohy and Higham, "A new scaling and squaring
+    algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl. 31
+    (2009), which bounds ``||A^k||^(1/k)`` to avoid overscaling strongly
+    non-normal input, is not applied. Raises :class:`DomainError` if any
+    result is not finite.
+    """
+    mat = _as_square(mat)
+    n = mat.shape[-1]
+    flat = mat.reshape((-1, n, n))
+    closed = _skew_members(flat) if n in (2, 3) else None
+    if closed is None:
+        out = _exp_scaled_pade(flat)
+    else:
+        skew_exp = _exp_skew_2x2 if n == 2 else _exp_skew_3x3
+        if closed.all():
+            out = skew_exp(flat)
+        else:
+            out = np.empty_like(flat)
+            out[closed] = skew_exp(flat[closed])
+            out[~closed] = _exp_scaled_pade(flat[~closed])
     if not np.all(np.isfinite(out)):
         raise DomainError("matrix exponential overflows")
     return out.reshape(mat.shape)
@@ -380,12 +461,43 @@ def rotation_angles(rot):
     return np.abs(np.angle(np.linalg.eigvals(rot)))
 
 
-def _is_rotation(mat, atol):
-    n = mat.shape[-1]
-    ortho = (
-        np.max(np.abs(transpose(mat) @ mat - np.eye(n)), axis=(-1, -2)) <= atol
-    )
-    return ortho & (np.linalg.det(mat) > 0)
+def _route_defects(flat):
+    """Squared Frobenius norms of ``A - A^T``, ``A^T A - I`` and ``A - I`` for
+    each member ``A`` of a stack ``(k, n, n)``.
+
+    The stack is copied once entry-major, ``(n, n, k)``, so that every
+    product and sum runs over the stack in contiguous rows. On a 2-vCPU Xeon
+    VM this took 160 us on 2000 3x3 members, against 890 us for the stacked
+    ``A^T @ A`` with reductions over the two short trailing axes, and was no
+    slower on one member.
+    """
+    n = flat.shape[-1]
+    eye = np.eye(n)[:, :, None]
+    cols = flat.transpose(1, 2, 0).copy()
+    work = np.einsum("mik,mjk->ijk", cols, cols)
+    work -= eye
+    ortho = np.einsum("ijk,ijk->k", work, work)
+    np.subtract(cols, cols.transpose(1, 0, 2), out=work)
+    asym = np.einsum("ijk,ijk->k", work, work)
+    np.subtract(cols, eye, out=work)
+    return asym, ortho, np.einsum("ijk,ijk->k", work, work)
+
+
+def _det(flat):
+    """Determinants of a stack ``(k, n, n)``: cofactors for n <= 3, LU beyond."""
+    a = flat.transpose(1, 2, 0)
+    if len(a) == 2:
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if len(a) == 3:
+        return (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+                - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+                + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+    return np.linalg.det(flat)
+
+
+def _check_cut(angles, cut_atol):
+    if (angles >= np.pi - cut_atol).any():
+        raise CutLocusError(f"matrix log undefined: rotation angle within {cut_atol:g} of pi")
 
 
 def _norm_1(mat):
@@ -467,8 +579,11 @@ def _log_rotation_eigh(sym_vals, sym_vecs, rot):
     cos = np.minimum(sym_vals, 1.0)
     gap = 1.0 - cos
     series = gap < _ROTATION_SERIES_GAP
-    exact = np.arccos(cos) / np.sqrt(np.where(series, 1.0, gap * (1.0 + cos)))
-    factor = np.where(series, 1.0 + gap / 3.0, exact)
+    if series.any():
+        exact = np.arccos(cos) / np.sqrt(np.where(series, 1.0, gap * (1.0 + cos)))
+        factor = np.where(series, 1.0 + gap / 3.0, exact)
+    else:
+        factor = np.arccos(cos) / np.sqrt(gap * (1.0 + cos))
     return skew((sym_vecs * factor[..., None, :]) @ transpose(sym_vecs) @ skew(rot))
 
 
@@ -476,11 +591,17 @@ def matrix_log(mat, atol=ATOL_SYM, cut_atol=1e-12):
     """Principal matrix logarithm; each member of a stack takes its own route.
 
     A symmetric positive-definite member goes through ``sym_eig``. Any other
-    rotation (orthogonal within 1e-10, positive determinant) of size 2 or 3
-    takes the axis-angle closed form, and a larger one whose angles are all
-    below 2.69 rad and short of the cut takes ``g(sym R) skew(R)`` from one
-    ``eigh`` of its symmetric part; so a symmetric rotation other than the
-    identity, a half turn, reaches the cut-locus test. Every remaining
+    rotation (positive determinant) of size 2 or 3 takes the axis-angle
+    closed form, and a larger one whose angles are all below 2.69 rad and
+    short of the cut takes ``g(sym R) skew(R)`` from one ``eigh`` of its
+    symmetric part; so a symmetric rotation other than the identity, a half
+    turn, reaches the cut-locus test. A member counts as symmetric, or as
+    orthogonal, when the Frobenius norm of ``A - A^T`` is within ``atol``, or
+    that of ``A^T A - I`` within 1e-10, and also within 1e-8 of that of
+    ``A - I``: these routes drop the skew or the symmetric part of the log,
+    which that defect carries. The three norms come from one pass over the
+    stack, and a determinant only where a route needs it.
+    Every remaining
     member takes one batched inverse scaling-and-squaring pass with no
     per-matrix Python loop: each matrix is square-rooted
     (Denman-Beavers) until ``||A - I||_1 <= 0.25``, then ``log(I + X)``
@@ -502,7 +623,9 @@ def matrix_log(mat, atol=ATOL_SYM, cut_atol=1e-12):
     n = mat.shape[-1]
     flat = mat.reshape((-1, n, n))
     out = np.empty_like(flat)
-    spd = is_symmetric(flat, atol=atol)
+    asym, ortho, gap = _route_defects(flat)
+    negligible = _ROUTE_DEFECT_RTOL**2 * gap
+    spd = asym <= np.minimum(atol * atol, negligible)
     if spd.any():
         members = np.flatnonzero(spd)
         w, v = sym_eig(flat[members], atol=atol)
@@ -510,29 +633,38 @@ def matrix_log(mat, atol=ATOL_SYM, cut_atol=1e-12):
         v = v[positive]
         out[members[positive]] = (v * np.log(w[positive])[..., None, :]) @ transpose(v)
         spd[members[~positive]] = False
-    rot = _is_rotation(flat, atol=1e-10) & ~spd
+    rot = (ortho <= np.minimum(_ROTATION_ATOL**2, negligible)) & ~spd
+    members = np.flatnonzero(rot)
+    rots = flat[members]
+    if n in (2, 3) and members.size:
+        proper = _det(rots) > 0.0
+        if not proper.all():
+            rot[members[~proper]] = False
+            members, rots = members[proper], rots[proper]
     general = ~(spd | rot)
-    angle = np.zeros(len(flat))  # the largest angle of each rotation
-    if rot.any():
-        members = np.flatnonzero(rot)
+    if members.size:
         if n in (2, 3):
-            log, angle[members] = (_log_rotation_2x2 if n == 2 else _log_rotation_3x3)(flat[members])
+            log, angle = (_log_rotation_2x2 if n == 2 else _log_rotation_3x3)(rots)
+            _check_cut(angle, cut_atol)
             out[members] = log
         else:
-            cos, vecs = np.linalg.eigh(sym(flat[members]))
+            cos, vecs = np.linalg.eigh(sym(rots))
             # eigh sorts ascending: the smallest cosine is of the largest
-            # angle, which must be below 2.69 rad and short of the cut.
+            # angle, which must be below 2.69 rad and short of the cut. An
+            # orthogonal Q with det -1 has Q x = -x for some unit x, so its
+            # smallest cosine is -1: the members that pass are all proper,
+            # and only the others need a determinant.
             fast = cos[:, 0] > max(_ROTATION_MIN_COS, -np.cos(cut_atol))
-            done = members[fast]
-            out[done] = _log_rotation_eigh(cos[fast], vecs[fast], flat[done])
-            general[members[~fast]] = True
+            if not fast.all():
+                slow = members[~fast]
+                general[slow] = True
+                rot[slow] = _det(rots[~fast]) > 0.0
+                members, cos, vecs, rots = members[fast], cos[fast], vecs[fast], rots[fast]
+            out[members] = _log_rotation_eigh(cos, vecs, rots)
     if general.any():
         rest = flat[general]
         eigvals = np.linalg.eigvals(rest)
-        angle[general & rot] = np.max(np.abs(np.angle(eigvals[rot[general]])), axis=-1)
-    if (angle >= np.pi - cut_atol).any():
-        raise CutLocusError(f"matrix log undefined: rotation angle within {cut_atol:g} of pi")
-    if general.any():
+        _check_cut(np.abs(np.angle(eigvals[rot[general]])), cut_atol)
         mags = np.abs(eigvals)
         top = np.max(mags, axis=-1, keepdims=True)
         if np.any(top == 0.0) or np.any(mags <= 1e-12 * top):

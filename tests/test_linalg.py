@@ -582,3 +582,113 @@ class TestPositiveDefinite:
         np.testing.assert_array_equal(linalg.positive_definite(stack), [True, False, True, False])
         np.testing.assert_array_equal(linalg.positive_definite(stack[::2]), [True, True])
         assert linalg.positive_definite(stack.reshape(2, 2, 3, 3)).shape == (2, 2)
+
+
+# Angles of the closed-form skew exponentials: both sides of the series
+# switch at 1e-4, pi and its neighbour, and angles past 2 pi.
+SKEW_ANGLES = [0.0, 1e-12, 1e-6, 1e-3, 1.0, np.pi - 1e-9, np.pi, 2.0 * np.pi + 0.3, 12.0]
+
+
+def _skew_member(n, angle):
+    """An exactly skew n x n matrix, n = 2 or 3, generating a rotation by ``angle``."""
+    if n == 2:
+        return np.array([[0.0, -angle], [angle, 0.0]])
+    return linalg.hat(angle * np.array([0.48, -0.6, 0.64]))
+
+
+def _mp_matrix(mpmath, mat, fn):
+    with mpmath.workdps(40):
+        exact = fn(mpmath.matrix(mat.tolist()))
+        n = mat.shape[-1]
+        return np.array([[float(mpmath.re(exact[i, j])) for j in range(n)] for i in range(n)])
+
+
+class TestSkewExp:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("angle", SKEW_ANGLES)
+    def test_closed_form_matches_high_precision_exp(self, n, angle):
+        """The 2x2 rotation and Rodrigues' formula are within 1e-14 of a
+        40-digit exponential and orthogonal to 4 eps."""
+        mpmath = pytest.importorskip("mpmath")
+        mat = _skew_member(n, angle)
+        out = linalg.matrix_exp(mat)
+        assert _rel_err(out, _mp_matrix(mpmath, mat, mpmath.expm)) <= 1e-14
+        assert np.linalg.norm(out.T @ out - np.eye(n)) <= 4.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mixed_stack_equals_its_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(23)
+        scales = np.geomspace(1e-8, 14.0, 6)[:, None, None]
+        skew = scales * linalg.skew(rng.standard_normal((6, n, n)))
+        general = 0.8 * rng.standard_normal((5, n, n))
+        mats = np.concatenate([skew, general, np.zeros((1, n, n))])
+        mats = mats[rng.permutation(len(mats))].reshape(3, 4, n, n)
+        loop = np.stack([linalg.matrix_exp(m) for m in mats.reshape(-1, n, n)])
+        np.testing.assert_array_equal(linalg.matrix_exp(mats), loop.reshape(mats.shape))
+
+    def test_skew_2x2_and_3x3_members_skip_pade(self, monkeypatch):
+        """Exactly skew 2x2 and 3x3 members never reach ``_exp_pade``; any
+        other member, a skew 4x4 one included, still does."""
+        rng = np.random.default_rng(24)
+        skew = {n: linalg.skew(rng.standard_normal((50, n, n))) for n in (2, 3, 4)}
+        pade = linalg._exp_pade
+
+        def forbidden(a, m):
+            raise AssertionError("_exp_pade called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_exp_pade", forbidden)
+            for n in (2, 3):
+                assert linalg.matrix_exp(skew[n]).shape == (50, n, n)
+                assert linalg.matrix_exp(skew[n][0]).shape == (n, n)
+        members = []
+
+        def counting(a, m):
+            members.append(len(a))
+            return pade(a, m)
+
+        monkeypatch.setattr(linalg, "_exp_pade", counting)
+        linalg.matrix_exp(np.concatenate([skew[3][:5], 0.5 * rng.standard_normal((1, 3, 3))]))
+        assert sum(members) == 1
+        members.clear()
+        linalg.matrix_exp(skew[4])
+        assert sum(members) == 50
+
+
+class TestNearRotationLog:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_near_identity_matches_high_precision_logm(self, n):
+        """I + 2e-11 B, with B Gaussian, is orthogonal within 1e-10, and for
+        n = 3 symmetric within 1e-10. The rotation and symmetric routes drop
+        the symmetric or the skew part of the log, and once took these
+        matrices and lost about half of it. scipy's ``logm`` is itself off by
+        6e-6 (3x3) and 3e-5 (4x4) here, so the reference is mpmath's."""
+        mpmath = pytest.importorskip("mpmath")
+        mat = np.eye(n) + 2e-11 * np.random.default_rng(3).standard_normal((n, n))
+        exact = _mp_matrix(mpmath, mat, mpmath.logm)
+        np.testing.assert_allclose(linalg.matrix_log(mat), exact, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_small_rotations_keep_the_rotation_route(self, n, monkeypatch):
+        """Rotations by 8e-8 to 1e-6 rad are orthogonal to round-off, far
+        inside the 1e-8 relative bound, so they keep their rotation route."""
+
+        def forbidden(mat):
+            raise AssertionError("_log_general called")
+
+        monkeypatch.setattr(linalg, "_log_general", forbidden)
+        rots = _rotations(np.random.default_rng(25), 4, n, max_angle=1e-6)
+        log = linalg.matrix_log(rots)
+        np.testing.assert_allclose(linalg.matrix_exp(log), rots, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_reflection_is_not_a_rotation(self, n):
+        """An orthogonal matrix with determinant -1 has the eigenvalue -1: it
+        raises the negative-axis DomainError, not CutLocusError, also among
+        rotations, where a larger one skips the determinant until it leaves
+        the one-``eigh`` route."""
+        rots = _rotations(np.random.default_rng(26), 3, n)
+        rots[1, :, 0] *= -1.0
+        with pytest.raises(DomainError, match="negative real axis") as raised:
+            linalg.matrix_log(rots)
+        assert raised.type is DomainError

@@ -730,6 +730,22 @@ class TestStiefelLog:
             np.testing.assert_allclose(v, shot, rtol=0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_general_linear_log_and_dist_near_a_rotation(n):
+    """GL(n) log and dist from 2I to 2(I + 2e-11 B), B Gaussian: the body
+    I + 2e-11 B is orthogonal within 1e-10 but not a rotation, and its log
+    keeps the symmetric part. The reference is mpmath's 40-digit logm."""
+    mpmath = pytest.importorskip("mpmath")
+    body = np.eye(n) + 2e-11 * np.random.default_rng(3).standard_normal((n, n))
+    with mpmath.workdps(40):
+        exact = mpmath.logm(mpmath.matrix(body.tolist()))
+        exact = np.array([[float(mpmath.re(exact[i, j])) for j in range(n)] for i in range(n)])
+    metric = GeneralLinear(n).metric
+    base, point = 2.0 * np.eye(n), 2.0 * body
+    np.testing.assert_allclose(metric.log(point, base), 2.0 * exact, rtol=1e-6, atol=0.0)
+    assert metric.dist(base, point) == pytest.approx(np.linalg.norm(exact), rel=1e-6)
+
+
 def test_logs_below_the_rotation_bound_skip_shooting_and_the_general_log(monkeypatch):
     """The Stiefel log, and the SO(4) and Grassmann(4, 2) logs at rotation
     angles below 2.69 rad, reach neither the shooting log nor ``_log_general``."""
