@@ -9,13 +9,15 @@ projection.
 """
 
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError
+from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError, TangencyError
 from riemstats.geometry import Manifold, RiemannianMetric, numerical
+from riemstats.geometry.base import ATOL
 from riemstats.learning import OnlineKMeans, riemannian_gradient_descent
 
 from conftest import ALL_CASES
@@ -244,6 +246,32 @@ def test_srv_exp_and_transport_skip_the_tangency_pass(monkeypatch):
     for target in ({"direction": vec}, {"end_point": end}):
         assert metric.parallel_transport(vec, base, **target).shape == vec.shape
 
+
+@pytest.mark.parametrize(
+    "case",
+    [c for c in ALL_CASES if type(c.manifold).to_tangent is not Manifold.to_tangent],
+    ids=lambda c: c.name,
+)
+def test_tangency_check_is_the_residual_rule_over_the_whole_call(case):
+    """A call raises TangencyError exactly when some vector's
+    ``tangency_residual`` is above ``ATOL``: a normal offset 10 times that
+    fails, 0.1 times passes, also as one member of a batch. A manifold that
+    keeps the identity ``to_tangent`` has no normal offset."""
+    manifold, metric = case.manifold, case.metric
+    base, vec, _ = _exp_log_inputs(case, 67)
+    noise = np.random.default_rng(68).standard_normal(vec.shape)
+    normal = noise - manifold.to_tangent(noise, base)
+    normal /= np.abs(normal).max()
+    message = f"^vector is not tangent to {re.escape(manifold.name)} at the base point$"
+    for scale, tangent in [(10.0, False), (0.1, True)]:
+        offset = vec + scale * ATOL * normal
+        assert bool(manifold.is_tangent(offset, base)) is tangent
+        batch = np.stack([vec, offset])
+        if tangent:
+            assert metric.exp(batch, base).shape == batch.shape
+        else:
+            with pytest.raises(TangencyError, match=message):
+                metric.exp(batch, base)
 
 def test_no_metric_overrides_exp_or_log():
     """Closed forms go in the ``_exp``, ``_log``, ``_squared_dist`` and
