@@ -655,6 +655,16 @@ class TestSkewExp:
         assert sum(members) == 50
 
 
+    def test_overflowing_skew_member_raises_without_warnings(self):
+        mats = linalg.hat(np.array([[1e20, 0.0, 0.0], [1e200, 0.0, 0.0]]))
+        rot = linalg.matrix_exp(mats[0])
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=4.0 * np.finfo(float).eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                linalg.matrix_exp(mats)
+
+
 class TestNearRotationLog:
     @pytest.mark.parametrize("n", [3, 4])
     def test_near_identity_matches_high_precision_logm(self, n):
