@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from ..errors import ConvergenceError, GeometryError, ShapeError
+from ..geometry.base import ATOL
 from ._specs import (
-    MEMBERSHIP_ATOL,
     SchemaError,
     load_dataset,
     read_json_source,
@@ -357,7 +357,7 @@ def build_parser():
     validate = sub.add_parser("validate", help="membership-check a dataset")
     validate.add_argument("--manifold-spec", required=True)
     validate.add_argument("--data", required=True)
-    validate.add_argument("--atol", type=float, default=MEMBERSHIP_ATOL)
+    validate.add_argument("--atol", type=float, default=ATOL)
     validate.set_defaults(func=_cmd_validate)
 
     return parser

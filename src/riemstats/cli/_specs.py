@@ -39,8 +39,7 @@ from ..geometry import (
     tangent_from_parts,
     translation_part,
 )
-
-MEMBERSHIP_ATOL = 1e-8
+from ..geometry.base import ATOL
 
 
 class SchemaError(ValueError):
@@ -76,7 +75,7 @@ def read_point(obj, manifold, codec, what="point", batched=False):
         batched or point.shape == manifold.point_shape,
         f"{what} must be one point of shape {list(manifold.point_shape)}, got {list(point.shape)}",
     )
-    return manifold.check_point(point, atol=MEMBERSHIP_ATOL)
+    return manifold.check_point(point)
 
 
 def read_array(obj, what, shape=None):
@@ -275,7 +274,7 @@ def read_json_source(source, what):
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def load_dataset(source, manifold, codec, validate=True, atol=MEMBERSHIP_ATOL):
+def load_dataset(source, manifold, codec, validate=True):
     """Load ``{"points", "labels"?, "weights"?}`` (JSON) or a flat-vector CSV."""
     if not source.lstrip().startswith(("{", "[")) and source.endswith(".csv"):
         _require(
@@ -311,11 +310,11 @@ def load_dataset(source, manifold, codec, validate=True, atol=MEMBERSHIP_ATOL):
 
     if validate:
         residuals = manifold.membership_residual(points)
-        bad = np.nonzero(residuals > atol)[0]
+        bad = np.nonzero(residuals > ATOL)[0]
         if bad.size:
             raise MembershipError(
                 f"dataset points {bad.tolist()} fail the {manifold.name} "
-                f"membership check at tolerance {atol}"
+                f"membership check at tolerance {ATOL}"
             )
     return points, labels, weights
 

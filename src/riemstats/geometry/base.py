@@ -16,6 +16,7 @@ from functools import reduce
 
 import numpy as np
 
+from .. import linalg
 from ..errors import DomainError, GeometryError, MembershipError, ShapeError, TangencyError
 
 ATOL = 1e-8
@@ -42,6 +43,15 @@ def _shaped(array, shape, what):
 
 # Operand roles of the metric's tangent shape; any other role has the point shape.
 _TANGENT_ROLES = ("tangent vector", "direction")
+
+
+def _symmetric(mat, role):
+    """Symmetric part of the operand ``mat``; DomainError naming ``role`` unless
+    ``|mat - mat^T| <= ATOL`` entry for entry (one flat ``max``), the SPD and
+    Grassmann membership rule, so their ops take every point that ``belongs``."""
+    if not np.abs(mat - np.swapaxes(mat, -1, -2)).max(initial=0.0) <= ATOL:
+        raise DomainError(f"{role} is not symmetric within {ATOL}")
+    return linalg.sym(mat)
 
 
 def _one_point(metric, op, array, role):
@@ -100,9 +110,9 @@ class Manifold(ABC):
         """Membership per point; a point with a non-finite entry is not a member."""
         return self.membership_residual(point) <= atol
 
-    def check_point(self, point, atol=ATOL):
+    def check_point(self, point):
         point = np.asarray(point, dtype=float)
-        if not np.all(self.belongs(point, atol=atol)):
+        if not np.all(self.belongs(point)):
             raise MembershipError(f"point does not satisfy the {self.name} constraint")
         return point
 
@@ -410,33 +420,27 @@ class Geodesic:
         return self.metric.exp(t * vec, self.initial_point)
 
 
-def orthonormal_tangent_basis(metric, base_point, atol=1e-8):
+def orthonormal_tangent_basis(metric, base_point):
     """Metric-orthonormal basis of the tangent space at one base point.
 
-    Projects the canonical ambient basis to the tangent space and runs
-    modified Gram-Schmidt (two passes) under ``metric.inner_product``.
-    Deterministic: the result depends only on the base point.
+    One ``to_tangent`` call projects the canonical ambient basis to a frame
+    ``f_i``, one broadcast ``inner_product`` call gives its Gram matrix, and
+    its ``tangent_dim`` largest eigenpairs ``(w_j, V_j)`` give the basis
+    ``sum_i V_ij f_i / sqrt(w_j)``. GeometryError unless the last of those
+    ``w_j`` exceeds ``n eps`` times the largest, for ``n`` frame vectors, as
+    in ``spd._singular``: the cutoff scales with the metric. Deterministic:
+    the result depends only on the base point.
     """
     base_point = np.asarray(base_point, dtype=float)
     shape = metric.tangent_shape
-    ambient_dim = int(np.prod(shape))
+    size = int(np.prod(shape))
     target = metric.tangent_dim
-
-    basis = []
-    for i in range(ambient_dim):
-        cand = np.zeros(ambient_dim)
-        cand[i] = 1.0
-        vec = metric.to_tangent(cand.reshape(shape), base_point)
-        for _ in range(2):
-            for b in basis:
-                vec = vec - metric.inner_product(vec, b, base_point) * b
-        sq = metric.squared_norm(vec, base_point)
-        if sq > atol**2:
-            basis.append(vec / np.sqrt(sq))
-        if len(basis) == target:
-            break
-    if len(basis) != target:
-        raise GeometryError(
-            f"could not build a tangent basis: got {len(basis)} of {target} directions"
-        )
-    return np.stack(basis)
+    frame = metric.to_tangent(np.eye(size).reshape((size,) + shape), base_point)
+    # ``sym`` makes G exactly symmetric; the two orders of a pair differ by round-off.
+    gram = linalg.sym(metric.inner_product(frame[:, None], frame[None], base_point))
+    w, v = linalg.sym_eig(gram)
+    cutoff = size * np.finfo(float).eps * w[0]
+    if not w[target - 1] > cutoff:
+        found = np.count_nonzero(w > cutoff)
+        raise GeometryError(f"could not build a tangent basis: got {found} of {target} directions")
+    return np.tensordot(v[:, :target] / np.sqrt(w[:target]), frame, axes=(0, 0))

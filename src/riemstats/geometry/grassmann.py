@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from .base import Manifold, RiemannianMetric, _rng, _sample_shape
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape, _symmetric
 
 # Principal angles within this of pi/2 sit on the cut locus of the log.
 _CUT_ANGLE_ATOL = 1e-6
@@ -84,14 +84,16 @@ class GrassmannMetric(RiemannianMetric):
 
         Small angles come from the sine route (singular values of the
         complement overlap), large ones from the cosine route, which keeps
-        every angle accurate to round-off.
+        every angle accurate to round-off. Each operand is taken through
+        ``base._symmetric``, so every pair of points that ``belongs`` has angles.
         """
+        point_a, point_b = _symmetric(point_a, "point"), _symmetric(point_b, "point")
         mfd = self.manifold
         basis_a = mfd.basis_from_projector(point_a)
         basis_b = mfd.basis_from_projector(point_b)
         overlap = linalg.transpose(basis_a) @ basis_b
         cos_vals = np.clip(np.linalg.svd(overlap, compute_uv=False), 0.0, 1.0)
-        complement = (np.eye(mfd.n) - np.asarray(point_a, dtype=float)) @ basis_b
+        complement = (np.eye(mfd.n) - point_a) @ basis_b
         sin_vals = np.clip(np.linalg.svd(complement, compute_uv=False), 0.0, 1.0)
         # cos_vals descending <-> angles ascending; sin route sorted to match.
         from_cos = np.arccos(cos_vals)

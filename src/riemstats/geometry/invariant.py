@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import linalg
 from ..errors import DomainError
-from .base import RiemannianMetric
+from .base import RiemannianMetric, _symmetric
 from .numerical import log_by_shooting, rk4
 
 
@@ -31,6 +30,8 @@ class InvariantMetric(RiemannianMetric):
     side : {"left", "right"}
     inner_matrix : (m, m) SPD array, optional
         Inner product on the algebra in basis coordinates; identity by default.
+        DomainError unless it is symmetric within ``base.ATOL`` entry for
+        entry and positive definite.
     n_steps : int
         RK4 steps for one unit of geodesic time.
     """
@@ -48,10 +49,10 @@ class InvariantMetric(RiemannianMetric):
         inner_matrix = np.asarray(inner_matrix, dtype=float)
         if inner_matrix.shape != (m, m):
             raise DomainError(f"inner_matrix must be {m}x{m}")
-        eigvals = np.linalg.eigvalsh(linalg.sym(inner_matrix))
-        if np.any(eigvals <= 0.0):
+        inner_matrix = _symmetric(inner_matrix, "inner_matrix")
+        if np.any(np.linalg.eigvalsh(inner_matrix) <= 0.0):
             raise DomainError("inner_matrix must be symmetric positive definite")
-        self.inner_matrix = linalg.sym(inner_matrix)
+        self.inner_matrix = inner_matrix
         self._inner_inv = np.linalg.inv(self.inner_matrix)
         # Structure constants C[l, j, k] = <e_l, [e_j, e_k]>_F, flattened to
         # C[(l, j), k] so that the coadjoint rate is one matmul.

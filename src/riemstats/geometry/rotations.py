@@ -18,25 +18,12 @@ from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 # Rotation angles within this of pi sit on the cut locus of the log.
 _ANGLE_PI_ATOL = 1e-6
-_SERIES_THRESHOLD = 1e-7
 
 
 def matrix_from_rotation_vector(rot_vec):
-    """Rodrigues formula: axis-angle vector to rotation matrix."""
-    rot_vec = np.asarray(rot_vec, dtype=float)
-    angle = linalg.norm(rot_vec)
-    small = angle < _SERIES_THRESHOLD
-    sq = angle**2
-    coef_sin = np.where(small, 1.0 - sq / 6.0, np.sin(angle) / np.where(small, 1.0, angle))
-    coef_cos = np.where(
-        small, 0.5 - sq / 24.0, (1.0 - np.cos(angle)) / np.where(small, 1.0, sq)
-    )
-    skew_mat = hat(rot_vec)
-    return (
-        np.eye(3)
-        + coef_sin[..., None, None] * skew_mat
-        + coef_cos[..., None, None] * (skew_mat @ skew_mat)
-    )
+    """Axis-angle vector to rotation matrix: ``matrix_exp`` of the exactly
+    skew ``hat(rot_vec)``, which takes Rodrigues' formula."""
+    return linalg.matrix_exp(hat(rot_vec))
 
 
 def rotation_vector_from_matrix(rot):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import DomainError
-from .base import Manifold, RiemannianMetric, _rng, _sample_shape
+from .base import Manifold, RiemannianMetric, _rng, _sample_shape, _symmetric
 
 
 def _trace_product(a, b):
@@ -52,8 +52,9 @@ def _require_positive(w, what):
         raise DomainError(f"{what} is not positive definite")
 
 
-def _spd_eig(mat, what):
-    w, v = linalg.sym_eig(mat)
+def _spd_eig(operand, what):
+    """Eigendecomposition of a caller's operand ``what``, checked by ``_symmetric``."""
+    w, v = linalg.sym_eig(_symmetric(operand, what))
     _require_positive(w, what)
     return w, v
 
@@ -73,6 +74,7 @@ def _base_frame(base_point):
     P = L L^T from above, so a batch it keeps 1000 times below the singular
     threshold of ``_singular`` is positive without its eigenvalues.
     """
+    base_point = _symmetric(base_point, "base point")
     low, inv_low = linalg.spd_frame(base_point, "base point")
     bound = linalg.inner(low, low, axes=2) * linalg.inner(inv_low, inv_low, axes=2)
     if not np.all(bound * low.shape[-1] * np.finfo(float).eps < 1e-3):
@@ -149,12 +151,13 @@ class SPDAffineMetric(RiemannianMetric):
 
     def _log(self, point, base_point):
         low, inv_low = _base_frame(base_point)
-        w, v = _spd_eig(_congruence(inv_low, linalg.check_symmetric(point)), "point")
+        w, v = linalg.sym_eig(_congruence(inv_low, _symmetric(point, "point")))
+        _require_positive(w, "point")
         return low @ _spectral(np.log(w), v) @ linalg.transpose(low)
 
     def _squared_dist(self, point_a, point_b):
-        _, inv_low = linalg.spd_frame(point_a, "point")
-        w = linalg.sym_eigvals(_congruence(inv_low, linalg.check_symmetric(point_b)))
+        _, inv_low = linalg.spd_frame(_symmetric(point_a, "point"), "point")
+        w = linalg.sym_eigvals(_congruence(inv_low, _symmetric(point_b, "point")))
         _require_positive(w, "point")
         log_w = np.log(w)
         return linalg.inner(log_w, log_w)
@@ -170,7 +173,8 @@ class SPDAffineMetric(RiemannianMetric):
     def _transport_to(self, tangent_vec, base_point, end_point):
         """V -> E V E^T with E = L S^1/2 L^-1, X the end point: no log needed."""
         low, inv_low = _base_frame(base_point)
-        w, v = _spd_eig(_congruence(inv_low, linalg.check_symmetric(end_point)), "end point")
+        w, v = linalg.sym_eig(_congruence(inv_low, _symmetric(end_point, "end point")))
+        _require_positive(w, "end point")
         shifter = low @ _spectral(np.sqrt(w), v) @ inv_low
         return shifter @ tangent_vec @ linalg.transpose(shifter)
 

@@ -17,6 +17,9 @@ Conventions
   and Xu was 47% slower on 200 4x4 members.
 * ``matrix_log`` routes each member of a stack on its own and is the one
   place that decides a rotation's cut locus, its ``cut_atol`` keyword.
+* Other tolerances are module constants: ``ATOL_SYM`` for a matrix taken
+  as symmetric, ``RTOL_RANK`` for the rank test of ``qr``. ``cut_atol`` is a
+  keyword because SO(n) and Grassmann cut at different angles.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ _ROTATION_MIN_COS = -0.9
 _ROTATION_SERIES_GAP = 1e-8
 # A member takes a rotation route of ``matrix_log`` when ||A^T A - I||_F is
 # within _ROTATION_ATOL, and the symmetric route when ||A - A^T||_F is within
-# the ``atol`` keyword. Those routes drop the part of the log that the
-# defect carries (its symmetric or its skew part), so each also needs the
-# defect to be at most _ROUTE_DEFECT_RTOL times ||A - I||_F, about the size
-# of the log near I: with the absolute bound alone, the log of I + 2e-11 B
+# ATOL_SYM. Those routes drop the part of the log that the defect carries
+# (its symmetric or its skew part), so each also needs the defect to be at
+# most _ROUTE_DEFECT_RTOL times ||A - I||_F, about the size of the log near
+# I: with the absolute bound alone, the log of I + 2e-11 B
 # (B Gaussian) lost half of itself, 55% in 3x3 and 63% in 4x4. A computed
 # rotation or symmetric matrix has a defect of a few round-offs, so it keeps
 # its route down to angles or eigenvalue gaps near 1e-7; nearer I the
@@ -148,27 +151,23 @@ def norm(a, axes=1):
     return np.sqrt(inner(a, a, axes))
 
 
-def is_symmetric(a, atol=ATOL_SYM):
-    a = np.asarray(a, dtype=float)
-    return np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-1, -2)) <= atol
-
-
-def check_symmetric(mat, atol=ATOL_SYM):
-    """``mat`` as float64; :class:`DomainError` unless finite and symmetric within ``atol``."""
+def check_symmetric(mat):
+    """``mat`` as float64; :class:`DomainError` unless finite and, by one flat
+    ``max`` over the stack, symmetric within ``ATOL_SYM`` entry for entry."""
     mat = _as_square(mat, "symmetric matrix")
-    if not np.all(is_symmetric(mat, atol=atol)):
-        raise DomainError(f"matrix is not symmetric within {atol}")
+    if not np.abs(mat - np.swapaxes(mat, -1, -2)).max(initial=0.0) <= ATOL_SYM:
+        raise DomainError(f"matrix is not symmetric within {ATOL_SYM}")
     return mat
 
 
-def sym_eig(mat, atol=ATOL_SYM):
+def sym_eig(mat):
     """Eigendecomposition of a symmetric matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and sign-fixed eigenvector columns, so that
     ``mat == V @ diag(w) @ V.T`` up to round-off.
     """
-    w, v = np.linalg.eigh(sym(check_symmetric(mat, atol)))
+    w, v = np.linalg.eigh(sym(check_symmetric(mat)))
     w = w[..., ::-1]
     v = v[..., ::-1]
     # Fix each column's sign by its largest-magnitude entry.
@@ -178,20 +177,20 @@ def sym_eig(mat, atol=ATOL_SYM):
     return np.ascontiguousarray(w), np.ascontiguousarray(v * signs[..., None, :])
 
 
-def sym_eigvals(mat, atol=ATOL_SYM):
+def sym_eigvals(mat):
     """Eigenvalues of a symmetric matrix in descending order, without eigenvectors."""
-    return np.linalg.eigvalsh(sym(check_symmetric(mat, atol)))[..., ::-1]
+    return np.linalg.eigvalsh(sym(check_symmetric(mat)))[..., ::-1]
 
 
-def spd_frame(mat, what="matrix", atol=ATOL_SYM):
+def spd_frame(mat, what="matrix"):
     """Cholesky frame ``(L, L^-1)`` of a symmetric positive-definite matrix.
 
     ``L`` is lower triangular with ``mat == L @ L.T``. Raises
     :class:`DomainError` if ``mat`` is not finite, not symmetric within
-    ``atol`` (the factorization alone reads only the lower triangle) or not
-    positive definite.
+    ``ATOL_SYM`` (the factorization alone reads only the lower triangle) or
+    not positive definite.
     """
-    mat = sym(check_symmetric(mat, atol))
+    mat = sym(check_symmetric(mat))
     try:
         low = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
@@ -595,7 +594,7 @@ def _log_rotation_eigh(sym_vals, sym_vecs, rot):
     return skew((sym_vecs * factor[..., None, :]) @ transpose(sym_vecs) @ skew(rot))
 
 
-def matrix_log(mat, atol=ATOL_SYM, cut_atol=1e-12):
+def matrix_log(mat, cut_atol=1e-12):
     """Principal matrix logarithm; each member of a stack takes its own route.
 
     A symmetric positive-definite member goes through ``sym_eig``. Any other
@@ -604,7 +603,7 @@ def matrix_log(mat, atol=ATOL_SYM, cut_atol=1e-12):
     short of the cut takes ``g(sym R) skew(R)`` from one ``eigh`` of its
     symmetric part; so a symmetric rotation other than the identity, a half
     turn, reaches the cut-locus test. A member counts as symmetric, or as
-    orthogonal, when the Frobenius norm of ``A - A^T`` is within ``atol``, or
+    orthogonal, when the Frobenius norm of ``A - A^T`` is within 1e-10, or
     that of ``A^T A - I`` within 1e-10, and also within 1e-8 of that of
     ``A - I``: these routes drop the skew or the symmetric part of the log,
     which that defect carries. The three norms come from one pass over the
@@ -633,10 +632,10 @@ def matrix_log(mat, atol=ATOL_SYM, cut_atol=1e-12):
     out = np.empty_like(flat)
     asym, ortho, gap = _route_defects(flat)
     negligible = _ROUTE_DEFECT_RTOL**2 * gap
-    spd = asym <= np.minimum(atol * atol, negligible)
+    spd = asym <= np.minimum(ATOL_SYM * ATOL_SYM, negligible)
     if spd.any():
         members = np.flatnonzero(spd)
-        w, v = sym_eig(flat[members], atol=atol)
+        w, v = sym_eig(flat[members])
         positive = np.all(w > 0.0, axis=-1)
         v = v[positive]
         out[members[positive]] = (v * np.log(w[positive])[..., None, :]) @ transpose(v)
@@ -683,7 +682,7 @@ def matrix_log(mat, atol=ATOL_SYM, cut_atol=1e-12):
     return out.reshape(mat.shape)
 
 
-def qr(mat, rtol=RTOL_RANK):
+def qr(mat):
     """Thin QR with sign-fixed positive diagonal of R.
 
     Requires ``cols <= rows`` and full column rank.
@@ -694,7 +693,7 @@ def qr(mat, rtol=RTOL_RANK):
         raise ShapeError(f"qr needs cols <= rows, got {m}x{n}")
     q, r = np.linalg.qr(mat)
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    if np.any(diag <= rtol * np.maximum(np.max(diag, axis=-1, keepdims=True), 1e-300)):
+    if np.any(diag <= RTOL_RANK * np.maximum(np.max(diag, axis=-1, keepdims=True), 1e-300)):
         raise DomainError("qr of a rank-deficient matrix")
     signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) >= 0.0, 1.0, -1.0)
     return q * signs[..., None, :], r * signs[..., :, None]
@@ -706,13 +705,13 @@ def svd(mat):
     return np.linalg.svd(mat, full_matrices=False)
 
 
-def sym_function(mat, fn, atol=ATOL_SYM):
+def sym_function(mat, fn):
     """Apply a scalar function to a symmetric matrix through its eigenvalues.
 
     Raises :class:`DomainError` if any result is not finite, e.g. when
     ``fn = np.exp`` overflows.
     """
-    w, v = sym_eig(mat, atol=atol)
+    w, v = sym_eig(mat)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = (v * fn(w)[..., None, :]) @ transpose(v)
     if not np.all(np.isfinite(out)):

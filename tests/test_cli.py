@@ -209,6 +209,25 @@ def test_validate_tolerance_semantics():
     assert out.returncode == 0
 
 
+def test_a_validated_spd_point_is_an_operand(capsys):
+    """A point that ``validate`` accepts, 5e-9 from symmetric, is accepted by ``op dist``."""
+    spec = '{"name": "spd", "n": 2}'
+    point = "[[2, 5e-9], [0, 1]]"
+    assert run(["validate", "--manifold-spec", spec, "--data", f'{{"points": [{point}]}}']) == 0
+    argv = op("dist", f'{{"point_a": {point}, "point_b": [[1, 0], [0, 1]]}}', spec)
+    assert run_inline(argv, capsys) == (0, None)
+
+
+def test_tpca_on_large_spd_points(capsys):
+    """The tangent basis's rank cutoff is relative, so SPD points of size 1e8,
+    whose affine-invariant inner products are of size 1e-16, have one."""
+    data = {"points": [[[1e8, 0], [0, 2e8]], [[2e8, 0], [0, 1e8]], [[1.5e8, 2e7], [2e7, 1.5e8]]]}
+    spec = '{"name": "spd", "n": 2}'
+    assert run(["learn", "tpca", "--manifold-spec", spec, "--data", json.dumps(data)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["explained_variance"][0] > got["explained_variance"][1] > 0.0
+
+
 def test_kmeans_single_cluster_equals_mean():
     data = '{"points": [[1, 0, 0], [0, 1, 0], [0.6, 0.8, 0]]}'
     mean_out = run_geo(["learn", "mean", "--manifold-spec", SPHERE, "--data", data])

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError, TangencyError
-from riemstats.geometry import Manifold, RiemannianMetric, numerical
-from riemstats.geometry.base import ATOL
+from riemstats.geometry import Manifold, RiemannianMetric, SPDMatrices, numerical
+from riemstats.geometry.base import ATOL, orthonormal_tangent_basis
 from riemstats.learning import OnlineKMeans, riemannian_gradient_descent
 
 from conftest import ALL_CASES
@@ -325,6 +325,62 @@ def test_no_np_linalg_eigvals_outside_linalg():
         if path != SRC / "linalg.py" and "np.linalg.eigvals(" in path.read_text()
     ]
     assert offenders == []
+
+
+def test_symmetric_operands_and_the_membership_tolerance_are_decided_once():
+    """SPD and Grassmann operands are checked by ``base._symmetric``, at the
+    membership tolerance ``base.ATOL``, which no other module defines again."""
+    calls = [
+        str(path.relative_to(SRC))
+        for path in sorted((SRC / "geometry").rglob("*.py"))
+        if "check_symmetric(" in path.read_text()
+    ]
+    assert calls == []
+    redefined = re.compile(r"\w*ATOL\w*\s*=\s*1(\.0*)?e-0*8\b", re.IGNORECASE)
+    copies = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "geometry" / "base.py" and redefined.search(path.read_text())
+    ]
+    assert copies == []
+
+
+def test_orthonormal_tangent_basis(space_case, monkeypatch):
+    """The basis comes from one broadcast ``inner_product`` call, the Gram
+    matrix of the projected frame; it is orthonormal in the metric and the
+    same bits on every call. Minkowski's indefinite metric has none."""
+    metric = space_case.metric
+    base = space_case.random_point(np.random.default_rng(55))
+    calls = []
+    inner_product = metric.inner_product
+
+    def counted(*args):
+        calls.append(args)
+        return inner_product(*args)
+
+    monkeypatch.setattr(metric, "inner_product", counted)
+    if space_case.name == "minkowski3":
+        with pytest.raises(GeometryError, match="got 2 of 3 directions"):
+            orthonormal_tangent_basis(metric, base)
+        return
+    basis = orthonormal_tangent_basis(metric, base)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert basis.shape == (metric.tangent_dim,) + metric.tangent_shape
+    gram = metric.inner_product(basis[:, None], basis[None], base)
+    np.testing.assert_allclose(gram, np.eye(metric.tangent_dim), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(orthonormal_tangent_basis(metric, base), basis)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_tangent_basis_cutoff_scales_with_the_metric(scale):
+    """The rank cutoff is relative to the Gram matrix's largest eigenvalue:
+    the affine-invariant inner products at ``scale * P`` scale by ``scale^-2``."""
+    metric = SPDMatrices(2).affine_invariant_metric
+    base = scale * np.diag([1.0, 2.0])
+    basis = orthonormal_tangent_basis(metric, base)
+    gram = metric.inner_product(basis[:, None], basis[None], base)
+    np.testing.assert_allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)
 
 
 def _exp_log_inputs(case, seed):

@@ -252,6 +252,43 @@ class TestSPDOperands:
         with pytest.raises(DomainError):
             metric.parallel_transport(np.eye(2), np.eye(2), direction=np.diag([800.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "op, operand, role",
+        [
+            ("exp", "base", "base point"),
+            ("log", "base", "base point"),
+            ("dist", "base", "point"),
+            ("inner_product", "base", "base point"),
+            ("transport_direction", "base", "base point"),
+            ("transport_end", "base", "base point"),
+            ("log", "targets", "point"),
+            ("dist", "targets", "point"),
+            ("transport_end", "targets", "end point"),
+        ],
+    )
+    def test_operand_symmetric_within_the_membership_tolerance(self, family, op, operand, role):
+        """An operand 5e-9 from symmetric belongs, and the op answers as at
+        its symmetric part; at 1e-7 it raises DomainError naming the operand."""
+        metric, *arrays = _spd_inputs(3, family, 25)
+        names = ["base", "directions", "vectors", "targets"]
+        position = names.index(operand)
+
+        def call(matrix):
+            inputs = list(arrays)
+            inputs[position] = matrix
+            return _spd_ops(metric, *inputs)[op]()
+
+        member = arrays[position].copy()
+        member[..., 0, 1] += 5e-9
+        assert metric.manifold.belongs(member).all()
+        out = call(member)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, call(0.5 * (member + np.swapaxes(member, -1, -2))))
+        outside = arrays[position].copy()
+        outside[..., 0, 1] += 1e-7
+        with pytest.raises(DomainError, match=f"^{role} is not symmetric within 1e-08$"):
+            call(outside)
+
 
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("family", SPD_FAMILIES)
@@ -376,6 +413,11 @@ class TestRotationVector:
         np.testing.assert_allclose(
             rotation_vector_from_matrix(matrix_from_rotation_vector(vec)), vec, atol=1e-10
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_raises(self, bad):
+        with pytest.raises(DomainError):
+            matrix_from_rotation_vector(np.array([0.1, bad, 0.2]))
 
     def test_hat_vee(self):
         vec = np.array([0.2, -0.7, 1.1])
@@ -537,6 +579,12 @@ class TestInvariantMetric:
         g = self.se3.random_point(rng=rng)
         lhs = metric.dist(g @ a, g @ b)
         np.testing.assert_allclose(lhs, metric.dist(a, b), atol=1e-6)
+
+    def test_asymmetric_inner_matrix_raises(self):
+        """The algebra inner product obeys the symmetric-operand rule: it is
+        not silently replaced by its symmetric part."""
+        with pytest.raises(DomainError, match="^inner_matrix is not symmetric within 1e-08$"):
+            SpecialEuclidean(2).invariant_metric("left", [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_so3_invariant_equals_bi_invariant(self):
         rng = np.random.default_rng(17)
@@ -909,6 +957,29 @@ class TestGrassmann:
         target = projector_from_basis(np.eye(4)[:, 2:])
         with pytest.raises(CutLocusError):
             self.metric.log(target, base)
+
+    def test_dist_takes_a_point_symmetric_within_the_membership_tolerance(self):
+        """A projector 5e-9 from symmetric belongs, and ``dist`` and
+        ``principal_angles`` answer as at its symmetric part; at 1e-7 they
+        raise DomainError naming the point."""
+        rng = np.random.default_rng(32)
+        a, b = self.grassmann.random_point(2, rng)
+        member = a.copy()
+        member[0, 1] += 5e-9
+        assert self.grassmann.belongs(member)
+        out = self.metric.dist(member, b)
+        assert np.isfinite(out)
+        assert out == self.metric.dist(0.5 * (member + member.T), b)
+        np.testing.assert_array_equal(
+            self.metric.principal_angles(b, member),
+            self.metric.principal_angles(b, 0.5 * (member + member.T)),
+        )
+        outside = a.copy()
+        outside[0, 1] += 1e-7
+        with pytest.raises(DomainError, match="^point is not symmetric within 1e-08$"):
+            self.metric.dist(b, outside)
+        with pytest.raises(DomainError, match="^point is not symmetric within 1e-08$"):
+            self.metric.principal_angles(outside, b)
 
     def test_rank_mismatch_raises(self):
         from riemstats.errors import ShapeError
