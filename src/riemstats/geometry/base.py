@@ -47,8 +47,10 @@ _TANGENT_ROLES = ("tangent vector", "direction")
 
 def _symmetric(mat, role):
     """Symmetric part of the operand ``mat``; DomainError naming ``role`` unless
-    ``|mat - mat^T| <= ATOL`` entry for entry (one flat ``max``), the SPD and
-    Grassmann membership rule, so their ops take every point that ``belongs``."""
+    finite and ``|mat - mat^T| <= ATOL`` entry for entry (one flat ``max``),
+    the SPD and Grassmann membership rule. The one scan of each operand: it
+    goes on to the unchecked ``linalg._sym_eig`` or ``linalg._spd_frame``."""
+    mat = np.asarray(mat, dtype=float)
     if not np.abs(mat - np.swapaxes(mat, -1, -2)).max(initial=0.0) <= ATOL:
         raise DomainError(f"{role} is not symmetric within {ATOL}")
     return linalg.sym(mat)
@@ -423,24 +425,40 @@ class Geodesic:
 def orthonormal_tangent_basis(metric, base_point):
     """Metric-orthonormal basis of the tangent space at one base point.
 
-    One ``to_tangent`` call projects the canonical ambient basis to a frame
-    ``f_i``, one broadcast ``inner_product`` call gives its Gram matrix, and
-    its ``tangent_dim`` largest eigenpairs ``(w_j, V_j)`` give the basis
-    ``sum_i V_ij f_i / sqrt(w_j)``. GeometryError unless the last of those
-    ``w_j`` exceeds ``n eps`` times the largest, for ``n`` frame vectors, as
-    in ``spd._singular``: the cutoff scales with the metric. Deterministic:
-    the result depends only on the base point.
+    The singular values of the projected canonical basis decide the rank
+    without the metric: GeometryError unless ``tangent_dim`` of them exceed
+    ``n eps`` times the largest, for ``n`` ambient coordinates. The top
+    singular vectors, a Euclidean-orthonormal tangent frame ``q``, then take
+    two passes ``q <- (H + s)^-1/2 q``, ``H`` the Gram matrix of ``q`` in the
+    metric (shifted CholeskyQR). The shift ``s >= 0`` lifts the smallest
+    eigenvalue of ``H`` to ``n eps`` times the largest, so no cutoff depends
+    on the scale or the conditioning of the metric. GeometryError if ``H``
+    has an eigenvalue below ``-n eps`` times the largest: the metric is not
+    positive definite. Deterministic: the result depends only on the point.
     """
     base_point = np.asarray(base_point, dtype=float)
     shape = metric.tangent_shape
     size = int(np.prod(shape))
     target = metric.tangent_dim
+    round_off = size * np.finfo(float).eps
     frame = metric.to_tangent(np.eye(size).reshape((size,) + shape), base_point)
-    # ``sym`` makes G exactly symmetric; the two orders of a pair differ by round-off.
-    gram = linalg.sym(metric.inner_product(frame[:, None], frame[None], base_point))
-    w, v = linalg.sym_eig(gram)
-    cutoff = size * np.finfo(float).eps * w[0]
-    if not w[target - 1] > cutoff:
-        found = np.count_nonzero(w > cutoff)
-        raise GeometryError(f"could not build a tangent basis: got {found} of {target} directions")
-    return np.tensordot(v[:, :target] / np.sqrt(w[:target]), frame, axes=(0, 0))
+    u, sig, _ = linalg.svd(frame.reshape(size, size))
+    if not sig[target - 1] > round_off * sig[0]:
+        raise _missing_directions(np.count_nonzero(sig > round_off * sig[0]), target)
+    basis = np.tensordot(u[:, :target] / sig[:target], frame, axes=(0, 0))
+    rows = -(-size // target)  # per inner_product call: temporaries within 2 size^2
+    for _ in range(2):
+        gram = [
+            metric.inner_product(basis[i : i + rows, None], basis, base_point)
+            for i in range(0, target, rows)
+        ]
+        w, v = linalg.sym_eig(linalg.sym(np.concatenate(gram)))
+        if not w[-1] > -round_off * w[0]:
+            raise _missing_directions(np.count_nonzero(w > round_off * w[0]), target)
+        shift = max(round_off * w[0] - w[-1], 0.0)
+        basis = np.tensordot((v / np.sqrt(w + shift)) @ v.T, basis, axes=(1, 0))
+    return basis
+
+
+def _missing_directions(found, target):
+    return GeometryError(f"could not build a tangent basis: got {found} of {target} directions")

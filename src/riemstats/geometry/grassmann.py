@@ -48,8 +48,9 @@ class Grassmann(Manifold):
         return np.maximum(np.maximum(asym, idem), trace)
 
     def basis_from_projector(self, point):
-        """Deterministic orthonormal basis of the projector's range, (..., n, p)."""
-        _, vecs = linalg.sym_eig(np.asarray(point, dtype=float))
+        """Deterministic orthonormal basis of the projector's range, (..., n, p);
+        DomainError unless ``point`` is symmetric within ``base.ATOL``."""
+        _, vecs = linalg._sym_eig(_symmetric(point, "point"))
         return vecs[..., : self.p]
 
     def project(self, point):
@@ -84,16 +85,16 @@ class GrassmannMetric(RiemannianMetric):
 
         Small angles come from the sine route (singular values of the
         complement overlap), large ones from the cosine route, which keeps
-        every angle accurate to round-off. Each operand is taken through
-        ``base._symmetric``, so every pair of points that ``belongs`` has angles.
+        every angle accurate to round-off. ``basis_from_projector`` takes
+        each operand through ``base._symmetric``, so every pair of points
+        that ``belongs`` has angles.
         """
-        point_a, point_b = _symmetric(point_a, "point"), _symmetric(point_b, "point")
         mfd = self.manifold
         basis_a = mfd.basis_from_projector(point_a)
         basis_b = mfd.basis_from_projector(point_b)
         overlap = linalg.transpose(basis_a) @ basis_b
         cos_vals = np.clip(np.linalg.svd(overlap, compute_uv=False), 0.0, 1.0)
-        complement = (np.eye(mfd.n) - point_a) @ basis_b
+        complement = (np.eye(mfd.n) - linalg.sym(point_a)) @ basis_b
         sin_vals = np.clip(np.linalg.svd(complement, compute_uv=False), 0.0, 1.0)
         # cos_vals descending <-> angles ascending; sin route sorted to match.
         from_cos = np.arccos(cos_vals)

@@ -53,8 +53,8 @@ def _require_positive(w, what):
 
 
 def _spd_eig(operand, what):
-    """Eigendecomposition of a caller's operand ``what``, checked by ``_symmetric``."""
-    w, v = linalg.sym_eig(_symmetric(operand, what))
+    """Eigendecomposition of a caller's operand ``what``, checked once, by ``_symmetric``."""
+    w, v = linalg._sym_eig(_symmetric(operand, what))
     _require_positive(w, what)
     return w, v
 
@@ -75,10 +75,10 @@ def _base_frame(base_point):
     threshold of ``_singular`` is positive without its eigenvalues.
     """
     base_point = _symmetric(base_point, "base point")
-    low, inv_low = linalg.spd_frame(base_point, "base point")
+    low, inv_low = linalg._spd_frame(base_point, "base point")
     bound = linalg.inner(low, low, axes=2) * linalg.inner(inv_low, inv_low, axes=2)
     if not np.all(bound * low.shape[-1] * np.finfo(float).eps < 1e-3):
-        _require_positive(linalg.sym_eigvals(base_point), "base point")
+        _require_positive(np.linalg.eigvalsh(base_point)[..., ::-1], "base point")
     return low, inv_low
 
 
@@ -156,7 +156,7 @@ class SPDAffineMetric(RiemannianMetric):
         return low @ _spectral(np.log(w), v) @ linalg.transpose(low)
 
     def _squared_dist(self, point_a, point_b):
-        _, inv_low = linalg.spd_frame(_symmetric(point_a, "point"), "point")
+        _, inv_low = linalg._spd_frame(_symmetric(point_a, "point"), "point")
         w = linalg.sym_eigvals(_congruence(inv_low, _symmetric(point_b, "point")))
         _require_positive(w, "point")
         log_w = np.log(w)

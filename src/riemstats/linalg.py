@@ -9,6 +9,9 @@ Conventions
 * ``sym_eig`` and ``sym_eigvals`` return eigenvalues in descending order;
   each eigenvector's largest-magnitude entry is made positive.
 * ``spd_frame`` factors with the lower Cholesky factor ``L``, ``mat = L L^T``.
+* ``sym_eig`` and ``spd_frame`` check their input and pass its symmetric
+  part to ``_sym_eig`` and ``_spd_frame``, which geometry calls directly on
+  an operand it has checked at the membership tolerance.
 * ``qr`` forces a positive diagonal on R.
 * ``matrix_exp`` routes each member of a stack on its own: an exactly skew
   2x2 or 3x3 member takes a closed form (a rotation, or Rodrigues'
@@ -167,7 +170,12 @@ def sym_eig(mat):
     descending order and sign-fixed eigenvector columns, so that
     ``mat == V @ diag(w) @ V.T`` up to round-off.
     """
-    w, v = np.linalg.eigh(sym(check_symmetric(mat)))
+    return _sym_eig(sym(check_symmetric(mat)))
+
+
+def _sym_eig(mat):
+    """``sym_eig`` of a finite, exactly symmetric ``mat``, which it does not check."""
+    w, v = np.linalg.eigh(mat)
     w = w[..., ::-1]
     v = v[..., ::-1]
     # Fix each column's sign by its largest-magnitude entry.
@@ -190,7 +198,11 @@ def spd_frame(mat, what="matrix"):
     ``ATOL_SYM`` (the factorization alone reads only the lower triangle) or
     not positive definite.
     """
-    mat = sym(check_symmetric(mat))
+    return _spd_frame(sym(check_symmetric(mat)), what)
+
+
+def _spd_frame(mat, what):
+    """``spd_frame`` of a finite, exactly symmetric ``mat``, which it does not check."""
     try:
         low = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riemstats import linalg
 from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError, TangencyError
 from riemstats.geometry import Manifold, RiemannianMetric, SPDMatrices, numerical
 from riemstats.geometry.base import ATOL, orthonormal_tangent_basis
@@ -346,17 +347,19 @@ def test_symmetric_operands_and_the_membership_tolerance_are_decided_once():
 
 
 def test_orthonormal_tangent_basis(space_case, monkeypatch):
-    """The basis comes from one broadcast ``inner_product`` call, the Gram
-    matrix of the projected frame; it is orthonormal in the metric and the
-    same bits on every call. Minkowski's indefinite metric has none."""
+    """Two passes over Gram matrices built in blocks of rows: at most two
+    ``inner_product`` calls per direction, each broadcasting at most twice
+    as many entries as the projected frame has. The basis is orthonormal in
+    the metric and the same bits on every call. Minkowski's indefinite
+    metric has none."""
     metric = space_case.metric
     base = space_case.random_point(np.random.default_rng(55))
-    calls = []
+    broadcasts = []
     inner_product = metric.inner_product
 
-    def counted(*args):
-        calls.append(args)
-        return inner_product(*args)
+    def counted(vec_a, vec_b, base_point):
+        broadcasts.append(np.broadcast_shapes(np.shape(vec_a), np.shape(vec_b)))
+        return inner_product(vec_a, vec_b, base_point)
 
     monkeypatch.setattr(metric, "inner_product", counted)
     if space_case.name == "minkowski3":
@@ -364,8 +367,10 @@ def test_orthonormal_tangent_basis(space_case, monkeypatch):
             orthonormal_tangent_basis(metric, base)
         return
     basis = orthonormal_tangent_basis(metric, base)
-    assert len(calls) == 1
     monkeypatch.undo()
+    size = int(np.prod(metric.tangent_shape))
+    assert 2 <= len(broadcasts) <= 2 * metric.tangent_dim
+    assert max(int(np.prod(shape)) for shape in broadcasts) <= 2 * size**2
     assert basis.shape == (metric.tangent_dim,) + metric.tangent_shape
     gram = metric.inner_product(basis[:, None], basis[None], base)
     np.testing.assert_allclose(gram, np.eye(metric.tangent_dim), rtol=0.0, atol=1e-12)
@@ -374,13 +379,40 @@ def test_orthonormal_tangent_basis(space_case, monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e12])
 def test_tangent_basis_cutoff_scales_with_the_metric(scale):
-    """The rank cutoff is relative to the Gram matrix's largest eigenvalue:
-    the affine-invariant inner products at ``scale * P`` scale by ``scale^-2``."""
+    """The rank cutoff is relative to the largest singular value of the
+    projected frame, and the metric's passes to the largest eigenvalue of
+    each Gram matrix: the affine-invariant inner products at ``scale * P``
+    scale by ``scale^-2``."""
     metric = SPDMatrices(2).affine_invariant_metric
     base = scale * np.diag([1.0, 2.0])
     basis = orthonormal_tangent_basis(metric, base)
     gram = metric.inner_product(basis[:, None], basis[None], base)
     np.testing.assert_allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["affine_invariant_metric", "log_euclidean_metric"])
+@pytest.mark.parametrize(
+    "n, kappa, rotated", [(2, 1e8, False), (2, 1e6, True), (3, 1e6, True), (3, 1e8, True)]
+)
+def test_tangent_basis_at_ill_conditioned_spd_points(family, n, kappa, rotated):
+    """SPD points of condition number ``kappa`` that ``belongs`` accepts;
+    ``diag(1e-4, 1e4)`` is the unrotated one, whose basis is exact to
+    round-off. At a rotated point the Gram matrix of unit vectors along the
+    extreme eigendirections is itself computed only to about ``eps *
+    kappa``, so the bound is 1000 times that. One Gram matrix of the frame
+    would not do: its condition number, ``kappa^2``, exceeds ``1 / eps``."""
+    metric = getattr(SPDMatrices(n), family)
+    spectrum = np.geomspace(kappa**-0.5, kappa**0.5, n)
+    if rotated:
+        rot, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+        base = linalg.sym((rot * spectrum) @ rot.T)
+        atol = 1e3 * np.finfo(float).eps * kappa
+    else:
+        base, atol = np.diag(spectrum), 1e-12
+    assert metric.manifold.belongs(base)
+    basis = orthonormal_tangent_basis(metric, base)
+    gram = metric.inner_product(basis[:, None], basis[None], base)
+    np.testing.assert_allclose(gram, np.eye(metric.tangent_dim), rtol=0.0, atol=atol)
 
 
 def _exp_log_inputs(case, seed):

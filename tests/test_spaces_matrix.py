@@ -959,9 +959,9 @@ class TestGrassmann:
             self.metric.log(target, base)
 
     def test_dist_takes_a_point_symmetric_within_the_membership_tolerance(self):
-        """A projector 5e-9 from symmetric belongs, and ``dist`` and
-        ``principal_angles`` answer as at its symmetric part; at 1e-7 they
-        raise DomainError naming the point."""
+        """A projector 5e-9 from symmetric belongs, and ``dist``,
+        ``principal_angles`` and ``basis_from_projector`` answer as at its
+        symmetric part; at 1e-7 they raise DomainError naming the point."""
         rng = np.random.default_rng(32)
         a, b = self.grassmann.random_point(2, rng)
         member = a.copy()
@@ -974,8 +974,14 @@ class TestGrassmann:
             self.metric.principal_angles(b, member),
             self.metric.principal_angles(b, 0.5 * (member + member.T)),
         )
+        np.testing.assert_array_equal(
+            self.grassmann.basis_from_projector(member),
+            self.grassmann.basis_from_projector(0.5 * (member + member.T)),
+        )
         outside = a.copy()
         outside[0, 1] += 1e-7
+        with pytest.raises(DomainError, match="^point is not symmetric within 1e-08$"):
+            self.grassmann.basis_from_projector(outside)
         with pytest.raises(DomainError, match="^point is not symmetric within 1e-08$"):
             self.metric.dist(b, outside)
         with pytest.raises(DomainError, match="^point is not symmetric within 1e-08$"):
