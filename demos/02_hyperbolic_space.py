@@ -1,7 +1,7 @@
-"""Hyperbolic space H^2: hyperboloid model and the Poincare-ball view.
+"""Hyperbolic space H^2: the hyperboloid model and the Poincare ball.
 
-The hyperboloid carries the closed forms; ball operations convert, compute,
-and convert back, so the two representations agree to round-off."""
+Each model computes in its own coordinates (the ball by Mobius addition);
+the coordinate maps carry points between them, and the two agree to round-off."""
 
 import numpy as np
 

@@ -19,7 +19,6 @@ from .hyperbolic import (
     ball_to_hyperboloid,
     ball_to_hyperboloid_tangent,
     hyperboloid_to_ball,
-    hyperboloid_to_ball_tangent,
 )
 from .invariant import InvariantMetric
 from .landmarks import Landmarks, LandmarksMetric
@@ -91,7 +90,6 @@ __all__ = [
     "hat",
     "homogeneous_from_parts",
     "hyperboloid_to_ball",
-    "hyperboloid_to_ball_tangent",
     "log_by_shooting",
     "matrix_from_rotation_vector",
     "minkowski_inner",

@@ -51,15 +51,13 @@ _ROTATION_MIN_COS = -0.9
 # Below this 1 - c, arccos(c) / sqrt(1 - c^2) = 1 + (1 - c) / 3 to within 2e-17.
 _ROTATION_SERIES_GAP = 1e-8
 # A member takes a rotation route of ``matrix_log`` when ||A^T A - I||_F is
-# within _ROTATION_ATOL, and the symmetric route when ||A - A^T||_F is within
-# ATOL_SYM. Those routes drop the part of the log that the defect carries
-# (its symmetric or its skew part), so each also needs the defect to be at
-# most _ROUTE_DEFECT_RTOL times ||A - I||_F, about the size of the log near
-# I: with the absolute bound alone, the log of I + 2e-11 B
-# (B Gaussian) lost half of itself, 55% in 3x3 and 63% in 4x4. A computed
-# rotation or symmetric matrix has a defect of a few round-offs, so it keeps
-# its route down to angles or eigenvalue gaps near 1e-7; nearer I the
-# general route's log is as accurate.
+# within _ROTATION_ATOL. That route drops the symmetric part of the log,
+# which the defect carries, so it also needs the defect to be at most
+# _ROUTE_DEFECT_RTOL times ||A - I||_F, about the size of the log near I:
+# with the absolute bound alone, the log of I + 2e-11 B (B Gaussian) lost
+# half of itself, 55% in 3x3 and 63% in 4x4. A computed rotation has a
+# defect of a few round-offs, so it keeps its route down to angles near
+# 1e-7; nearer I the general route's log is as accurate.
 _ROTATION_ATOL = 1e-10
 _ROUTE_DEFECT_RTOL = 1e-8
 # The 7-point Gauss-Legendre rule moved to [0, 1]: ``0.5 * (x + 1)`` and
@@ -476,8 +474,8 @@ def rotation_angles(rot):
 
 
 def _route_defects(flat):
-    """Squared Frobenius norms of ``A - A^T``, ``A^T A - I`` and ``A - I`` for
-    each member ``A`` of a stack ``(k, n, n)``.
+    """Squared Frobenius norms of ``A^T A - I`` and ``A - I`` for each member
+    ``A`` of a stack ``(k, n, n)``.
 
     The stack is copied once entry-major, ``(n, n, k)``, so that every
     product and sum runs over the stack in contiguous rows. On a 2-vCPU Xeon
@@ -491,10 +489,8 @@ def _route_defects(flat):
     work = np.einsum("mik,mjk->ijk", cols, cols)
     work -= eye
     ortho = np.einsum("ijk,ijk->k", work, work)
-    np.subtract(cols, cols.transpose(1, 0, 2), out=work)
-    asym = np.einsum("ijk,ijk->k", work, work)
     np.subtract(cols, eye, out=work)
-    return asym, ortho, np.einsum("ijk,ijk->k", work, work)
+    return ortho, np.einsum("ijk,ijk->k", work, work)
 
 
 def _det(flat):
@@ -609,18 +605,14 @@ def _log_rotation_eigh(sym_vals, sym_vecs, rot):
 def matrix_log(mat, cut_atol=1e-12):
     """Principal matrix logarithm; each member of a stack takes its own route.
 
-    A symmetric positive-definite member goes through ``sym_eig``. Any other
-    rotation (positive determinant) of size 2 or 3 takes the axis-angle
+    A rotation (positive determinant) of size 2 or 3 takes the axis-angle
     closed form, and a larger one whose angles are all below 2.69 rad and
     short of the cut takes ``g(sym R) skew(R)`` from one ``eigh`` of its
-    symmetric part; so a symmetric rotation other than the identity, a half
-    turn, reaches the cut-locus test. A member counts as symmetric, or as
-    orthogonal, when the Frobenius norm of ``A - A^T`` is within 1e-10, or
-    that of ``A^T A - I`` within 1e-10, and also within 1e-8 of that of
-    ``A - I``: these routes drop the skew or the symmetric part of the log,
-    which that defect carries. The three norms come from one pass over the
-    stack, and a determinant only where a route needs it.
-    Every remaining
+    symmetric part. A member counts as orthogonal when the Frobenius norm of
+    ``A^T A - I`` is within 1e-10 and also within 1e-8 of that of ``A - I``:
+    these routes drop the symmetric part of the log, which that defect
+    carries. The two norms come from one pass over the stack, and a
+    determinant only where a route needs it. Every remaining
     member takes one batched inverse scaling-and-squaring pass with no
     per-matrix Python loop: each matrix is square-rooted
     (Denman-Beavers) until ``||A - I||_1 <= 0.25``, then ``log(I + X)``
@@ -635,24 +627,16 @@ def matrix_log(mat, cut_atol=1e-12):
     ``cut_atol`` of pi; the angle is read from the decomposition its route
     makes anyway (the closed-form angle, the ``eigh`` cosines or the general
     route's eigenvalues). Raises :class:`DomainError` if any other matrix is
-    singular or has spectrum on the closed negative real axis, a symmetric
-    one included.
+    singular or has spectrum on the closed negative real axis, and
+    :class:`CutLocusError` if it has an eigenvalue within ``cut_atol`` of
+    angle pi: a rotation with noise beyond 1e-10 is such a member.
     """
     mat = _as_square(mat)
     n = mat.shape[-1]
     flat = mat.reshape((-1, n, n))
     out = np.empty_like(flat)
-    asym, ortho, gap = _route_defects(flat)
-    negligible = _ROUTE_DEFECT_RTOL**2 * gap
-    spd = asym <= np.minimum(ATOL_SYM * ATOL_SYM, negligible)
-    if spd.any():
-        members = np.flatnonzero(spd)
-        w, v = sym_eig(flat[members])
-        positive = np.all(w > 0.0, axis=-1)
-        v = v[positive]
-        out[members[positive]] = (v * np.log(w[positive])[..., None, :]) @ transpose(v)
-        spd[members[~positive]] = False
-    rot = (ortho <= np.minimum(_ROTATION_ATOL**2, negligible)) & ~spd
+    ortho, gap = _route_defects(flat)
+    rot = ortho <= np.minimum(_ROTATION_ATOL**2, _ROUTE_DEFECT_RTOL**2 * gap)
     members = np.flatnonzero(rot)
     rots = flat[members]
     if n in (2, 3) and members.size:
@@ -660,7 +644,7 @@ def matrix_log(mat, cut_atol=1e-12):
         if not proper.all():
             rot[members[~proper]] = False
             members, rots = members[proper], rots[proper]
-    general = ~(spd | rot)
+    general = ~rot
     if members.size:
         if n in (2, 3):
             log, angle = (_log_rotation_2x2 if n == 2 else _log_rotation_3x3)(rots)
@@ -690,6 +674,7 @@ def matrix_log(mat, cut_atol=1e-12):
             raise DomainError("matrix log of a (numerically) singular matrix")
         if np.any((eigvals.real < 0) & (np.abs(eigvals.imag) <= 1e-12 * mags)):
             raise DomainError("matrix log undefined: eigenvalue on the closed negative real axis")
+        _check_cut(np.abs(np.angle(eigvals)), cut_atol)
         out[general] = _log_general(rest)
     return out.reshape(mat.shape)
 

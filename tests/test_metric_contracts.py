@@ -204,6 +204,30 @@ def test_closed_form_transports_never_reach_the_ladder(space_case, by, monkeypat
     assert out.shape == tuple(space_case.metric.tangent_shape)
 
 
+def test_poincare_ball_never_reaches_the_hyperboloid(monkeypatch):
+    """The ball computes in its own coordinates: no public ball op calls a
+    hyperboloid hook."""
+    from riemstats.geometry import HyperboloidMetric
+
+    case = next(case for case in ALL_CASES if case.name == "poincare_ball2")
+    metric = case.metric
+    base, vec, end = _exp_log_inputs(case, 67)
+    other = case.random_point(np.random.default_rng(68))
+
+    def hook(*args, **kwargs):
+        raise AssertionError("a hyperboloid hook ran")
+
+    for name in ("_exp", "_log", "_squared_dist", "_transport"):
+        monkeypatch.setattr(HyperboloidMetric, name, hook)
+    assert metric.inner_product(vec, vec, base) == metric.squared_norm(vec, base) > 0.0
+    np.testing.assert_allclose(metric.log(metric.exp(vec, base), base), vec, atol=1e-12)
+    assert metric.dist(base, other) ** 2 == pytest.approx(metric.squared_dist(other, base))
+    assert metric.norm(metric.log(other, base), base) == pytest.approx(metric.dist(base, other))
+    by_direction = metric.parallel_transport(vec, base, direction=vec)
+    np.testing.assert_allclose(metric.parallel_transport(vec, base, end_point=end), by_direction)
+    np.testing.assert_allclose(metric.geodesic(base, end_point=end)(1.0), end, atol=1e-12)
+
+
 def test_streaming_estimators_never_reach_the_public_ops(space_case, monkeypatch):
     """Online K-means and gradient descent check their data once, then call the
     hooks: no public op runs per sample or per iteration."""

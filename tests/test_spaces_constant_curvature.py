@@ -194,6 +194,16 @@ class TestHyperboloid:
             with pytest.raises(DomainError, match="overflows"):
                 self.metric.exp(np.array([0.0, 800.0, 0.0]), origin)
 
+    @pytest.mark.parametrize("d", [3.0, 8.0, 12.0, 20.0])
+    def test_log_to_the_origin_from_far_on_a_ray(self, d):
+        # log_x(o) = d / sinh(d) (o - cosh(d) x) = (-d sinh d, -d cosh d, 0) at
+        # x = (cosh d, sinh d, 0); the Minkowski norm of o - cosh(d) x cancels
+        # entries of size cosh(d)^2, so it cannot give the length here.
+        point = np.array([np.cosh(d), np.sinh(d), 0.0])
+        log = self.metric.log(self.space.origin(), point)
+        want = np.array([-d * np.sinh(d), -d * np.cosh(d), 0.0])
+        assert np.max(np.abs(log - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_transport_isometry(self):
         rng = np.random.default_rng(7)
         base = self.space.random_point(rng=rng)
@@ -249,6 +259,62 @@ class TestPoincareBall:
             hyper.exp(ball_to_hyperboloid_tangent(vec, base), ball_to_hyperboloid(base))
         )
         np.testing.assert_allclose(direct, routed, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "distance", [0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0]
+    )
+    def test_ray_from_the_origin(self, distance):
+        """Axis and off-axis points at distance D from the origin: ``dist`` within
+        1e-9 of 50-digit arithmetic, ``|log|`` equal to ``dist`` and the exp back
+        to the origin a member.
+
+        The exp misses the origin by at most 1e-12 + ``2 eps / (1 - |p|^2)``,
+        the round-off of ``|p|^2`` magnified as in every ball formula at p
+        (2.7e-8 at D = 20).
+        """
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        directions = np.concatenate([np.eye(2), -np.eye(2), rng.standard_normal((16, 2))])
+        directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+        points, origin = np.tanh(0.5 * distance) * directions, np.zeros(2)
+        with mpmath.workdps(50):
+            exact = [2 * mpmath.atanh(mpmath.sqrt(mpmath.mpf(x) ** 2 + mpmath.mpf(y) ** 2))
+                     for x, y in points]
+        dist = self.metric.dist(origin, points)
+        np.testing.assert_allclose(dist, np.array(exact, dtype=float), rtol=1e-9, atol=0.0)
+        logs = self.metric.log(origin, points)
+        np.testing.assert_allclose(self.metric.norm(logs, points), dist, rtol=1e-12, atol=0.0)
+        back = self.metric.exp(logs, points)
+        assert np.all(self.ball.belongs(back))
+        miss = np.max(np.abs(back), axis=-1)
+        bound = 1e-12 + 2.0 * np.finfo(float).eps / (1.0 - np.sum(points**2, axis=-1))
+        assert np.all(miss <= bound)
+
+    def test_operations_agree_with_the_hyperboloid(self):
+        """Log, dist, exp and transport by direction, each mapped onto the sheet
+        at its base or end point, equal the hyperboloid's within 1e-12."""
+        rng = np.random.default_rng(12)
+        base, target = self.ball.random_point(200, rng), self.ball.random_point(200, rng)
+        vec = self.metric.random_tangent(base, 200, rng)
+        vec /= self.metric.norm(vec, base)[:, None]
+        direction = self.metric.random_tangent(base, 200, rng)
+        direction *= (1.5 * rng.uniform(0.05, 1.0, 200) / self.metric.norm(direction, base))[:, None]
+        hyper, sheet_base = Hyperboloid(2).metric, ball_to_hyperboloid(base)
+        end = self.metric.exp(direction, base)
+        pairs = [
+            (self.metric.dist(base, target), hyper.dist(sheet_base, ball_to_hyperboloid(target))),
+            (ball_to_hyperboloid_tangent(self.metric.log(target, base), base),
+             hyper.log(ball_to_hyperboloid(target), sheet_base)),
+            (ball_to_hyperboloid(end),
+             hyper.exp(ball_to_hyperboloid_tangent(direction, base), sheet_base)),
+            (ball_to_hyperboloid_tangent(
+                self.metric.parallel_transport(vec, base, direction=direction), end),
+             hyper.parallel_transport(ball_to_hyperboloid_tangent(vec, base), sheet_base,
+                                      direction=ball_to_hyperboloid_tangent(direction, base))),
+        ]
+        for ball_side, sheet_side in pairs:
+            scale = max(1.0, np.max(np.abs(sheet_side)))
+            assert np.max(np.abs(ball_side - sheet_side)) <= 1e-12 * scale
 
     def test_out_of_ball_raises(self):
         with pytest.raises(DomainError):

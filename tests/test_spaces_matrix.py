@@ -906,6 +906,19 @@ def test_symmetric_half_turns_raise_cut_locus_error(diagonal):
         so.metric.log(np.diag(diagonal), so.identity)
 
 
+@pytest.mark.parametrize("noise", [3e-9, 1e-11])
+def test_noisy_rotation_near_the_cut_raises_cut_locus_error(noise):
+    """A rotation by pi - 1e-7 with Gaussian noise that ``belongs`` still
+    accepts raises CutLocusError, also where the noise is too large for a
+    rotation route of ``matrix_log`` and the member takes the general one."""
+    so = SpecialOrthogonal(3)
+    rot = matrix_from_rotation_vector(np.array([0.0, 0.0, np.pi - 1e-7]))
+    rot = rot + noise * np.random.default_rng(0).standard_normal((3, 3))
+    assert so.belongs(rot)
+    with pytest.raises(CutLocusError):
+        so.metric.log(rot, so.identity)
+
+
 class TestGrassmann:
     grassmann = Grassmann(4, 2)
     metric = grassmann.metric
