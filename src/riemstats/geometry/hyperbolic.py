@@ -200,14 +200,24 @@ class PoincareBallMetric(RiemannianMetric):
         return (2.0 * np.arcsinh(norm(point_a - point_b) / np.sqrt(denom))) ** 2
 
     def _transport(self, tangent_vec, base_point, direction):
-        """``((1 - ||y||^2) / (1 - ||x||^2)) gyr[y, -x] w``, ``y = exp_x(direction)``,
-        with Ungar's closed-form gyration ``w + 2 (a u + b v) / D``."""
-        u = self._exp(direction, base_point)
-        v = -base_point
-        uu, vv, uv = inner(u, u), inner(v, v), inner(u, v)
-        uw, vw = inner(u, tangent_vec), inner(v, tangent_vec)
-        a = vw * (1.0 + 2.0 * uv) - uw * vv
-        b = -(uw + vw * uu)
-        denom = 1.0 + 2.0 * uv + uu * vv
-        gyr = tangent_vec + 2.0 * (a[..., None] * u + b[..., None] * v) / denom[..., None]
-        return ((1.0 - uu) / (1.0 - vv))[..., None] * gyr
+        """``((1 - ||y||^2) / (1 - ||x||^2)) gyr[y, -x] w``, ``y = exp_x(direction)``.
+
+        Ungar's closed-form gyration ``w + 2 (A y - B x) / D`` is written in x
+        and ``p = y - x``, whose terms do not cancel when y is near x far from
+        the origin: ``gyr = w + 2 ((A - B) x + A p) / D`` with
+        ``A - B = (1 - |x|^2) p.w - |p|^2 x.w``,
+        ``A = 2 (x.p)(x.w) - (1 - |x|^2) x.w - |x|^2 p.w``,
+        ``D = (1 - |x|^2)(1 - |y|^2) + |p|^2`` and
+        ``1 - |y|^2 = (1 - |x|^2) - (2 x.p + |p|^2)``.
+        """
+        x, w = base_point, tangent_vec
+        p = self._exp(direction, x) - x
+        xx, xp, pp, xw, pw = inner(x, x), inner(x, p), inner(p, p), inner(x, w), inner(p, w)
+        shrink_x = 1.0 - xx
+        shrink_y = shrink_x - (2.0 * xp + pp)
+        ratio = shrink_y / shrink_x
+        coeff = 2.0 * ratio / (shrink_x * shrink_y + pp)
+        a = 2.0 * xp * xw - shrink_x * xw - xx * pw
+        a_minus_b = shrink_x * pw - pp * xw
+        return (ratio[..., None] * w + (coeff * a_minus_b)[..., None] * x
+                + (coeff * a)[..., None] * p)

@@ -3,10 +3,14 @@
 A left- (or right-) invariant metric is determined by an SPD inner-product
 matrix on the Lie algebra, expressed in a Frobenius-orthonormal basis.
 Geodesics solve the Euler-Poincare equation for the body (resp. spatial)
-velocity, reconstructed on the group by RK4 (:func:`numerical.rk4`);
-logarithms are obtained by shooting. Groups with extra structure
-(bi-invariance, product splittings) should prefer their closed forms; this
-class is the generic fallback.
+velocity, reconstructed on the group. By default the integration is adaptive
+(:func:`numerical.dormand_prince`, per-step error 3e-10 relative to
+``1 + |state|``, :class:`ConvergenceError` past 10000 steps); an integer
+``n_steps`` takes that many fixed RK4 steps (:func:`numerical.rk4`).
+Logarithms are obtained by shooting. The algebra products are taken member
+by member, ``x[..., None, :] @ M``, so that a batch equals its loop bit for
+bit. Groups with extra structure (bi-invariance, product splittings) should
+prefer their closed forms; this class is the generic fallback.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from ..errors import DomainError
 from .base import RiemannianMetric, _symmetric
-from .numerical import log_by_shooting, rk4
+from .numerical import dormand_prince, log_by_shooting, rk4
 
 
 class InvariantMetric(RiemannianMetric):
@@ -32,16 +36,19 @@ class InvariantMetric(RiemannianMetric):
         Inner product on the algebra in basis coordinates; identity by default.
         DomainError unless it is symmetric within ``base.ATOL`` entry for
         entry and positive definite.
-    n_steps : int
-        RK4 steps for one unit of geodesic time.
+    n_steps : int, optional
+        ``None`` (the default) integrates each geodesic adaptively to the
+        tolerance ``numerical._INTEGRATION_TOL`` = 3e-10 and raises
+        :class:`ConvergenceError` if a member needs more than 10000 steps;
+        an integer takes that many fixed RK4 steps per unit of geodesic time.
     """
 
-    def __init__(self, group, side="left", inner_matrix=None, n_steps=100):
+    def __init__(self, group, side="left", inner_matrix=None, n_steps=None):
         super().__init__(group)
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.side = side
-        self.n_steps = int(n_steps)
+        self.n_steps = None if n_steps is None else int(n_steps)
         self.basis = group.lie_algebra_basis()
         m = self.basis.shape[0]
         if inner_matrix is None:
@@ -67,7 +74,8 @@ class InvariantMetric(RiemannianMetric):
 
     def _from_coords(self, coords):
         coords = np.asarray(coords, dtype=float)
-        return (coords @ self._basis_flat).reshape(coords.shape[:-1] + self.basis.shape[1:])
+        flat = (coords[..., None, :] @ self._basis_flat)[..., 0, :]
+        return flat.reshape(coords.shape[:-1] + self.basis.shape[1:])
 
     def _body_coords(self, tangent_vec, base_point):
         inv = self.manifold.inverse(base_point)
@@ -87,22 +95,25 @@ class InvariantMetric(RiemannianMetric):
         # flattened to (..., m^2), times C[(l, j), k].
         outer = momentum[..., :, None] * velocity[..., None, :]
         outer = outer.reshape(outer.shape[:-2] + self._structure_flat.shape[:1])
-        rate = outer @ self._structure_flat
+        rate = (outer[..., None, :] @ self._structure_flat)[..., 0, :]
         return rate if self.side == "left" else -rate
 
     def _exp(self, tangent_vec, base_point):
-        """Geodesic endpoint by Euler-Poincare + reconstruction (RK4)."""
+        """Geodesic endpoint by Euler-Poincare + reconstruction."""
         xi0 = self._body_coords(tangent_vec, base_point)
         g = np.broadcast_to(base_point, xi0.shape[:-1] + base_point.shape[-2:])
-        mu = xi0 @ self.inner_matrix
+        mu = (xi0[..., None, :] @ self.inner_matrix)[..., 0, :]
 
         def rates(g, mu):
-            xi = mu @ self._inner_inv
+            xi = (mu[..., None, :] @ self._inner_inv)[..., 0, :]
             xi_hat = self._from_coords(xi)
             dg = g @ xi_hat if self.side == "left" else xi_hat @ g
             return dg, self._momentum_rate(mu, xi)
 
-        g, _ = rk4(rates, (g, mu), self.n_steps)
+        if self.n_steps is None:
+            g, _ = dormand_prince(rates, (g, mu), mu.ndim - 1)
+        else:
+            g, _ = rk4(rates, (g, mu), self.n_steps)
         return self.manifold.project(g)
 
     def _tangent_basis_at(self, base_point):

@@ -2,8 +2,11 @@
 
 Three generic tools over a coordinate chart or an embedded manifold:
 
-* geodesics by fixed-step RK4 integration (:func:`rk4`, shared with the
-  invariant metrics) of the geodesic equation ``x'' + Gamma(x)(x', x') = 0``;
+* geodesics by integration of the geodesic equation
+  ``x'' + Gamma(x)(x', x') = 0``. By default :func:`dormand_prince` takes
+  adaptive steps, per batch member, to the relative tolerance
+  ``_INTEGRATION_TOL`` = 3e-10; an explicit step count runs the fixed-step
+  :func:`rk4` instead. The invariant metrics share both integrators;
 * logarithms by shooting (damped Gauss-Newton on the exp residual);
 * parallel transport by the pole ladder, which is exact on symmetric
   spaces up to the accuracy of the exp/log maps used per rung.
@@ -18,6 +21,25 @@ from ..linalg import norm
 
 _FD_STEP = 1e-5  # central differences of the metric matrix
 _SHOOTING_FD = 1e-7  # forward differences of the shooting residual
+_INTEGRATION_TOL = 3e-10  # per-step error of dormand_prince, relative to 1 + |state|
+_FIRST_STEP = 0.1  # dormand_prince's first trial step, in units of geodesic time
+_MAX_STEPS = 10_000  # dormand_prince's cap on attempted steps
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, 1993, table
+# II.5.2): the stage coefficients, whose last row is also the fifth-order
+# solution, so the last stage is the next step's first (first same as last),
+# and the weights of the error estimate, fifth-order minus fourth-order.
+_DP_STAGES = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_ERROR = (
+    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+)
 
 
 class ChristoffelField:
@@ -141,6 +163,11 @@ def christoffels_from_metric(metric_matrix_fn, dim):
     return _MetricChristoffels(metric_matrix_fn, dim)
 
 
+def _finite(state):
+    if not all(np.all(np.isfinite(s)) for s in state):
+        raise DomainError("geodesic integration left the domain: non-finite state")
+
+
 def rk4(rates, state, n_steps):
     """Classical fixed-step Runge-Kutta over unit time.
 
@@ -160,20 +187,102 @@ def rk4(rates, state, n_steps):
             s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for s, a, b, c, d in zip(state, k1, k2, k3, k4)
         )
-        if not all(np.all(np.isfinite(s)) for s in state):
-            raise DomainError("geodesic integration left the domain: non-finite state")
+        _finite(state)
     return state
 
 
-def exp_by_integration(christoffels, base_coords, velocity_coords, n_steps=100):
-    """Chart exponential map: RK4 integration of the geodesic equation.
+def dormand_prince(rates, state, batch_ndim):
+    """Adaptive Dormand-Prince 5(4) over unit time, with steps chosen per batch member.
+
+    ``state`` is a tuple of arrays sharing ``batch_ndim`` leading batch axes,
+    and ``rates(*state)`` returns their time derivatives as a tuple of the
+    same shapes. The batch is flattened to one axis, an unbatched state
+    to one of length 1, and every stage is evaluated on the whole batch:
+    a member that has reached t = 1 takes zero-length steps. So each member
+    takes the steps, and gets the bits, it would get on its own, as far as
+    ``rates`` computes each member independently of the others.
+
+    A member accepts a step when the largest entry of the error estimate,
+    each divided by ``_INTEGRATION_TOL * (1 + max(|y|, |y_new|))``, is at
+    most 1; the next step is the last one times ``0.9 err^(-1/5)``, clipped
+    to [0.2, 5], and the last step lands on t = 1 exactly. The first trial
+    step is ``_FIRST_STEP``; six rate evaluations per step after the first.
+
+    Raises :class:`DomainError` as soon as a stage is not finite, and
+    :class:`ConvergenceError`, with the largest remaining time as its
+    residual, if some member has not reached t = 1 after ``_MAX_STEPS``
+    attempted steps.
+    """
+    batch = state[0].shape[:batch_ndim]
+    n = int(np.prod(batch))
+    tails = [s.shape[batch_ndim:] for s in state]
+
+    def row_rates(ys):
+        ks = rates(*(y.reshape((n,) + tail) for y, tail in zip(ys, tails)))
+        return [np.reshape(k, y.shape) for k, y in zip(ks, ys)]
+
+    # Each component as (n, width) rows: a member's steps are its own row's.
+    ys = [np.reshape(s, (n, int(np.prod(tail)))) for s, tail in zip(state, tails)]
+    t = np.zeros(n)
+    step = np.full(n, _FIRST_STEP)
+    k_first = row_rates(ys)
+    for _ in range(_MAX_STEPS):
+        remaining = 1.0 - t
+        if not np.any(remaining > 0.0):
+            break
+        last = step >= remaining
+        step = np.where(last, remaining, step)
+        h = step[:, None]
+        ks = [k_first]
+        for row in _DP_STAGES:
+            stage = [y + h * d for y, d in zip(ys, _combine(row, ks))]
+            _finite(stage)
+            ks.append(row_rates(stage))
+        # The last stage is the fifth-order solution.
+        err = np.zeros(n)
+        for y, y_new, e in zip(ys, stage, _combine(_DP_ERROR, ks)):
+            scale = _INTEGRATION_TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+            err = np.maximum(err, np.max(np.abs(h * e) / scale, axis=1))
+        _finite((err,))  # the last stage's rates enter only the estimate
+        accept = err <= 1.0
+        t = np.where(accept, np.where(last, 1.0, t + step), t)
+        ys = [np.where(accept[:, None], y_new, y) for y, y_new in zip(ys, stage)]
+        k_first = [np.where(accept[:, None], k, k0) for k, k0 in zip(ks[-1], k_first)]
+        step = step * np.clip(0.9 * np.maximum(err, 1e-10) ** -0.2, 0.2, 5.0)
+    else:
+        residual = float(np.max(1.0 - t))
+        if residual > 0.0:
+            raise ConvergenceError(
+                f"geodesic integration did not reach t = 1 in {_MAX_STEPS} steps",
+                residual=residual,
+            )
+    return tuple(y.reshape(batch + tail) for y, tail in zip(ys, tails))
+
+
+def _combine(coeffs, ks):
+    """``sum_j coeffs[j] ks[j]`` per component, over the nonzero coefficients in order."""
+    total = None
+    for c, k in zip(coeffs, ks):
+        if c:
+            terms = [c * part for part in k]
+            total = terms if total is None else [a + b for a, b in zip(total, terms)]
+    return total
+
+
+def exp_by_integration(christoffels, base_coords, velocity_coords, n_steps=None):
+    """Chart exponential map: integration of the geodesic equation.
 
     Each rate evaluation asks the field for the acceleration term alone,
     ``christoffels(coords, velocity) = Gamma(v, v)``, so a field from
     :func:`christoffels_from_metric` never builds the ``(dim, dim, dim)``
     tensor; a field wrapping a closed-form tensor evaluates and contracts it.
-    Fixed step count keeps the result deterministic; it converges to the
-    closed-form exponential as ``n_steps`` grows (RK4, so O(n^-4)).
+
+    ``n_steps=None`` (the default) integrates adaptively with
+    :func:`dormand_prince`, to a per-step error of ``_INTEGRATION_TOL`` = 3e-10
+    relative to ``1 + |state|``, each batch member with its own steps; it
+    raises :class:`ConvergenceError` if a member needs more than
+    ``_MAX_STEPS`` = 10000 steps. An integer ``n_steps`` takes that many fixed
+    RK4 steps (:func:`rk4`), which converge as O(n^-4).
     """
     x, v = np.broadcast_arrays(
         np.asarray(base_coords, dtype=float), np.asarray(velocity_coords, dtype=float)
@@ -182,6 +291,8 @@ def exp_by_integration(christoffels, base_coords, velocity_coords, n_steps=100):
     def rates(coords, velocity):
         return velocity, -christoffels(coords, velocity)
 
+    if n_steps is None:
+        return dormand_prince(rates, (x, v), x.ndim - 1)[0]
     return rk4(rates, (x, v), n_steps)[0]
 
 

@@ -87,6 +87,13 @@ def _congruence(inv_low, mat):
     return linalg.sym(inv_low @ mat @ linalg.transpose(inv_low))
 
 
+def _frame_eig(inv_low, mat):
+    """``linalg.sym_eig`` of ``_congruence(inv_low, mat)``, which is exactly
+    symmetric by construction: only its finiteness is checked, with the same
+    DomainError."""
+    return linalg._sym_eig(linalg._as_matrix(_congruence(inv_low, mat), "symmetric matrix"))
+
+
 def _spectral(w, v):
     """v diag(w) v^T."""
     return (v * w[..., None, :]) @ linalg.transpose(v)
@@ -146,18 +153,19 @@ class SPDAffineMetric(RiemannianMetric):
 
     def _exp(self, tangent_vec, base_point):
         low, inv_low = _base_frame(base_point)
-        middle = linalg.sym_function(_congruence(inv_low, tangent_vec), np.exp)
+        middle = linalg._eig_function(*_frame_eig(inv_low, tangent_vec), np.exp)
         return low @ middle @ linalg.transpose(low)
 
     def _log(self, point, base_point):
         low, inv_low = _base_frame(base_point)
-        w, v = linalg.sym_eig(_congruence(inv_low, _symmetric(point, "point")))
+        w, v = _frame_eig(inv_low, _symmetric(point, "point"))
         _require_positive(w, "point")
         return low @ _spectral(np.log(w), v) @ linalg.transpose(low)
 
     def _squared_dist(self, point_a, point_b):
         _, inv_low = linalg._spd_frame(_symmetric(point_a, "point"), "point")
-        w = linalg.sym_eigvals(_congruence(inv_low, _symmetric(point_b, "point")))
+        congruent = _congruence(inv_low, _symmetric(point_b, "point"))
+        w = np.linalg.eigvalsh(linalg._as_matrix(congruent, "symmetric matrix"))[..., ::-1]
         _require_positive(w, "point")
         log_w = np.log(w)
         return linalg.inner(log_w, log_w)
@@ -165,7 +173,7 @@ class SPDAffineMetric(RiemannianMetric):
     def _transport(self, tangent_vec, base_point, direction):
         """V -> E V E^T with E = L expm(S/2) L^-1, X the direction."""
         low, inv_low = _base_frame(base_point)
-        w, v = linalg.sym_eig(_congruence(inv_low, direction))
+        w, v = _frame_eig(inv_low, direction)
         _require_finite_exp(w)
         shifter = low @ _spectral(np.exp(0.5 * w), v) @ inv_low
         return shifter @ tangent_vec @ linalg.transpose(shifter)
@@ -173,7 +181,7 @@ class SPDAffineMetric(RiemannianMetric):
     def _transport_to(self, tangent_vec, base_point, end_point):
         """V -> E V E^T with E = L S^1/2 L^-1, X the end point: no log needed."""
         low, inv_low = _base_frame(base_point)
-        w, v = linalg.sym_eig(_congruence(inv_low, _symmetric(end_point, "end point")))
+        w, v = _frame_eig(inv_low, _symmetric(end_point, "end point"))
         _require_positive(w, "end point")
         shifter = low @ _spectral(np.sqrt(w), v) @ inv_low
         return shifter @ tangent_vec @ linalg.transpose(shifter)

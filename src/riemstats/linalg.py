@@ -708,7 +708,11 @@ def sym_function(mat, fn):
     Raises :class:`DomainError` if any result is not finite, e.g. when
     ``fn = np.exp`` overflows.
     """
-    w, v = sym_eig(mat)
+    return _eig_function(*sym_eig(mat), fn)
+
+
+def _eig_function(w, v, fn):
+    """``v diag(fn(w)) v^T`` from ``sym_eig``'s ``(w, v)``; DomainError unless finite."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = (v * fn(w)[..., None, :]) @ transpose(v)
     if not np.all(np.isfinite(out)):

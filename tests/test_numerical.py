@@ -13,7 +13,8 @@ from riemstats.geometry import (
     log_by_shooting,
     transport_by_ladder,
 )
-from riemstats.geometry.numerical import _solve_metric
+from riemstats.geometry import invariant, numerical
+from riemstats.geometry.numerical import _solve_metric, dormand_prince
 
 # Spherical chart (theta, phi) on S^2: metric diag(1, sin^2 theta).
 
@@ -262,6 +263,86 @@ class TestExpByIntegration:
             exp_by_integration(self.gamma, base, vel, n_steps=100),
             atol=1e-6,
         )
+
+
+def _chart_geodesics_inside(rng, count, max_speed, margin):
+    """Seeded chart inputs like the benchmark's, with speeds up to ``max_speed``,
+    kept to those whose closed-form geodesic stays at ``theta`` in
+    ``[margin, pi - margin]``, so that the chart is smooth along it."""
+    base = np.stack([rng.uniform(0.8, np.pi - 0.8, count), rng.uniform(-3, 3, count)], axis=-1)
+    vel = rng.standard_normal((count, 2))
+    vel *= (rng.uniform(0.05, max_speed, count) / np.linalg.norm(vel, axis=-1))[:, None]
+    sphere = Hypersphere(2).metric
+    start, push = chart_to_xyz(base), chart_pushforward(base, vel)
+    path = sphere.exp(np.linspace(0.0, 1.0, 41)[:, None, None] * push, start)
+    theta = np.arccos(np.clip(path[..., 2], -1.0, 1.0))
+    inside = np.all((theta >= margin) & (theta <= np.pi - margin), axis=0)
+    return base[inside], vel[inside], path[-1, inside]
+
+
+class TestAdaptiveIntegration:
+    """The default ``n_steps=None`` integrates with ``dormand_prince``."""
+
+    def test_chart_is_at_least_as_accurate_as_rk4_100(self):
+        rng = np.random.default_rng(21)
+        base, vel, expected = _chart_geodesics_inside(rng, 300, 1.5, 0.3)
+        assert len(base) >= 100
+        field = christoffels_from_metric(sphere_metric_matrix, 2)
+        errors = [
+            np.max(np.abs(chart_to_xyz(exp_by_integration(field, base, vel, **kw)) - expected))
+            for kw in ({}, {"n_steps": 100})
+        ]
+        assert errors[0] <= errors[1]
+        assert errors[0] < 1e-8
+
+    def test_chart_batch_equals_loop_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        base, vel, _ = _chart_geodesics_inside(rng, 40, 1.5, 0.3)
+        field = christoffels_from_metric(sphere_metric_matrix, 2)
+        looped = np.stack([exp_by_integration(field, b, v) for b, v in zip(base, vel)])
+        np.testing.assert_array_equal(exp_by_integration(field, base, vel), looped)
+
+    def test_default_paths_never_reach_rk4(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("rk4 reached")
+
+        monkeypatch.setattr(numerical, "rk4", forbidden)
+        monkeypatch.setattr(invariant, "rk4", forbidden)
+        field = ChristoffelField(sphere_christoffels_closed_form, 2)
+        base, vel = np.array([1.0, 0.5]), np.array([0.1, 0.2])
+        exp_by_integration(field, base, vel)
+        se3 = SpecialEuclidean(3)
+        vec = 0.3 * se3.lie_algebra_basis()[0]
+        metric = se3.invariant_metric("right")
+        metric.log(metric.exp(vec, se3.identity), se3.identity)
+        with pytest.raises(AssertionError, match="rk4 reached"):
+            exp_by_integration(field, base, vel, n_steps=10)
+        with pytest.raises(AssertionError, match="rk4 reached"):
+            se3.invariant_metric("right", n_steps=10).exp(vec, se3.identity)
+
+    def test_step_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(numerical, "_MAX_STEPS", 2)
+        field = ChristoffelField(sphere_christoffels_closed_form, 2)
+        with pytest.raises(ConvergenceError) as info:
+            exp_by_integration(field, np.array([1.0, 0.5]), np.array([0.4, 0.9]))
+        assert info.value.residual > 0.0
+        se3 = SpecialEuclidean(3)
+        with pytest.raises(ConvergenceError) as info:
+            se3.invariant_metric("right").exp(se3.lie_algebra_basis()[3], se3.identity)
+        assert info.value.residual > 0.0
+
+    @pytest.mark.parametrize("bad_after", [0, 7], ids=["first_stage", "last_stage"])
+    def test_non_finite_stage_is_domain_exit(self, bad_after):
+        """A non-finite rate raises at once, whichever stage it comes from."""
+        calls = []
+
+        def rates(y):
+            calls.append(None)
+            return (np.full_like(y, np.inf if len(calls) > bad_after else 1.0),)
+
+        with pytest.raises(DomainError, match="non-finite state"):
+            dormand_prince(rates, (np.zeros((4, 3)),), 1)
+        assert len(calls) == bad_after + 1
 
 
 class TestStepCount:

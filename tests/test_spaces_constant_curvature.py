@@ -316,6 +316,38 @@ class TestPoincareBall:
             scale = max(1.0, np.max(np.abs(sheet_side)))
             assert np.max(np.abs(ball_side - sheet_side)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("distance", [8.0, 12.0, 16.0, 18.0])
+    def test_transport_far_from_the_origin(self, distance):
+        """Transport from base points at distance D from the origin matches a
+        60-digit evaluation of Ungar's textbook gyration on the same float
+        base, end point and vector: within 1e-9 up to D = 12 and 1e-5 beyond."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng([21, int(distance)])
+        unit = rng.standard_normal((20, 2))
+        base = np.tanh(0.5 * distance) * unit / np.linalg.norm(unit, axis=-1, keepdims=True)
+        vec = self.metric.random_tangent(base, 20, rng)
+        direction = self.metric.random_tangent(base, 20, rng)
+        direction *= (rng.uniform(0.1, 1.0, 20) / self.metric.norm(direction, base))[:, None]
+        out = self.metric.parallel_transport(vec, base, direction=direction)
+        end = self.metric.exp(direction, base)
+
+        def dot(a, b):
+            return sum(i * j for i, j in zip(a, b))
+
+        exact = []
+        with mpmath.workdps(60):
+            for x, y, w in zip(base, end, vec):
+                u, v, w = ([mpmath.mpf(float(c)) for c in arr] for arr in (y, -x, w))
+                uu, vv, uv, uw, vw = dot(u, u), dot(v, v), dot(u, v), dot(u, w), dot(v, w)
+                a, b = vw * (1 + 2 * uv) - uw * vv, -(uw + vw * uu)
+                denom = 1 + 2 * uv + uu * vv
+                scale = (1 - uu) / (1 - vv)
+                exact.append([float(scale * (wi + 2 * (a * ui + b * vi) / denom))
+                              for wi, ui, vi in zip(w, u, v)])
+        exact = np.array(exact)
+        rel = np.linalg.norm(out - exact, axis=-1) / np.linalg.norm(exact, axis=-1)
+        assert np.max(rel) <= (1e-9 if distance <= 12.0 else 1e-5)
+
     def test_out_of_ball_raises(self):
         with pytest.raises(DomainError):
             ball_to_hyperboloid(np.array([1.2, 0.0]))

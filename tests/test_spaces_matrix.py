@@ -351,6 +351,19 @@ def test_affine_dist_and_log_match_high_precision(cond):
     assert np.linalg.norm(log - exact_log) <= bound * np.linalg.norm(exact_log)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "op", ["exp", "log", "dist", "transport_direction", "transport_end"]
+)
+def test_affine_overflowing_congruence_raises(op):
+    """The affine hooks check the congruence of an operand in the base point's
+    frame for finiteness only, with ``linalg.sym_eig``'s message."""
+    metric = SPDMatrices(2).affine_invariant_metric
+    base, big = 1e-200 * np.eye(2), np.diag([1e200, 1.0])
+    with pytest.raises(DomainError, match="^symmetric matrix has non-finite entries$"):
+        _spd_ops(metric, base, big, np.eye(2), big)[op]()
+
+
 # Symmetric eigendecompositions per call: (family, op) -> (eigh, eigvalsh).
 SPD_EIG_CALLS = {
     ("affine_invariant_metric", "exp"): (1, 0),
@@ -594,6 +607,65 @@ class TestInvariantMetric:
         vec = so3.metric.random_tangent(base, rng=rng)
         np.testing.assert_allclose(
             integ.exp(vec, base), so3.metric.exp(vec, base), atol=1e-9
+        )
+
+
+class TestAdaptiveInvariantGeodesics:
+    """The default ``n_steps=None`` integrates adaptively: at least as accurate
+    as 100 RK4 steps against closed forms, and a batch equals its loop."""
+
+    se3 = SpecialEuclidean(3)
+    weights = np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+
+    @staticmethod
+    def _tangents(metric, base, rng, max_norm):
+        vec = metric.random_tangent(base, rng=rng)
+        scale = rng.uniform(0.2, max_norm, len(base)) / metric.norm(vec, base)
+        return vec * scale[:, None, None]
+
+    def _assert_no_worse_than_rk4(self, integrated, fixed, closed, base, vec):
+        expected = closed.exp(vec, base)
+        errors = [np.max(np.abs(m.exp(vec, base) - expected)) for m in (integrated, fixed)]
+        assert errors[0] <= errors[1]
+        assert errors[0] < 5e-10
+
+    def test_weighted_se3_matches_canonical_metric(self):
+        rng = np.random.default_rng(51)
+        canon = self.se3.canonical_left_metric
+        base = self.se3.random_point(20, rng)
+        vec = self._tangents(canon, base, rng, 3.0)
+        self._assert_no_worse_than_rk4(
+            self.se3.invariant_metric("left", self.weights),
+            self.se3.invariant_metric("left", self.weights, n_steps=100),
+            canon, base, vec,
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_so3_matches_bi_invariant_metric(self, side):
+        rng = np.random.default_rng(52)
+        so3 = SpecialOrthogonal(3)
+        base = so3.random_point(20, rng)
+        vec = self._tangents(so3.metric, base, rng, 3.0)
+        self._assert_no_worse_than_rk4(
+            InvariantMetric(so3, side=side),
+            InvariantMetric(so3, side=side, n_steps=100),
+            so3.metric, base, vec,
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_se3_batch_equals_loop_bit_for_bit(self, side):
+        rng = np.random.default_rng(53)
+        metric = self.se3.invariant_metric(side, self.weights)
+        base = self.se3.random_point(6, rng)
+        vec = self._tangents(metric, base, rng, 1.5)
+        ends = metric.exp(vec, base)
+        np.testing.assert_array_equal(
+            ends, np.stack([metric.exp(v, b) for v, b in zip(vec, base)])
+        )
+        targets = metric.exp(0.5 * vec, base)
+        np.testing.assert_array_equal(
+            metric.log(targets, base),
+            np.stack([metric.log(t, b) for t, b in zip(targets, base)]),
         )
 
 
