@@ -6,7 +6,10 @@ Three generic tools over a coordinate chart or an embedded manifold:
   ``x'' + Gamma(x)(x', x') = 0``. By default :func:`dormand_prince` takes
   adaptive steps, per batch member, to the relative tolerance
   ``_INTEGRATION_TOL`` = 3e-10; an explicit step count runs the fixed-step
-  :func:`rk4` instead. The invariant metrics share both integrators;
+  :func:`rk4` instead. The invariant metrics share both integrators.
+  :func:`dormand_prince` holds the state of the whole batch in one flat
+  vector and evaluates every stage on all of it, so a member that has
+  reached t = 1 takes zero-length steps until the last member finishes;
 * logarithms by shooting (damped Gauss-Newton on the exp residual);
 * parallel transport by the pole ladder, which is exact on symmetric
   spaces up to the accuracy of the exp/log maps used per rung.
@@ -24,6 +27,7 @@ _SHOOTING_FD = 1e-7  # forward differences of the shooting residual
 _INTEGRATION_TOL = 3e-10  # per-step error of dormand_prince, relative to 1 + |state|
 _FIRST_STEP = 0.1  # dormand_prince's first trial step, in units of geodesic time
 _MAX_STEPS = 10_000  # dormand_prince's cap on attempted steps
+_LEFT_DOMAIN = "geodesic integration left the domain: non-finite state"
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, 1993, table
 # II.5.2): the stage coefficients, whose last row is also the fifth-order
@@ -165,7 +169,7 @@ def christoffels_from_metric(metric_matrix_fn, dim):
 
 def _finite(state):
     if not all(np.all(np.isfinite(s)) for s in state):
-        raise DomainError("geodesic integration left the domain: non-finite state")
+        raise DomainError(_LEFT_DOMAIN)
 
 
 def rk4(rates, state, n_steps):
@@ -196,11 +200,15 @@ def dormand_prince(rates, state, batch_ndim):
 
     ``state`` is a tuple of arrays sharing ``batch_ndim`` leading batch axes,
     and ``rates(*state)`` returns their time derivatives as a tuple of the
-    same shapes. The batch is flattened to one axis, an unbatched state
-    to one of length 1, and every stage is evaluated on the whole batch:
-    a member that has reached t = 1 takes zero-length steps. So each member
-    takes the steps, and gets the bits, it would get on its own, as far as
-    ``rates`` computes each member independently of the others.
+    same shapes. The batch is flattened to one axis of length ``n``, an
+    unbatched state to one of length 1, and the whole state is held in one
+    flat float64 vector: component after component, each a contiguous block
+    of shape ``(n,) + tail``, so that a stage is one array operation per
+    Runge-Kutta coefficient, whatever the number of components. ``rates``
+    gets a view of each block. Every stage is evaluated on the whole batch:
+    a member that has reached t = 1 still takes zero-length steps. So each
+    member takes the steps, and gets the bits, it would get on its own, as
+    far as ``rates`` computes each member independently of the others.
 
     A member accepts a step when the largest entry of the error estimate,
     each divided by ``_INTEGRATION_TOL * (1 + max(|y|, |y_new|))``, is at
@@ -216,38 +224,47 @@ def dormand_prince(rates, state, batch_ndim):
     batch = state[0].shape[:batch_ndim]
     n = int(np.prod(batch))
     tails = [s.shape[batch_ndim:] for s in state]
+    widths = [int(np.prod(tail)) for tail in tails]
+    ends = np.cumsum([n * width for width in widths]).tolist()
+    blocks = [slice(end - n * width, end) for end, width in zip(ends, widths)]
+    # member[i] is the batch member that owns entry i of the flat state.
+    member = np.concatenate([np.repeat(np.arange(n), width) for width in widths])
 
-    def row_rates(ys):
-        ks = rates(*(y.reshape((n,) + tail) for y, tail in zip(ys, tails)))
-        return [np.reshape(k, y.shape) for k, y in zip(ks, ys)]
+    def flat_rates(y):
+        ks = rates(*(y[block].reshape((n,) + tail) for block, tail in zip(blocks, tails)))
+        return np.concatenate([np.reshape(k, (n * w,)) for k, w in zip(ks, widths)])
 
-    # Each component as (n, width) rows: a member's steps are its own row's.
-    ys = [np.reshape(s, (n, int(np.prod(tail)))) for s, tail in zip(state, tails)]
+    y = np.concatenate([np.reshape(s, (n * w,)) for s, w in zip(state, widths)], dtype=float)
     t = np.zeros(n)
     step = np.full(n, _FIRST_STEP)
-    k_first = row_rates(ys)
+    k_first = flat_rates(y)
     for _ in range(_MAX_STEPS):
         remaining = 1.0 - t
         if not np.any(remaining > 0.0):
             break
         last = step >= remaining
         step = np.where(last, remaining, step)
-        h = step[:, None]
+        h = step[member]
         ks = [k_first]
         for row in _DP_STAGES:
-            stage = [y + h * d for y, d in zip(ys, _combine(row, ks))]
-            _finite(stage)
-            ks.append(row_rates(stage))
+            y_new = _combine(row, ks, h)
+            y_new += y
+            if not np.isfinite(y_new).all():
+                raise DomainError(_LEFT_DOMAIN)
+            ks.append(flat_rates(y_new))
         # The last stage is the fifth-order solution.
+        scale = _INTEGRATION_TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+        ratio = np.abs(_combine(_DP_ERROR, ks, h)) / scale
         err = np.zeros(n)
-        for y, y_new, e in zip(ys, stage, _combine(_DP_ERROR, ks)):
-            scale = _INTEGRATION_TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-            err = np.maximum(err, np.max(np.abs(h * e) / scale, axis=1))
-        _finite((err,))  # the last stage's rates enter only the estimate
+        for block, width in zip(blocks, widths):
+            err = np.maximum(err, np.max(ratio[block].reshape(n, width), axis=1))
+        if not np.isfinite(err).all():  # the last stage's rates enter only the estimate
+            raise DomainError(_LEFT_DOMAIN)
         accept = err <= 1.0
         t = np.where(accept, np.where(last, 1.0, t + step), t)
-        ys = [np.where(accept[:, None], y_new, y) for y, y_new in zip(ys, stage)]
-        k_first = [np.where(accept[:, None], k, k0) for k, k0 in zip(ks[-1], k_first)]
+        keep = accept[member]
+        y = np.where(keep, y_new, y)
+        k_first = np.where(keep, ks[-1], k_first)
         step = step * np.clip(0.9 * np.maximum(err, 1e-10) ** -0.2, 0.2, 5.0)
     else:
         residual = float(np.max(1.0 - t))
@@ -256,16 +273,19 @@ def dormand_prince(rates, state, batch_ndim):
                 f"geodesic integration did not reach t = 1 in {_MAX_STEPS} steps",
                 residual=residual,
             )
-    return tuple(y.reshape(batch + tail) for y, tail in zip(ys, tails))
+    return tuple(y[block].reshape(batch + tail) for block, tail in zip(blocks, tails))
 
 
-def _combine(coeffs, ks):
-    """``sum_j coeffs[j] ks[j]`` per component, over the nonzero coefficients in order."""
+def _combine(coeffs, ks, h):
+    """``h * sum_j coeffs[j] ks[j]`` over the nonzero coefficients in order, in one new array."""
     total = None
     for c, k in zip(coeffs, ks):
         if c:
-            terms = [c * part for part in k]
-            total = terms if total is None else [a + b for a, b in zip(total, terms)]
+            if total is None:
+                total = c * k
+            else:
+                total += c * k
+    total *= h
     return total
 
 

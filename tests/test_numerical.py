@@ -344,6 +344,38 @@ class TestAdaptiveIntegration:
             dormand_prince(rates, (np.zeros((4, 3)),), 1)
         assert len(calls) == bad_after + 1
 
+    def test_flat_state_keeps_shapes_and_members(self):
+        """Empty, two-axis and unbatched states come back in their own shapes,
+        and a batch whose components have different tails equals its loop."""
+
+        def rates(x, m):  # member-wise, by +, - and * only
+            return m[..., 0] - x * m[..., 1], -x[..., :, None] * x[..., None, :]
+
+        (empty,) = dormand_prince(lambda y: (np.ones_like(y),), (np.zeros((0, 2)),), 1)
+        assert empty.shape == (0, 2)
+        rng = np.random.default_rng(2222)
+        x, m = rng.uniform(-1.0, 1.0, (3, 4, 2)), rng.uniform(-1.0, 1.0, (3, 4, 2, 2))
+        x_out, m_out = dormand_prince(rates, (x, m), 2)
+        assert (x_out.shape, m_out.shape) == (x.shape, m.shape)
+        for i in range(3):
+            for j in range(4):
+                x_one, m_one = dormand_prince(rates, (x[i, j], m[i, j]), 0)
+                assert (x_one.shape, m_one.shape) == ((2,), (2, 2))
+                np.testing.assert_array_equal(x_out[i, j], x_one)
+                np.testing.assert_array_equal(m_out[i, j], m_one)
+
+    def test_rate_evaluations_are_one_plus_six_per_step(self):
+        """``y' = 1`` takes the steps 0.1, 0.5 and 0.4: 1 + 6 * 3 rate evaluations."""
+        shapes = []
+
+        def rates(y):
+            shapes.append(y.shape)
+            return (np.ones_like(y),)
+
+        (out,) = dormand_prince(rates, (np.zeros((5, 3)),), 1)
+        assert shapes == [(5, 3)] * 19
+        np.testing.assert_allclose(out, 1.0, rtol=0.0, atol=1e-15)
+
 
 class TestStepCount:
     """Both RK4 users reject a step count below one instead of dividing by it."""
