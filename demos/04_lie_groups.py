@@ -63,5 +63,5 @@ back = aniso.log(moved, base)
 print("shooting log round-trip error:", np.max(np.abs(aniso.exp(back, base) - moved)))
 
 print("\n== Euler-Poincare integration matches the closed form when A = I ==")
-integ = InvariantMetric(se3, side="left", n_steps=100)
+integ = InvariantMetric(se3, side="left")
 print("max |integrated - closed form| =", np.max(np.abs(integ.exp(vec_full, base) - end_canon)))

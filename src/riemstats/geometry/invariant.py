@@ -3,10 +3,7 @@
 A left- (or right-) invariant metric is determined by an SPD inner-product
 matrix on the Lie algebra, expressed in a Frobenius-orthonormal basis.
 Geodesics solve the Euler-Poincare equation for the body (resp. spatial)
-velocity, reconstructed on the group. By default the integration is adaptive
-(:func:`numerical.dormand_prince`, per-step error 3e-10 relative to
-``1 + |state|``, :class:`ConvergenceError` past 10000 steps); an integer
-``n_steps`` takes that many fixed RK4 steps (:func:`numerical.rk4`).
+velocity, reconstructed on the group, by :func:`numerical.dormand_prince`.
 Logarithms are obtained by shooting. The algebra products are taken member
 by member, ``x[..., None, :] @ M``, so that a batch equals its loop bit for
 bit. Groups with extra structure (bi-invariance, product splittings) should
@@ -19,7 +16,7 @@ import numpy as np
 
 from ..errors import DomainError
 from .base import RiemannianMetric, _symmetric
-from .numerical import dormand_prince, log_by_shooting, rk4
+from .numerical import dormand_prince, log_by_shooting
 
 
 class InvariantMetric(RiemannianMetric):
@@ -36,19 +33,16 @@ class InvariantMetric(RiemannianMetric):
         Inner product on the algebra in basis coordinates; identity by default.
         DomainError unless it is symmetric within ``base.ATOL`` entry for
         entry and positive definite.
-    n_steps : int, optional
-        ``None`` (the default) integrates each geodesic adaptively to the
-        tolerance ``numerical._INTEGRATION_TOL`` = 3e-10 and raises
-        :class:`ConvergenceError` if a member needs more than 10000 steps;
-        an integer takes that many fixed RK4 steps per unit of geodesic time.
+
+    Geodesics are integrated by :func:`numerical.dormand_prince`, to its
+    stated accuracy.
     """
 
-    def __init__(self, group, side="left", inner_matrix=None, n_steps=None):
+    def __init__(self, group, side="left", inner_matrix=None):
         super().__init__(group)
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.side = side
-        self.n_steps = None if n_steps is None else int(n_steps)
         self.basis = group.lie_algebra_basis()
         m = self.basis.shape[0]
         if inner_matrix is None:
@@ -110,10 +104,7 @@ class InvariantMetric(RiemannianMetric):
             dg = g @ xi_hat if self.side == "left" else xi_hat @ g
             return dg, self._momentum_rate(mu, xi)
 
-        if self.n_steps is None:
-            g, _ = dormand_prince(rates, (g, mu), mu.ndim - 1)
-        else:
-            g, _ = rk4(rates, (g, mu), self.n_steps)
+        g, _ = dormand_prince(rates, (g, mu), mu.ndim - 1)
         return self.manifold.project(g)
 
     def _tangent_basis_at(self, base_point):

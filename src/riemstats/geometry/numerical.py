@@ -3,13 +3,9 @@
 Three generic tools over a coordinate chart or an embedded manifold:
 
 * geodesics by integration of the geodesic equation
-  ``x'' + Gamma(x)(x', x') = 0``. By default :func:`dormand_prince` takes
-  adaptive steps, per batch member, to the relative tolerance
-  ``_INTEGRATION_TOL`` = 3e-10; an explicit step count runs the fixed-step
-  :func:`rk4` instead. The invariant metrics share both integrators.
-  :func:`dormand_prince` holds the state of the whole batch in one flat
-  vector and evaluates every stage on all of it, so a member that has
-  reached t = 1 takes zero-length steps until the last member finishes;
+  ``x'' + Gamma(x)(x', x') = 0`` with :func:`dormand_prince`, whose
+  docstring states the accuracy contract; the invariant metrics integrate
+  with it too;
 * logarithms by shooting (damped Gauss-Newton on the exp residual);
 * parallel transport by the pole ladder, which is exact on symmetric
   spaces up to the accuracy of the exp/log maps used per rung.
@@ -167,36 +163,13 @@ def christoffels_from_metric(metric_matrix_fn, dim):
     return _MetricChristoffels(metric_matrix_fn, dim)
 
 
-def _finite(state):
-    if not all(np.all(np.isfinite(s)) for s in state):
-        raise DomainError(_LEFT_DOMAIN)
-
-
-def rk4(rates, state, n_steps):
-    """Classical fixed-step Runge-Kutta over unit time.
-
-    ``state`` is a tuple of arrays and ``rates(*state)`` returns their time
-    derivatives as a tuple of the same shapes; four rate evaluations per
-    step. Raises :class:`DomainError` as soon as a step is not finite.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    h = 1.0 / n_steps
-    for _ in range(n_steps):
-        k1 = rates(*state)
-        k2 = rates(*(s + 0.5 * h * k for s, k in zip(state, k1)))
-        k3 = rates(*(s + 0.5 * h * k for s, k in zip(state, k2)))
-        k4 = rates(*(s + h * k for s, k in zip(state, k3)))
-        state = tuple(
-            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        )
-        _finite(state)
-    return state
-
-
 def dormand_prince(rates, state, batch_ndim):
     """Adaptive Dormand-Prince 5(4) over unit time, with steps chosen per batch member.
+
+    The one geodesic integrator of the library, and its contract: each batch
+    member takes its own steps, each with a local error of at most
+    ``_INTEGRATION_TOL`` = 3e-10 relative to ``1 + |state|``, and
+    :class:`ConvergenceError` is raised past ``_MAX_STEPS`` = 10000 steps.
 
     ``state`` is a tuple of arrays sharing ``batch_ndim`` leading batch axes,
     and ``rates(*state)`` returns their time derivatives as a tuple of the
@@ -289,20 +262,13 @@ def _combine(coeffs, ks, h):
     return total
 
 
-def exp_by_integration(christoffels, base_coords, velocity_coords, n_steps=None):
-    """Chart exponential map: integration of the geodesic equation.
+def exp_by_integration(christoffels, base_coords, velocity_coords):
+    """Chart exponential map: integration of the geodesic equation by :func:`dormand_prince`.
 
     Each rate evaluation asks the field for the acceleration term alone,
     ``christoffels(coords, velocity) = Gamma(v, v)``, so a field from
     :func:`christoffels_from_metric` never builds the ``(dim, dim, dim)``
     tensor; a field wrapping a closed-form tensor evaluates and contracts it.
-
-    ``n_steps=None`` (the default) integrates adaptively with
-    :func:`dormand_prince`, to a per-step error of ``_INTEGRATION_TOL`` = 3e-10
-    relative to ``1 + |state|``, each batch member with its own steps; it
-    raises :class:`ConvergenceError` if a member needs more than
-    ``_MAX_STEPS`` = 10000 steps. An integer ``n_steps`` takes that many fixed
-    RK4 steps (:func:`rk4`), which converge as O(n^-4).
     """
     x, v = np.broadcast_arrays(
         np.asarray(base_coords, dtype=float), np.asarray(velocity_coords, dtype=float)
@@ -311,9 +277,7 @@ def exp_by_integration(christoffels, base_coords, velocity_coords, n_steps=None)
     def rates(coords, velocity):
         return velocity, -christoffels(coords, velocity)
 
-    if n_steps is None:
-        return dormand_prince(rates, (x, v), x.ndim - 1)[0]
-    return rk4(rates, (x, v), n_steps)[0]
+    return dormand_prince(rates, (x, v), x.ndim - 1)[0]
 
 
 def log_by_shooting(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from .base import Manifold, RiemannianMetric, _rng, _sample_shape
+from .base import ATOL, Manifold, RiemannianMetric, _rng, _sample_shape
 from .invariant import InvariantMetric
 from .rotations import SOBiInvariantMetric, SpecialOrthogonal
 
@@ -118,21 +118,23 @@ class SpecialEuclidean(Manifold):
     def canonical_left_metric(self):
         return SECanonicalLeftMetric(self)
 
-    def invariant_metric(self, side="left", inner_matrix=None, n_steps=None):
+    def invariant_metric(self, side="left", inner_matrix=None):
         """Invariant metric for a given algebra inner product.
 
-        The canonical case (left, identity matrix) returns the closed-form
-        product metric; anything else integrates geodesics numerically with
-        :class:`InvariantMetric`: adaptively to a per-step error of 3e-10
-        when ``n_steps`` is ``None`` (the default), raising
-        :class:`ConvergenceError` past 10000 steps, or with ``n_steps``
-        fixed RK4 steps.
+        The canonical case returns the closed-form product metric: side
+        "left" with no matrix, or a ``(dim, dim)`` one equal to the identity
+        within ``base.ATOL`` entry for entry (one flat ``max``, the
+        ``_symmetric`` rule). Anything else goes to :class:`InvariantMetric`,
+        which checks the matrix and integrates geodesics numerically.
         """
+        identity = np.eye(self.dim)
         if side == "left" and (
-            inner_matrix is None or np.allclose(inner_matrix, np.eye(self.dim))
+            inner_matrix is None
+            or np.shape(inner_matrix) == identity.shape
+            and np.abs(np.asarray(inner_matrix, dtype=float) - identity).max() <= ATOL
         ):
             return SECanonicalLeftMetric(self)
-        return InvariantMetric(self, side=side, inner_matrix=inner_matrix, n_steps=n_steps)
+        return InvariantMetric(self, side=side, inner_matrix=inner_matrix)
 
 
 class SECanonicalLeftMetric(RiemannianMetric):

@@ -167,25 +167,33 @@ class TestGeodesicAcceleration:
         np.testing.assert_allclose(field(coords, vel), expected, rtol=0.0, atol=1e-12)
 
     def test_integration_builds_no_tensor(self, monkeypatch):
-        """No ``inv`` and no tensor; ``2 * dim + 1`` metric evaluations per rate."""
-        calls = []
+        """No ``inv`` and no tensor; ``2 * dim + 1`` metric evaluations per rate
+        evaluation, and ``1 + 6k`` rate evaluations for ``k`` adaptive steps."""
+        calls, rate_calls = [], []
 
         def counted_metric(coords):
             calls.append(coords.shape)
             return sphere_metric_matrix(coords)
+
+        contract = numerical._MetricChristoffels._contract
+
+        def counted_contract(self, coords, velocity):
+            rate_calls.append(coords.shape)
+            return contract(self, coords, velocity)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the integration path builds the Christoffel tensor")
 
         monkeypatch.setattr(np.linalg, "inv", forbidden)
         monkeypatch.setattr(ChristoffelField, "_tensor", forbidden)
+        monkeypatch.setattr(numerical._MetricChristoffels, "_contract", counted_contract)
         field = christoffels_from_metric(counted_metric, 2)
         base = np.array([[1.1, -0.4], [0.9, 0.2]])
         vel = np.array([[-0.3, 0.8], [0.5, 0.1]])
-        n_steps = 7
-        end = exp_by_integration(field, base, vel, n_steps=n_steps)
+        end = exp_by_integration(field, base, vel)
         assert end.shape == (2, 2)
-        assert len(calls) == (2 * 2 + 1) * 4 * n_steps
+        assert len(rate_calls) > 1 and (len(rate_calls) - 1) % 6 == 0
+        assert len(calls) == (2 * 2 + 1) * len(rate_calls)
 
     def test_singular_metric_is_domain_exit(self):
         """At the pole of the S^2 chart (theta = 0) the metric matrix is singular."""
@@ -229,21 +237,24 @@ class TestExpByIntegration:
             base = np.array([rng.uniform(1.0, np.pi - 1.0), rng.uniform(-1.0, 1.0)])
             vel = rng.standard_normal(2)
             vel = 0.5 * vel / np.linalg.norm(vel)
-            end = exp_by_integration(self.gamma, base, vel, n_steps=100)
+            end = exp_by_integration(self.gamma, base, vel)
             expected = sphere.exp(chart_pushforward(base, vel), chart_to_xyz(base))
             np.testing.assert_allclose(chart_to_xyz(end), expected, atol=1e-6)
 
-    def test_converges_with_step_count(self):
+    def test_error_falls_with_tolerance(self, monkeypatch):
+        """The end-point error follows the step tolerance: below it at each
+        setting, and cut by more than 30 for each 100-fold tighter setting."""
         base = np.array([1.0, 0.2])
         vel = np.array([0.4, 0.9])
         sphere = Hypersphere(2).metric
         expected = sphere.exp(chart_pushforward(base, vel), chart_to_xyz(base))
         errs = []
-        for n_steps in (10, 20, 40):
-            end = exp_by_integration(self.gamma, base, vel, n_steps=n_steps)
+        for tol in (1e-5, 1e-7, 1e-9):
+            monkeypatch.setattr(numerical, "_INTEGRATION_TOL", tol)
+            end = exp_by_integration(self.gamma, base, vel)
             errs.append(np.max(np.abs(chart_to_xyz(end) - expected)))
-        # RK4: each doubling cuts the error by about 16.
-        assert errs[1] < errs[0] / 8 and errs[2] < errs[1] / 8
+            assert errs[-1] < tol
+        assert errs[1] < errs[0] / 30 and errs[2] < errs[1] / 30
 
     def test_batch_equals_loop(self):
         gamma_fd = christoffels_from_metric(sphere_metric_matrix, 2)
@@ -259,8 +270,8 @@ class TestExpByIntegration:
         base = np.array([1.1, -0.4])
         vel = np.array([-0.3, 0.8])
         np.testing.assert_allclose(
-            exp_by_integration(gamma_fd, base, vel, n_steps=100),
-            exp_by_integration(self.gamma, base, vel, n_steps=100),
+            exp_by_integration(gamma_fd, base, vel),
+            exp_by_integration(self.gamma, base, vel),
             atol=1e-6,
         )
 
@@ -281,19 +292,15 @@ def _chart_geodesics_inside(rng, count, max_speed, margin):
 
 
 class TestAdaptiveIntegration:
-    """The default ``n_steps=None`` integrates with ``dormand_prince``."""
+    """Geodesics integrate with ``dormand_prince``."""
 
-    def test_chart_is_at_least_as_accurate_as_rk4_100(self):
+    def test_chart_matches_closed_form_within_1e_8(self):
         rng = np.random.default_rng(21)
         base, vel, expected = _chart_geodesics_inside(rng, 300, 1.5, 0.3)
         assert len(base) >= 100
         field = christoffels_from_metric(sphere_metric_matrix, 2)
-        errors = [
-            np.max(np.abs(chart_to_xyz(exp_by_integration(field, base, vel, **kw)) - expected))
-            for kw in ({}, {"n_steps": 100})
-        ]
-        assert errors[0] <= errors[1]
-        assert errors[0] < 1e-8
+        end = exp_by_integration(field, base, vel)
+        assert np.max(np.abs(chart_to_xyz(end) - expected)) < 1e-8
 
     def test_chart_batch_equals_loop_bit_for_bit(self):
         rng = np.random.default_rng(22)
@@ -302,23 +309,32 @@ class TestAdaptiveIntegration:
         looped = np.stack([exp_by_integration(field, b, v) for b, v in zip(base, vel)])
         np.testing.assert_array_equal(exp_by_integration(field, base, vel), looped)
 
-    def test_default_paths_never_reach_rk4(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("rk4 reached")
+    @pytest.mark.parametrize("path", ["chart_exp", "invariant_exp", "invariant_log"])
+    def test_every_geodesic_path_runs_dormand_prince(self, monkeypatch, path):
+        """Each geodesic without a closed form is integrated by ``dormand_prince``."""
+        calls = []
 
-        monkeypatch.setattr(numerical, "rk4", forbidden)
-        monkeypatch.setattr(invariant, "rk4", forbidden)
-        field = ChristoffelField(sphere_christoffels_closed_form, 2)
-        base, vel = np.array([1.0, 0.5]), np.array([0.1, 0.2])
-        exp_by_integration(field, base, vel)
+        def counted(rates, state, batch_ndim):
+            calls.append(batch_ndim)
+            return dormand_prince(rates, state, batch_ndim)
+
+        monkeypatch.setattr(numerical, "dormand_prince", counted)
+        monkeypatch.setattr(invariant, "dormand_prince", counted)
         se3 = SpecialEuclidean(3)
         vec = 0.3 * se3.lie_algebra_basis()[0]
-        metric = se3.invariant_metric("right")
-        metric.log(metric.exp(vec, se3.identity), se3.identity)
-        with pytest.raises(AssertionError, match="rk4 reached"):
-            exp_by_integration(field, base, vel, n_steps=10)
-        with pytest.raises(AssertionError, match="rk4 reached"):
-            se3.invariant_metric("right", n_steps=10).exp(vec, se3.identity)
+        if path == "chart_exp":
+            field = ChristoffelField(sphere_christoffels_closed_form, 2)
+            exp_by_integration(field, np.array([1.0, 0.5]), np.array([0.1, 0.2]))
+        elif path == "invariant_exp":
+            se3.invariant_metric("left", np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])).exp(
+                vec, se3.identity
+            )
+        else:
+            metric = se3.invariant_metric("right")
+            target = metric.exp(vec, se3.identity)
+            calls.clear()
+            metric.log(target, se3.identity)
+        assert calls
 
     def test_step_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(numerical, "_MAX_STEPS", 2)
@@ -377,24 +393,6 @@ class TestAdaptiveIntegration:
         np.testing.assert_allclose(out, 1.0, rtol=0.0, atol=1e-15)
 
 
-class TestStepCount:
-    """Both RK4 users reject a step count below one instead of dividing by it."""
-
-    @pytest.mark.parametrize("n_steps", [0, -3])
-    def test_exp_by_integration(self, n_steps):
-        gamma = ChristoffelField(sphere_christoffels_closed_form, 2)
-        with pytest.raises(ValueError):
-            exp_by_integration(gamma, np.array([1.0, 0.5]), np.array([0.1, 0.2]), n_steps=n_steps)
-
-    @pytest.mark.parametrize("n_steps", [0, -3])
-    def test_invariant_metric_exp(self, n_steps):
-        se3 = SpecialEuclidean(3)
-        metric = InvariantMetric(se3, side="right", n_steps=n_steps)
-        vec = 0.3 * se3.lie_algebra_basis()[0]
-        with pytest.raises(ValueError):
-            metric.exp(vec, se3.identity)
-
-
 class TestInvariantMomentumRate:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_matches_three_operand_einsum(self, side):
@@ -416,7 +414,7 @@ class TestLogByShooting:
     gamma = ChristoffelField(sphere_christoffels_closed_form, 2)
 
     def _exp(self, vel, base):
-        return exp_by_integration(self.gamma, base, vel, n_steps=100)
+        return exp_by_integration(self.gamma, base, vel)
 
     def test_target_equals_base(self):
         base = np.array([1.0, 0.3])
@@ -426,7 +424,7 @@ class TestLogByShooting:
         flat_gamma = ChristoffelField(lambda c: np.zeros(c.shape[:-1] + (2, 2, 2)), 2)
 
         def flat_exp(vel, base):
-            return exp_by_integration(flat_gamma, base, vel, n_steps=10)
+            return exp_by_integration(flat_gamma, base, vel)
 
         base = np.array([0.1, 0.2])
         target = np.array([1.4, -0.5])

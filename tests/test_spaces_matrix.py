@@ -558,7 +558,7 @@ class TestInvariantMetric:
     def test_canonical_case_matches_closed_form(self):
         rng = np.random.default_rng(14)
         canon = self.se3.canonical_left_metric
-        integ = InvariantMetric(self.se3, side="left", n_steps=100)
+        integ = InvariantMetric(self.se3, side="left")
         base = self.se3.random_point(rng=rng)
         vec = canon.random_tangent(base, rng=rng)
         vec = vec / canon.norm(vec, base)
@@ -572,6 +572,24 @@ class TestInvariantMetric:
         assert isinstance(
             self.se3.invariant_metric("left", np.diag([1, 1, 1, 2, 2, 2.0])), InvariantMetric
         )
+
+    @pytest.mark.parametrize("case", ["wrong_shape", "near_identity", "identity_within_atol"])
+    def test_invariant_metric_factory_takes_closed_form_only_at_identity(self, case):
+        """Only a 6x6 matrix equal to the identity within ``base.ATOL`` entry
+        for entry gets the closed form; any other goes to ``InvariantMetric``,
+        whose shape check raises."""
+        from riemstats.geometry import SECanonicalLeftMetric
+
+        if case == "wrong_shape":
+            with pytest.raises(DomainError, match="^inner_matrix must be 6x6$"):
+                self.se3.invariant_metric("left", np.eye(3))
+        elif case == "near_identity":
+            near = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1.0 + 5e-6])
+            assert type(self.se3.invariant_metric("left", near)) is InvariantMetric
+        else:
+            assert isinstance(
+                self.se3.invariant_metric("left", np.eye(6) + 1e-12), SECanonicalLeftMetric
+            )
 
     def test_anisotropic_round_trip(self):
         rng = np.random.default_rng(15)
@@ -602,7 +620,7 @@ class TestInvariantMetric:
     def test_so3_invariant_equals_bi_invariant(self):
         rng = np.random.default_rng(17)
         so3 = SpecialOrthogonal(3)
-        integ = InvariantMetric(so3, n_steps=100)
+        integ = InvariantMetric(so3)
         base = so3.random_point(rng=rng)
         vec = so3.metric.random_tangent(base, rng=rng)
         np.testing.assert_allclose(
@@ -611,8 +629,8 @@ class TestInvariantMetric:
 
 
 class TestAdaptiveInvariantGeodesics:
-    """The default ``n_steps=None`` integrates adaptively: at least as accurate
-    as 100 RK4 steps against closed forms, and a batch equals its loop."""
+    """Adaptive integration matches closed forms within 5e-10, and a batch
+    equals its loop."""
 
     se3 = SpecialEuclidean(3)
     weights = np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
@@ -623,21 +641,16 @@ class TestAdaptiveInvariantGeodesics:
         scale = rng.uniform(0.2, max_norm, len(base)) / metric.norm(vec, base)
         return vec * scale[:, None, None]
 
-    def _assert_no_worse_than_rk4(self, integrated, fixed, closed, base, vec):
-        expected = closed.exp(vec, base)
-        errors = [np.max(np.abs(m.exp(vec, base) - expected)) for m in (integrated, fixed)]
-        assert errors[0] <= errors[1]
-        assert errors[0] < 5e-10
+    def _assert_matches_closed_form(self, integrated, closed, base, vec):
+        assert np.max(np.abs(integrated.exp(vec, base) - closed.exp(vec, base))) < 5e-10
 
     def test_weighted_se3_matches_canonical_metric(self):
         rng = np.random.default_rng(51)
         canon = self.se3.canonical_left_metric
         base = self.se3.random_point(20, rng)
         vec = self._tangents(canon, base, rng, 3.0)
-        self._assert_no_worse_than_rk4(
-            self.se3.invariant_metric("left", self.weights),
-            self.se3.invariant_metric("left", self.weights, n_steps=100),
-            canon, base, vec,
+        self._assert_matches_closed_form(
+            self.se3.invariant_metric("left", self.weights), canon, base, vec
         )
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -646,11 +659,7 @@ class TestAdaptiveInvariantGeodesics:
         so3 = SpecialOrthogonal(3)
         base = so3.random_point(20, rng)
         vec = self._tangents(so3.metric, base, rng, 3.0)
-        self._assert_no_worse_than_rk4(
-            InvariantMetric(so3, side=side),
-            InvariantMetric(so3, side=side, n_steps=100),
-            so3.metric, base, vec,
-        )
+        self._assert_matches_closed_form(InvariantMetric(so3, side=side), so3.metric, base, vec)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_se3_batch_equals_loop_bit_for_bit(self, side):
