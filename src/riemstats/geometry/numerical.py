@@ -174,14 +174,15 @@ def dormand_prince(rates, state, batch_ndim):
     ``state`` is a tuple of arrays sharing ``batch_ndim`` leading batch axes,
     and ``rates(*state)`` returns their time derivatives as a tuple of the
     same shapes. The batch is flattened to one axis of length ``n``, an
-    unbatched state to one of length 1, and the whole state is held in one
-    flat float64 vector: component after component, each a contiguous block
-    of shape ``(n,) + tail``, so that a stage is one array operation per
-    Runge-Kutta coefficient, whatever the number of components. ``rates``
-    gets a view of each block. Every stage is evaluated on the whole batch:
-    a member that has reached t = 1 still takes zero-length steps. So each
-    member takes the steps, and gets the bits, it would get on its own, as
-    far as ``rates`` computes each member independently of the others.
+    unbatched state to one of length 1, and the state of the ``m <= n``
+    members that have not reached t = 1 is held in one flat float64 vector:
+    component after component, each a contiguous block of shape
+    ``(m,) + tail``, so that a stage is one array operation per Runge-Kutta
+    coefficient, whatever the number of components. ``rates`` gets a view of
+    each block, so it sees only the unfinished members, ``m`` falling as
+    they finish, and must compute each member independently of the others.
+    Then each member takes the steps, and gets the bits, it would get on its
+    own.
 
     A member accepts a step when the largest entry of the error estimate,
     each divided by ``_INTEGRATION_TOL * (1 + max(|y|, |y_new|))``, is at
@@ -198,23 +199,31 @@ def dormand_prince(rates, state, batch_ndim):
     n = int(np.prod(batch))
     tails = [s.shape[batch_ndim:] for s in state]
     widths = [int(np.prod(tail)) for tail in tails]
-    ends = np.cumsum([n * width for width in widths]).tolist()
-    blocks = [slice(end - n * width, end) for end, width in zip(ends, widths)]
-    # member[i] is the batch member that owns entry i of the flat state.
-    member = np.concatenate([np.repeat(np.arange(n), width) for width in widths])
 
-    def flat_rates(y):
-        ks = rates(*(y[block].reshape((n,) + tail) for block, tail in zip(blocks, tails)))
-        return np.concatenate([np.reshape(k, (n * w,)) for k, w in zip(ks, widths)])
+    def layout(m):
+        """The component blocks of a flat state of ``m`` members, and each entry's member."""
+        ends = np.cumsum([m * width for width in widths]).tolist()
+        blocks = [slice(end - m * width, end) for end, width in zip(ends, widths)]
+        return blocks, np.concatenate([np.repeat(np.arange(m), width) for width in widths])
+
+    def flat_rates(y):  # on the current layout: m members in blocks
+        ks = rates(*(y[block].reshape((m,) + tail) for block, tail in zip(blocks, tails)))
+        return np.concatenate([np.reshape(k, (m * w,)) for k, w in zip(ks, widths)])
 
     y = np.concatenate([np.reshape(s, (n * w,)) for s, w in zip(state, widths)], dtype=float)
-    t = np.zeros(n)
-    step = np.full(n, _FIRST_STEP)
+    out = np.empty_like(y)
+    m = n
+    blocks, member = layout(m)
+    out_blocks = blocks
+    # place[i] is the entry of ``out`` that entry i of the unfinished members' state fills.
+    place = np.arange(y.size)
+    t = np.zeros(m)
+    step = np.full(m, _FIRST_STEP)
     k_first = flat_rates(y)
     for _ in range(_MAX_STEPS):
-        remaining = 1.0 - t
-        if not np.any(remaining > 0.0):
+        if not m:
             break
+        remaining = 1.0 - t
         last = step >= remaining
         step = np.where(last, remaining, step)
         h = step[member]
@@ -228,9 +237,9 @@ def dormand_prince(rates, state, batch_ndim):
         # The last stage is the fifth-order solution.
         scale = _INTEGRATION_TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
         ratio = np.abs(_combine(_DP_ERROR, ks, h)) / scale
-        err = np.zeros(n)
+        err = np.zeros(m)
         for block, width in zip(blocks, widths):
-            err = np.maximum(err, np.max(ratio[block].reshape(n, width), axis=1))
+            err = np.maximum(err, np.max(ratio[block].reshape(m, width), axis=1))
         if not np.isfinite(err).all():  # the last stage's rates enter only the estimate
             raise DomainError(_LEFT_DOMAIN)
         accept = err <= 1.0
@@ -239,14 +248,23 @@ def dormand_prince(rates, state, batch_ndim):
         y = np.where(keep, y_new, y)
         k_first = np.where(keep, ks[-1], k_first)
         step = step * np.clip(0.9 * np.maximum(err, 1e-10) ** -0.2, 0.2, 5.0)
-    else:
-        residual = float(np.max(1.0 - t))
-        if residual > 0.0:
-            raise ConvergenceError(
-                f"geodesic integration did not reach t = 1 in {_MAX_STEPS} steps",
-                residual=residual,
-            )
-    return tuple(y[block].reshape(batch + tail) for block, tail in zip(blocks, tails))
+        done = t >= 1.0
+        if done.any():
+            # Finished members leave the state: their entries go to ``out``
+            # once, and the next steps run on the others only.
+            finished = done[member]
+            out[place[finished]] = y[finished]
+            running = ~finished
+            y, k_first, place = y[running], k_first[running], place[running]
+            t, step = t[~done], step[~done]
+            m = t.size
+            blocks, member = layout(m)
+    if m:
+        raise ConvergenceError(
+            f"geodesic integration did not reach t = 1 in {_MAX_STEPS} steps",
+            residual=float(np.max(1.0 - t)),
+        )
+    return tuple(out[block].reshape(batch + tail) for block, tail in zip(out_blocks, tails))
 
 
 def _combine(coeffs, ks, h):

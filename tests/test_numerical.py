@@ -115,7 +115,11 @@ class TestSolveMetric:
         end = exp_by_integration(field, base, vel)
         expected = spherical_to_xyz(base) + spherical_pushforward(base, vel)
         np.testing.assert_allclose(spherical_to_xyz(end), expected, atol=1e-9)
-        assert solved and all(shape == (20, 3, 3) for shape in solved)
+        # One stacked solve per rate evaluation, over the members still running.
+        assert solved and solved[0] == (20, 3, 3)
+        assert all(len(shape) == 3 and shape[1:] == (3, 3) and 1 <= shape[0] <= 20
+                   for shape in solved)
+        assert all(b[0] <= a[0] for a, b in zip(solved, solved[1:]))
 
 
 class TestChristoffels:
@@ -335,6 +339,60 @@ class TestAdaptiveIntegration:
             calls.clear()
             metric.log(target, se3.identity)
         assert calls
+
+    def test_batch_work_is_the_sum_of_solo_work(self):
+        """Finished members leave the batch: its rate evaluations, counted per
+        member, are those of its members run one by one, with the same bits."""
+        rng = np.random.default_rng(24)
+        base, vel, _ = _chart_geodesics_inside(rng, 30, 1.5, 0.3)
+        field = christoffels_from_metric(sphere_metric_matrix, 2)
+        sizes = []
+
+        def counted(coords, velocity):
+            sizes.append(len(coords))
+            return field(coords, velocity)
+
+        looped, solo = [], []
+        for b, v in zip(base, vel):
+            sizes.clear()
+            looped.append(exp_by_integration(counted, b, v))
+            solo.append(sum(sizes))
+        assert min(solo) < max(solo)  # the members need different numbers of steps
+        sizes.clear()
+        np.testing.assert_array_equal(exp_by_integration(counted, base, vel), np.stack(looped))
+        assert sum(sizes) == sum(solo)
+
+    @pytest.mark.parametrize("cap", [3, 2])
+    def test_step_cap_counts_steps_up_to_the_last(self, monkeypatch, cap):
+        """``y' = 1`` takes the steps 0.1, 0.5 and 0.4: a cap of 3 steps is
+        enough, and a cap of 2 leaves the time 0.4 as the residual."""
+
+        def rates(y):
+            return (np.ones_like(y),)
+
+        (uncapped,) = dormand_prince(rates, (np.zeros((3, 2)),), 1)
+        monkeypatch.setattr(numerical, "_MAX_STEPS", cap)
+        if cap == 3:
+            (out,) = dormand_prince(rates, (np.zeros((3, 2)),), 1)
+            np.testing.assert_array_equal(out, uncapped)
+        else:
+            with pytest.raises(ConvergenceError) as info:
+                dormand_prince(rates, (np.zeros((3, 2)),), 1)
+            assert info.value.residual == pytest.approx(0.4, abs=1e-15)
+
+    def test_late_domain_exit_raises_after_others_finish(self):
+        """A member whose rates turn non-finite after the others have finished
+        still raises: here ``x' = 0`` ends in 3 steps, while ``x' = 5x`` from
+        1 passes the bound 50 near t = 0.78 after many more."""
+        sizes = []
+
+        def rates(x, c):
+            sizes.append(len(x))
+            return np.where(x > 50.0, np.inf, c * x), np.zeros_like(c)
+
+        with pytest.raises(DomainError, match="non-finite state"):
+            dormand_prince(rates, (np.ones((2, 1)), np.array([[0.0], [5.0]])), 1)
+        assert sizes[:19] == [2] * 19 and set(sizes[19:]) == {1}
 
     def test_step_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(numerical, "_MAX_STEPS", 2)
