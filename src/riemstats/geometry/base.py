@@ -174,8 +174,11 @@ class RiemannianMetric(ABC):
     transport along an initial velocity in ``_transport``, whose defaults
     are the squared norm of the log and the pole ladder. An end point goes
     to ``_transport_to``, by default ``_transport`` of the tangency-checked
-    log; only a closed form that skips the log overrides it. The public
-    ``inner_product``, ``exp``, ``log``, ``squared_dist``, ``dist`` and
+    log; only a closed form that skips the log overrides it. A log and the
+    squared distance of the same pair come together from
+    ``_log_and_squared_dist``, which composes the two hooks; a metric whose
+    two share a decomposition overrides it and takes ``_log`` from it. The
+    public ``inner_product``, ``exp``, ``log``, ``squared_dist``, ``dist`` and
     ``parallel_transport`` share one rule, ``_checked``: ``_inputs`` raises
     ShapeError on a wrong trailing shape or batch axes that do not
     broadcast and DomainError on a non-finite entry; ``exp`` and
@@ -344,6 +347,15 @@ class RiemannianMetric(ABC):
         """Squared-distance hook: finite float64 points; the squared norm of the log."""
         log = self._log(point_b, point_a)
         return self._inner_product(log, log, point_a)
+
+    def _log_and_squared_dist(self, point, base_point):
+        """``(_log(point, base_point), _squared_dist(base_point, point))``: the
+        Karcher flow's logs and variance terms. Without a closed-form
+        ``_squared_dist``, the squared norm of the one log is that hook's value."""
+        log = self._log(point, base_point)
+        if type(self)._squared_dist is RiemannianMetric._squared_dist:
+            return log, self._inner_product(log, log, base_point)
+        return log, self._squared_dist(base_point, point)
 
     def dist(self, point_a, point_b):
         """``sqrt(squared_dist)``.

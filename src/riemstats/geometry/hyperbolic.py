@@ -112,12 +112,16 @@ class HyperboloidMetric(RiemannianMetric):
         return np.cosh(r)[..., None] * base_point + sinhc[..., None] * tangent_vec
 
     def _log(self, point, base_point):
+        return self._log_and_squared_dist(point, base_point)[0]
+
+    def _log_and_squared_dist(self, point, base_point):
         """``d / sinh(d) (y - cosh(d) x)``: ``d`` from ``_squared_dist``, not the
         Minkowski norm of ``y - cosh(d) x``, which cancels entries of size ``cosh(d)^2``."""
-        d = np.sqrt(self._squared_dist(point, base_point))
+        sq = self._squared_dist(base_point, point)
+        d = np.sqrt(sq)
         small = d < _SERIES_THRESHOLD
         factor = np.where(small, 1.0 - d**2 / 6.0, d / np.where(small, 1.0, np.sinh(d)))
-        return factor[..., None] * (point - np.cosh(d)[..., None] * base_point)
+        return factor[..., None] * (point - np.cosh(d)[..., None] * base_point), sq
 
     def _squared_dist(self, point_a, point_b):
         """``d^2``: ``d = 2 asinh(sqrt(q) / 2)``, ``q = <a - b, a - b>_M = 2 (cosh d - 1)``.
@@ -186,13 +190,17 @@ class PoincareBallMetric(RiemannianMetric):
         return point
 
     def _log(self, point, base_point):
+        return self._log_and_squared_dist(point, base_point)[0]
+
+    def _log_and_squared_dist(self, point, base_point):
         """``(1 - ||x||^2) d u / (2 ||u||)``, ``u = (-x) (+) y``; the length ``d`` is
         ``_squared_dist``'s, as ``artanh ||u||`` loses it near the boundary."""
         direction = _mobius_add(-base_point, point)
         length = norm(direction)
-        d = np.sqrt(self._squared_dist(point, base_point))
+        sq = self._squared_dist(base_point, point)
+        d = np.sqrt(sq)
         scale = 0.5 * (1.0 - inner(base_point, base_point)) * d / np.where(length > 0.0, length, 1.0)
-        return scale[..., None] * direction
+        return scale[..., None] * direction, sq
 
     def _squared_dist(self, point_a, point_b):
         """``d = 2 asinh(||a - b|| / sqrt((1 - ||a||^2) (1 - ||b||^2)))``, symmetric bit for bit."""

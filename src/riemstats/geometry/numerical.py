@@ -239,7 +239,7 @@ def dormand_prince(rates, state, batch_ndim):
         ratio = np.abs(_combine(_DP_ERROR, ks, h)) / scale
         err = np.zeros(m)
         for block, width in zip(blocks, widths):
-            err = np.maximum(err, np.max(ratio[block].reshape(m, width), axis=1))
+            err = np.maximum(err, np.max(ratio[block].reshape(m, width), axis=1, initial=0.0))
         if not np.isfinite(err).all():  # the last stage's rates enter only the estimate
             raise DomainError(_LEFT_DOMAIN)
         accept = err <= 1.0

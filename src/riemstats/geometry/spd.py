@@ -157,10 +157,15 @@ class SPDAffineMetric(RiemannianMetric):
         return low @ middle @ linalg.transpose(low)
 
     def _log(self, point, base_point):
+        return self._log_and_squared_dist(point, base_point)[0]
+
+    def _log_and_squared_dist(self, point, base_point):
+        """L logm(S) L^T and sum_i log^2 lambda_i(S) from one frame and one ``eigh``."""
         low, inv_low = _base_frame(base_point)
         w, v = _frame_eig(inv_low, _symmetric(point, "point"))
         _require_positive(w, "point")
-        return low @ _spectral(np.log(w), v) @ linalg.transpose(low)
+        log_w = np.log(w)
+        return low @ _spectral(log_w, v) @ linalg.transpose(low), linalg.inner(log_w, log_w)
 
     def _squared_dist(self, point_a, point_b):
         _, inv_low = linalg._spd_frame(_symmetric(point_a, "point"), "point")

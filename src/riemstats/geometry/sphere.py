@@ -55,6 +55,9 @@ class SphereMetric(RiemannianMetric):
         return np.cos(angle)[..., None] * base_point + sinc[..., None] * tangent_vec
 
     def _log(self, point, base_point):
+        return self._log_and_squared_dist(point, base_point)[0]
+
+    def _log_and_squared_dist(self, point, base_point):
         cos_angle = np.clip(inner(base_point, point), -1.0, 1.0)
         flat = point - cos_angle[..., None] * base_point  # sin(angle) * direction
         sin_angle = norm(flat)
@@ -63,8 +66,9 @@ class SphereMetric(RiemannianMetric):
             raise CutLocusError("sphere log is undefined at (near-)antipodal points")
         small = angle < _SERIES_THRESHOLD
         safe_sin = np.where(small, 1.0, sin_angle)
-        factor = np.where(small, 1.0 + angle**2 / 6.0, angle / safe_sin)
-        return factor[..., None] * flat
+        sq = angle**2
+        factor = np.where(small, 1.0 + sq / 6.0, angle / safe_sin)
+        return factor[..., None] * flat, sq
 
     def _squared_dist(self, point_a, point_b):
         cos_angle = np.clip(inner(point_a, point_b), -1.0, 1.0)

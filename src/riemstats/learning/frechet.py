@@ -36,14 +36,20 @@ metric takes gradient steps only.
 
 The flow is written once, in :func:`karcher_flow`, for several means at
 once: the points are sorted into contiguous segments, one mean per segment.
-An iteration makes one ``log`` over the rows of all live segments, each row
-taken at its own segment's estimate, then one batched ``norm``. Each
-line-search round makes one batched ``exp`` for the segments still
-searching and one ``squared_dist`` over the rows of the segments whose test
-is pending; only their steps are halved, and a segment that has converged is
-frozen. Two cases call once per segment instead, passing its estimate once:
-a call that covers a single segment, and a metric whose ``prefers_shared_base``
-is set (SPD, SRV), which factors or transforms every base row it is given;
+It checks its points and starting estimates once, through the metric's
+``_inputs``, then takes logs and variances from the ``_log_and_squared_dist``
+hook (float warnings silenced, ``_result`` on both outputs): one call over
+the rows of all segments, each row at its own segment's estimate, at the
+start, and one per line-search round over the rows of the segments whose
+test is pending, after one batched ``exp`` for the segments still searching.
+Only their steps are halved, and a segment that has converged is frozen. An
+accepted candidate's logs are the next iteration's, so each point is
+decomposed once per candidate; a segment that ran out of halvings makes one
+call at its next iteration. Each iterate still goes through the public
+``exp`` and ``norm``, with their tangency and finiteness checks. Two cases
+call once per segment instead, passing its estimate once: a call that
+covers a single segment, and a metric whose ``prefers_shared_base`` is set
+(SPD, SRV), which factors or transforms every base row it is given;
 on SPD(5) K-means with k = 8 the repeated base made the fit 13% slower.
 Per-segment sums and variances are taken on contiguous slices with the
 reductions of a lone segment, and the metrics the flow batches give the
@@ -110,6 +116,8 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
     Returns a :class:`FrechetMeanResult` whose fields are arrays with one
     entry per segment.
     """
+    (points,) = metric._inputs("karcher flow", (points, "point"))
+    (inits,) = metric._inputs("karcher flow", (inits, "initial estimate"))
     expand = (...,) + (None,) * len(metric.manifold.point_shape)
     project = metric.manifold.project
     newton = metric._newton_directions
@@ -123,41 +131,54 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
         seg_weights = [weights[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         norm_weights = [w / np.sum(w) for w in seg_weights]
 
-    def per_segment(op, segs):
-        """``op(rows, estimate)`` for each of the ascending ``segs``: one array each.
+    def evaluate(segs):
+        """For each of the ascending ``segs``, the logs of its rows at its
+        estimate into ``seg_logs`` and its Frechet variance there into
+        ``current_var``.
 
-        One call over the rows of all of ``segs``, each row at its own
-        segment's estimate, split back into segments; one call per segment
-        instead when there is a single one (its estimate is passed once) or
-        the metric prefers a shared base point.
+        One ``_log_and_squared_dist`` call over the rows of all of ``segs``,
+        each row at its own segment's estimate, split back into segments; one
+        call per segment instead when there is a single one (its estimate is
+        passed once) or the metric prefers a shared base point.
         """
-        if len(segs) == 1 or metric.prefers_shared_base:
-            return [op(points[bounds[s] : bounds[s + 1]], estimates[s]) for s in segs]
-        out = op(
-            np.concatenate([points[bounds[s] : bounds[s + 1]] for s in segs]),
-            np.repeat(estimates[segs], sizes[segs], axis=0),
-        )
-        return np.split(out, np.cumsum(sizes[segs])[:-1])
+        with np.errstate(all="ignore"):
+            if len(segs) == 1 or metric.prefers_shared_base:
+                pairs = [
+                    metric._log_and_squared_dist(points[bounds[s] : bounds[s + 1]], estimates[s])
+                    for s in segs
+                ]
+            else:
+                logs, sqs = metric._log_and_squared_dist(
+                    np.concatenate([points[bounds[s] : bounds[s + 1]] for s in segs]),
+                    np.repeat(estimates[segs], sizes[segs], axis=0),
+                )
+                cuts = np.cumsum(sizes[segs])[:-1]
+                pairs = zip(np.split(logs, cuts), np.split(sqs, cuts))
+            for s, (log, sq) in zip(segs, pairs):
+                seg_logs[s] = metric._result("log", log)
+                current_var[s] = _average(metric._result("squared_dist", sq), seg_weights[s])
 
-    def variances(segs):
-        """Frechet variance of each of ``segs`` at its estimate."""
-        sqs = per_segment(lambda rows, mean: metric.squared_dist(mean, rows), segs)
-        return np.array([_average(sq, seg_weights[s]) for s, sq in zip(segs, sqs)])
-
-    estimates = np.array(inits, dtype=float)
+    estimates = np.array(inits)
     n_iter = np.zeros(n_seg, dtype=int)
     converged = np.zeros(n_seg, dtype=bool)
     step_norms = np.full(n_seg, np.inf)
-    current_var = np.full(n_seg, np.nan)  # NaN: not yet evaluated at the estimate
+    # NaN: not yet evaluated at the estimate; otherwise ``seg_logs`` holds the
+    # segment's logs there, so an accepted candidate's logs serve the next
+    # iteration.
+    current_var = np.full(n_seg, np.nan)
+    seg_logs = [None] * n_seg
     first_steps = np.full(n_seg, float(step_size))  # where each line search starts
     halved = np.zeros(n_seg, dtype=bool)  # a line search of the segment has halved
     for _ in range(max_iter):
         live = np.flatnonzero(~converged)
         n_iter[live] += 1
+        unknown = live[np.isnan(current_var[live])]
+        if len(unknown):
+            evaluate(unknown)
         # ``logs`` lives on through the line search. Freed before it, the
         # allocator trims the heap and refaults it: the benchmark's SPD(5)
         # mean then took 15.1k page faults per call instead of 3.9k, ~10% slower.
-        logs = per_segment(metric.log, live)
+        logs = [seg_logs[s] for s in live]
         tangents = np.stack(
             [np.sum(norm_weights[s][expand] * log, axis=0) for s, log in zip(live, logs)]
         )
@@ -179,16 +200,13 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
                 tangents,
             )
             tangents[positive] = directions[positive]
-        unknown = search[np.isnan(current_var[search])]
-        if len(unknown):
-            current_var[unknown] = variances(unknown)
         base, base_var = estimates[search], current_var[search]
         steps = first_steps[search]
         pending = np.arange(len(search))
         estimates[search] = project(metric.exp(steps[expand] * tangents, base))
         for _ in range(_MAX_HALVINGS):
-            var = variances(search[pending])
-            current_var[search[pending]] = var
+            evaluate(search[pending])
+            var = current_var[search[pending]]
             # Written so that a NaN variance fails the test.
             pending = pending[~(var <= base_var[pending] * (1.0 + _DECREASE_SLACK))]
             if not len(pending):

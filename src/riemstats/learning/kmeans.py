@@ -5,10 +5,11 @@ iterations assigning by distance (ties to the lowest centroid index) and
 updating centroids by Frechet means warm-started at the previous centroid,
 which keeps the inertia non-increasing. All k means of an iteration come
 from one segmented Karcher flow over the points sorted by label
-(:func:`~riemstats.learning.frechet.karcher_flow`): one ``log`` per flow
-iteration and one ``squared_dist`` per line-search round, whatever k, each
-over the rows of every cluster still in play (one call per cluster for a
-metric that prefers a shared base point, such as SPD). On the sphere the
+(:func:`~riemstats.learning.frechet.karcher_flow`): one
+``_log_and_squared_dist`` call per line-search round, whatever k, over the
+rows of every cluster still in play (one call per cluster for a metric that
+prefers a shared base point, such as SPD), whose logs serve the next flow
+iteration and whose squared distances the line search. On the sphere the
 flow takes Newton steps where a cluster's Hessian is positive definite, so a
 warm-started centroid converges in a few flow iterations. Each centroid
 equals ``frechet_mean(members, init=previous centroid)`` bit for bit. An

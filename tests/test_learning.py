@@ -125,34 +125,35 @@ class TestFrechetMean:
         assert not result.converged
 
     def test_variance_evaluated_once_per_candidate(self, monkeypatch):
-        calls = {"exp": 0, "squared_dist": 0}
+        calls = {"exp": 0, "_log_and_squared_dist": 0}
         metric = Hypersphere(2).metric
-        plain_exp, plain_squared_dist = metric.exp, metric.squared_dist
+        plain_exp, plain_fused = metric.exp, metric._log_and_squared_dist
 
         def exp(vec, base):
             calls["exp"] += 1
             return plain_exp(vec, base)
 
-        def squared_dist(*args):
-            calls["squared_dist"] += 1
-            return plain_squared_dist(*args)
+        def fused(*args):
+            calls["_log_and_squared_dist"] += 1
+            return plain_fused(*args)
 
         monkeypatch.setattr(metric, "exp", exp)
-        monkeypatch.setattr(metric, "squared_dist", squared_dist)
+        monkeypatch.setattr(metric, "_log_and_squared_dist", fused)
         rng = np.random.default_rng(8)
         data = sphere_cap(SPHERE.random_point(rng=rng), 1.2, 40, rng)
         result = frechet_mean(metric, data)
         assert result.converged and result.n_iter > 2
         # One evaluation at the start point, then one per line-search candidate.
-        assert calls["squared_dist"] == calls["exp"] + 1
+        assert calls["_log_and_squared_dist"] == calls["exp"] + 1
 
     @pytest.mark.parametrize("n_seg", [3, 5])
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("step_size", [1.0, 2.5], ids=["stops_apart", "halves"])
     def test_flow_batches_all_segments(self, monkeypatch, n_seg, weighted, step_size):
-        """One log per iteration and one squared_dist per line-search round,
-        whatever the number of segments; each segment's mean is still its
-        own frechet_mean bit for bit."""
+        """One log-and-distance call at the start and one per line-search
+        round, whatever the number of segments, and no public log or
+        squared_dist; each segment's mean is still its own frechet_mean bit
+        for bit."""
         metric = Hypersphere(2).metric
         rng = np.random.default_rng(30)
         sizes = rng.integers(5, 30, n_seg)
@@ -174,7 +175,7 @@ class TestFrechetMean:
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
 
-        calls = {"exp": 0, "log": 0, "squared_dist": 0}
+        calls = {"exp": 0, "log": 0, "squared_dist": 0, "_log_and_squared_dist": 0}
         for name in calls:
             plain = getattr(metric, name)
 
@@ -191,8 +192,8 @@ class TestFrechetMean:
         else:
             # Steps beyond twice the mean tangent overshoot, so rounds halve.
             assert calls["exp"] > result.n_iter.max()
-        assert calls["log"] == result.n_iter.max()
-        assert calls["squared_dist"] == calls["exp"] + 1
+        assert calls["log"] == calls["squared_dist"] == 0
+        assert calls["_log_and_squared_dist"] == calls["exp"] + 1
         for s, mean in enumerate(expected):
             np.testing.assert_array_equal(result.estimate[s], mean.estimate)
             assert result.n_iter[s] == mean.n_iter
@@ -200,10 +201,10 @@ class TestFrechetMean:
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
     @pytest.mark.parametrize("step_size", [1.0, 2.5], ids=["stops_apart", "halves"])
     def test_gradient_flow_batches_all_segments(self, monkeypatch, weighted, step_size):
-        """The gradient path of a metric without a Newton hook: one log per
-        iteration and one squared_dist per line-search round, whatever the
-        number of segments; each segment's mean is its own frechet_mean bit
-        for bit."""
+        """The gradient path of a metric without a Newton hook: one
+        log-and-distance call at the start and one per line-search round,
+        whatever the number of segments, and no public log or squared_dist;
+        each segment's mean is its own frechet_mean bit for bit."""
         metric = Hyperboloid(2).metric
         assert metric._newton_directions is None
         rng = np.random.default_rng(32)
@@ -221,7 +222,7 @@ class TestFrechetMean:
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
 
-        calls = {"exp": 0, "log": 0, "squared_dist": 0}
+        calls = {"exp": 0, "log": 0, "squared_dist": 0, "_log_and_squared_dist": 0}
         for name in calls:
             plain = getattr(metric, name)
 
@@ -236,8 +237,8 @@ class TestFrechetMean:
             assert result.converged.all() and len(set(result.n_iter)) > 1
         else:
             assert calls["exp"] > result.n_iter.max()
-        assert calls["log"] == result.n_iter.max()
-        assert calls["squared_dist"] == calls["exp"] + 1
+        assert calls["log"] == calls["squared_dist"] == 0
+        assert calls["_log_and_squared_dist"] == calls["exp"] + 1
         for s, mean in enumerate(expected):
             np.testing.assert_array_equal(result.estimate[s], mean.estimate)
             assert result.n_iter[s] == mean.n_iter
@@ -277,20 +278,19 @@ class TestFrechetMean:
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
 
-        base_shapes = {"log": [], "squared_dist": []}
-        for name, base_arg in (("log", 1), ("squared_dist", 0)):
-            plain = getattr(metric, name)
+        base_shapes = []
+        plain = metric._log_and_squared_dist
 
-            def counted(*args, _name=name, _plain=plain, _base_arg=base_arg):
-                base_shapes[_name].append(np.shape(args[_base_arg]))
-                return _plain(*args)
+        def counted(point, base_point):
+            base_shapes.append(np.shape(base_point))
+            return plain(point, base_point)
 
-            monkeypatch.setattr(metric, name, counted)
+        monkeypatch.setattr(metric, "_log_and_squared_dist", counted)
         result = karcher_flow(metric, data, bounds, data[bounds[:-1]], **options)
 
         assert result.converged.all()
-        assert set(base_shapes["log"]) == set(base_shapes["squared_dist"]) == {(3, 3)}
-        assert len(base_shapes["log"]) == result.n_iter.sum()
+        assert set(base_shapes) == {(3, 3)}
+        assert len(base_shapes) == result.n_iter.sum()
         for s, mean in enumerate(expected):
             np.testing.assert_array_equal(result.estimate[s], mean.estimate)
             assert result.n_iter[s] == mean.n_iter
@@ -349,6 +349,52 @@ class TestFrechetMean:
         data = np.zeros((3, 3))
         with pytest.raises(ValueError):
             frechet_mean(F_METRIC, data, weights=np.array([1.0, -1.0, 0.5]))
+
+
+def run_flow(kind, metric, points, init):
+    """``frechet_mean`` from ``init``, or a two-segment ``karcher_flow`` whose
+    segments both start at ``init``."""
+    if kind == "frechet_mean":
+        return frechet_mean(metric, points, init=init)
+    return karcher_flow(metric, points, [0, 3, len(points)], np.stack([init, init]))
+
+
+@pytest.mark.parametrize("kind", ["frechet_mean", "karcher_flow"])
+class TestFlowEntryChecks:
+    """The flow checks its points and starting estimates once, on entry, with
+    the errors of the public ops."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point(self, kind, bad):
+        rng = np.random.default_rng(40)
+        data = sphere_cap(SPHERE.random_point(rng=rng), 0.5, 6, rng)
+        data[4, 1] = bad
+        with pytest.raises(DomainError):
+            run_flow(kind, S_METRIC, data, data[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_init(self, kind, bad):
+        rng = np.random.default_rng(41)
+        data = sphere_cap(SPHERE.random_point(rng=rng), 0.5, 6, rng)
+        init = data[0].copy()
+        init[2] = bad
+        with pytest.raises(DomainError):
+            run_flow(kind, S_METRIC, data, init)
+
+    def test_wrong_trailing_shape(self, kind):
+        rng = np.random.default_rng(42)
+        data = sphere_cap(SPHERE.random_point(rng=rng), 0.5, 6, rng)
+        with pytest.raises(ShapeError):
+            run_flow(kind, S_METRIC, data[:, :2], data[0, :2])
+        with pytest.raises(ShapeError):
+            run_flow(kind, S_METRIC, data, np.append(data[0], 0.0))
+
+    def test_spd_point_that_is_not_positive_definite(self, kind):
+        spd = SPDMatrices(3)
+        data = spd.random_point(6, np.random.default_rng(43))
+        data[4] = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(DomainError):
+            run_flow(kind, spd.metric, data, data[0])
 
 
 def ring(polar, n=24):

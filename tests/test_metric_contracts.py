@@ -19,7 +19,8 @@ from riemstats import linalg
 from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError, TangencyError
 from riemstats.geometry import Manifold, RiemannianMetric, SPDMatrices, numerical
 from riemstats.geometry.base import ATOL, orthonormal_tangent_basis
-from riemstats.learning import OnlineKMeans, riemannian_gradient_descent
+from riemstats.learning import OnlineKMeans, frechet_mean, riemannian_gradient_descent
+from riemstats.learning.frechet import karcher_flow
 
 from conftest import ALL_CASES
 
@@ -251,6 +252,47 @@ def test_streaming_estimators_never_reach_the_public_ops(space_case, monkeypatch
         learning_rate=0.01, max_iter=3,
     )
     assert result.n_iter >= 1
+
+
+def _point_cloud(case, n, seed, radius=0.3):
+    """``n`` points within ``radius`` of one random base point."""
+    rng = np.random.default_rng(seed)
+    base = case.random_point(rng)
+    return case.metric.exp(case.scaled_tangents(base, n, rng, radius=radius), base)
+
+
+@pytest.mark.parametrize("case", [c for c in ALL_CASES if c.true_metric], ids=str)
+def test_karcher_flow_never_reaches_the_public_log_or_squared_dist(case, monkeypatch):
+    """The Karcher flow checks its data once, then takes each iteration's logs
+    and variances from ``_log_and_squared_dist``: the public ``log`` and
+    ``squared_dist`` never run, for one segment or several. (Its step norm
+    needs a positive-definite metric.)"""
+    metric = case.metric
+    points = _point_cloud(case, 12, 69)
+
+    def public(*args, **kwargs):
+        raise AssertionError("a public op ran")
+
+    for op in ("log", "squared_dist"):
+        monkeypatch.setattr(metric, op, public)
+    result = karcher_flow(metric, points, [0, 5, 12], points[[0, 5]], max_iter=5)
+    assert result.estimate.shape == (2,) + case.manifold.point_shape
+    assert np.all(result.n_iter >= 1)
+    assert frechet_mean(metric, points, max_iter=5).n_iter >= 1
+
+
+def test_log_and_squared_dist_is_the_log_and_the_squared_dist(space_case):
+    """``_log_and_squared_dist(p, b)`` is ``(_log(p, b), _squared_dist(b, p))``:
+    the log bit for bit, the squared distance to 1e-14 relative (the affine SPD
+    metric takes it from ``eigh``'s eigenvalues, ``_squared_dist`` from
+    ``eigvalsh``'s)."""
+    metric = space_case.metric
+    cloud = _point_cloud(space_case, 8, 70, radius=0.8)
+    base, points = cloud[0], cloud[1:]
+    for point, base_point in ((points, base), (points, cloud[:-1]), (points[0], base)):
+        log, sq = metric._log_and_squared_dist(point, base_point)
+        np.testing.assert_array_equal(log, metric._log(point, base_point))
+        np.testing.assert_allclose(sq, metric._squared_dist(base_point, point), rtol=1e-14, atol=0)
 
 
 def test_srv_exp_and_transport_skip_the_tangency_pass(monkeypatch):

@@ -380,6 +380,20 @@ class TestAdaptiveIntegration:
                 dormand_prince(rates, (np.zeros((3, 2)),), 1)
             assert info.value.residual == pytest.approx(0.4, abs=1e-15)
 
+    def test_component_with_an_empty_tail(self):
+        """A state component of zero width has no say in the step error: the
+        other component integrates as it does alone, and the empty one comes
+        back with its shape."""
+
+        def rates(a, b):
+            return np.ones_like(a), np.zeros_like(b)
+
+        (alone,) = dormand_prince(lambda a: (np.ones_like(a),), (np.zeros((3, 2)),), 1)
+        out, empty = dormand_prince(rates, (np.zeros((3, 2)), np.zeros((3, 0))), 1)
+        np.testing.assert_array_equal(out, alone)
+        np.testing.assert_allclose(out, np.ones((3, 2)), rtol=0, atol=1e-15)
+        assert empty.shape == (3, 0)
+
     def test_late_domain_exit_raises_after_others_finish(self):
         """A member whose rates turn non-finite after the others have finished
         still raises: here ``x' = 0`` ends in 3 steps, while ``x' = 5x`` from
