@@ -46,30 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError("invalid_arguments", f"{self.prog}: {message}", EXIT_SCHEMA)
 
 
-def _jsonable(value):
-    """Recursively convert numpy containers to plain JSON types."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    return value
-
-
 def _emit(payload, out=None, csv=None):
     if csv is not None:
         header, rows = csv
         lines = [header] + [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(rows)]
         text = "\n".join(lines)
     else:
-        text = json.dumps(_jsonable(payload))
+        text = json.dumps(payload, default=lambda value: value.tolist())
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -145,11 +128,10 @@ def _cmd_op(args):
 
 def _cmd_learn(args):
     from ..learning import (
+        FrechetMean,
         OnlineKMeans,
         RiemannianKMeans,
         TangentPCA,
-        frechet_mean,
-        frechet_variance,
         riemannian_gradient_descent,
     )
     from ._figures import resolve_field
@@ -164,21 +146,19 @@ def _cmd_learn(args):
         raise SchemaError("this estimator needs --data")
 
     if estimator == "mean":
-        result = frechet_mean(
-            metric, points, weights=weights, step_size=args.step_size, **limits
-        )
-        if not result.converged and not args.allow_unconverged:
+        model = FrechetMean(metric, step_size=args.step_size, **limits).fit(points, weights)
+        if not model.converged_ and not args.allow_unconverged:
             raise ConvergenceError(
                 "Frechet mean did not converge; rerun with --allow-unconverged to inspect",
-                residual=result.final_step_norm,
+                residual=model.final_step_norm_,
             )
         _emit(
             {
-                "estimate": codec.encode(result.estimate),
-                "n_iter": result.n_iter,
-                "converged": result.converged,
-                "final_step_norm": result.final_step_norm,
-                "variance": frechet_variance(metric, points, result.estimate, weights),
+                "estimate": codec.encode(model.estimate_),
+                "n_iter": model.n_iter_,
+                "converged": model.converged_,
+                "final_step_norm": model.final_step_norm_,
+                "variance": model.variance_,
             }
         )
     elif estimator == "tpca":
@@ -377,9 +357,7 @@ def run(argv):
         return args.func(args)
     except _CliError as exc:
         return _fail(exc.code, exc, exc.exit_code)
-    except SchemaError as exc:
-        return _fail(exc.code, exc, EXIT_SCHEMA)
-    except ShapeError as exc:
+    except (SchemaError, ShapeError) as exc:
         return _fail(exc.code, exc, EXIT_SCHEMA)
     except ConvergenceError as exc:
         # Non-convergence is its own failure mode for estimators; for plain

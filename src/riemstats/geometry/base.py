@@ -181,14 +181,14 @@ class RiemannianMetric(ABC):
     public ``inner_product``, ``exp``, ``log``, ``squared_dist``, ``dist`` and
     ``parallel_transport`` share one rule, ``_checked``: ``_inputs`` raises
     ShapeError on a wrong trailing shape or batch axes that do not
-    broadcast and DomainError on a non-finite entry; ``exp`` and
-    ``parallel_transport`` raise TangencyError on a vector that is not
-    tangent; the hook runs with float warnings silenced; ``_result`` raises
-    DomainError unless its output is finite. A metric built on another, and
-    an estimator that checks its data once through ``_inputs``, call the
-    hooks. ``dist`` is ``sqrt(squared_dist)``; Minkowski space alone
-    overrides it, because its squared interval is negative on timelike
-    separations, which have no real distance.
+    broadcast and DomainError on a non-finite entry; then ``_apply`` raises
+    TangencyError on a vector of ``exp`` or ``parallel_transport`` that is
+    not tangent, runs the hook with float warnings silenced, and ``_result``
+    raises DomainError unless its output is finite. A metric built on
+    another calls the hooks; an estimator checks its data once through
+    ``_inputs``, then calls ``_apply``. ``dist`` is ``sqrt(squared_dist)``;
+    Minkowski space alone overrides it, because its squared interval is
+    negative on timelike separations, which have no real distance.
     """
 
     # True when an op's work on a base point (a factorization or transform
@@ -274,17 +274,20 @@ class RiemannianMetric(ABC):
         return out
 
     def _checked(self, op, hook, *operands, tangent=False, **kwargs):
-        """``hook`` of the checked ``(array, role)`` operands, passed in order.
-
-        With ``tangent``, each tangent vector and direction must be tangent
-        at the second operand, the base point.
-        """
+        """``_apply`` of ``hook`` to the ``(array, role)`` operands that pass
+        ``_inputs``; with ``tangent``, to their tangent vectors and direction."""
         arrays = self._inputs(op, *operands)
+        if tangent:
+            tangent = [a for a, (_, role) in zip(arrays, operands) if role in _TANGENT_ROLES]
+        return self._apply(op, hook, *arrays, tangent=tangent or (), **kwargs)
+
+    def _apply(self, op, hook, *arrays, tangent=(), **kwargs):
+        """``_result`` of ``hook(*arrays)`` with float warnings silenced, on
+        finite arrays that passed ``_inputs`` or were computed from them; each
+        array in ``tangent`` must be tangent at the base point ``arrays[1]``."""
         with np.errstate(all="ignore"):
-            if tangent:
-                for array, (_, role) in zip(arrays, operands):
-                    if role in _TANGENT_ROLES:
-                        self._require_tangent(array, arrays[1])
+            for step in tangent:
+                self._require_tangent(step, arrays[1])
             return self._result(op, hook(*arrays, **kwargs))
 
     def random_tangent(self, base_point, n_samples=1, rng=None):
@@ -395,11 +398,12 @@ class RiemannianMetric(ABC):
         """Transport hook along the initial velocity ``direction``: the pole-ladder fallback."""
         from .numerical import transport_by_ladder
 
-        return transport_by_ladder(self, tangent_vec, base_point, self.exp(direction, base_point))
+        end_point = self._apply("exp", self._exp, direction, base_point)
+        return transport_by_ladder(self, tangent_vec, base_point, end_point)
 
     def _transport_to(self, tangent_vec, base_point, end_point):
         """End-point transport hook: ``_transport`` along the tangency-checked log."""
-        direction = self.log(end_point, base_point)
+        direction = self._apply("log", self._log, end_point, base_point)
         self._require_tangent(direction, base_point)
         return self._transport(tangent_vec, base_point, direction)
 
@@ -448,7 +452,7 @@ def orthonormal_tangent_basis(metric, base_point):
     has an eigenvalue below ``-n eps`` times the largest: the metric is not
     positive definite. Deterministic: the result depends only on the point.
     """
-    base_point = np.asarray(base_point, dtype=float)
+    base_point = _one_point(metric, "tangent basis", base_point, "base point")
     shape = metric.tangent_shape
     size = int(np.prod(shape))
     target = metric.tangent_dim
@@ -461,7 +465,8 @@ def orthonormal_tangent_basis(metric, base_point):
     rows = -(-size // target)  # per inner_product call: temporaries within 2 size^2
     for _ in range(2):
         gram = [
-            metric.inner_product(basis[i : i + rows, None], basis, base_point)
+            metric._apply("inner_product", metric._inner_product, basis[i : i + rows, None],
+                          basis, base_point)
             for i in range(0, target, rows)
         ]
         w, v = linalg.sym_eig(linalg.sym(np.concatenate(gram)))

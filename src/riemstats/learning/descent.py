@@ -41,8 +41,9 @@ def riemannian_gradient_descent(
 
     The start point and each ``grad`` output must be one finite point-shaped
     array (else ShapeError or DomainError, as from the public ops). Steps
-    then call the metric's hooks with float warnings silenced, keeping the
-    tangency and finiteness checks; ``fun`` and ``grad`` keep their warnings.
+    then call the metric's hooks through its ``_apply``, which checks each
+    step's tangency and each output's finiteness with float warnings
+    silenced; ``fun`` and ``grad`` keep their warnings.
 
     Parameters
     ----------
@@ -63,16 +64,14 @@ def riemannian_gradient_descent(
         raw = _one_point(metric, "gradient descent", grad(x), "gradient")
         with np.errstate(all="ignore"):
             riem_grad = manifold.to_tangent(raw, x)
-            sq_norm = metric._inner_product(riem_grad, riem_grad, x)
-        if float(np.sqrt(metric._result("inner_product", sq_norm))) < tol:
+        sq_norm = metric._apply("inner_product", metric._inner_product, riem_grad, riem_grad, x)
+        if float(np.sqrt(sq_norm)) < tol:
             converged = True
             break
         current = values[-1]
         for halvings in range(_MAX_HALVINGS + 1):
             step = -(learning_rate * 0.5**halvings) * riem_grad
-            with np.errstate(all="ignore"):
-                metric._require_tangent(step, x)
-                candidate = metric._result("exp", metric._exp(step, x))
+            candidate = metric._apply("exp", metric._exp, step, x, tangent=(step,))
             cand_value = float(fun(candidate))
             if cand_value <= current:
                 break

@@ -15,9 +15,8 @@ halved a step before and whose mean logarithm then grew: from then on it
 starts at half its previous start. A ``step_size`` above 2 / (largest
 Hessian eigenvalue) overshoots, and near round-off the variance no longer
 shows it, so restarting at the full step let the mean logarithm grow back
-each time (on the hyperboloid, with ``step_size=2.5``, 3 of 4 segments
-cycled unconverged for 100 iterations). The mean logarithm is accurate where
-the variance is not. A run that never halves keeps ``step_size`` throughout.
+each time. The mean logarithm is accurate where the variance is not. A run
+that never halves keeps ``step_size`` throughout.
 
 A metric with a closed-form Hessian of the Frechet function defines the
 hook ``_newton_directions(logs, weights, base_points, gradients)`` (the
@@ -28,29 +27,29 @@ directions and the mask of segments whose Hessian is positive definite; a
 masked segment's mean logarithm becomes its Newton direction, and
 ``step_size`` scales that direction as it scaled the gradient. Newton's
 method converges quadratically near the mean (Groisser, Adv. Appl. Math.
-2004): on the benchmark's S^5 K-means a fit takes 128 flow iterations
-instead of 538. Where a segment's Hessian is not positive definite (on the
-sphere, points past pi/2 can make it so) that segment takes the gradient
-step. The line search and the projection apply to both steps. Every other
-metric takes gradient steps only.
+2004). Where a segment's Hessian is not positive definite (on the sphere,
+points past pi/2 can make it so) that segment takes the gradient step.
+The line search and the projection apply to both steps. Every other metric
+takes gradient steps only.
 
 The flow is written once, in :func:`karcher_flow`, for several means at
 once: the points are sorted into contiguous segments, one mean per segment.
 It checks its points and starting estimates once, through the metric's
-``_inputs``, then takes logs and variances from the ``_log_and_squared_dist``
-hook (float warnings silenced, ``_result`` on both outputs): one call over
-the rows of all segments, each row at its own segment's estimate, at the
-start, and one per line-search round over the rows of the segments whose
-test is pending, after one batched ``exp`` for the segments still searching.
-Only their steps are halved, and a segment that has converged is frozen. An
-accepted candidate's logs are the next iteration's, so each point is
-decomposed once per candidate; a segment that ran out of halvings makes one
-call at its next iteration. Each iterate still goes through the public
-``exp`` and ``norm``, with their tangency and finiteness checks. Two cases
-call once per segment instead, passing its estimate once: a call that
-covers a single segment, and a metric whose ``prefers_shared_base`` is set
-(SPD, SRV), which factors or transforms every base row it is given;
-on SPD(5) K-means with k = 8 the repeated base made the fit 13% slower.
+``_inputs``, and then calls only hooks. Logs and variances come from the
+``_log_and_squared_dist`` hook (float warnings silenced, ``_result`` on both
+outputs): one call over the rows of all segments, each row at its own
+segment's estimate, at the start, and one per line-search round over the
+rows of the segments whose test is pending, after one batched ``_exp`` for
+the segments still searching. Only their steps are halved, and a segment
+that has converged is frozen. An accepted candidate's logs are the next
+iteration's, so each point is decomposed once per candidate; a segment that
+ran out of halvings makes one call at its next iteration. The candidates'
+``_exp`` and the step norms go through the metric's ``_apply``, after a
+finiteness check of the Newton directions. Two cases call once per segment
+instead, passing its estimate once: a call that covers a single segment,
+and a metric whose ``prefers_shared_base`` is set (SPD, SRV), which factors
+or transforms every base row it is given, so a repeated base would cost a
+factorization per row.
 Per-segment sums and variances are taken on contiguous slices with the
 reductions of a lone segment, and the metrics the flow batches give the
 same bits for a repeated base as for a shared one, so each segment's
@@ -70,7 +69,7 @@ import numpy as np
 # decrease a step buys, about |step|^2, falls below eps * variance (steps of
 # 1e-9 to 1.4e-8 with tol=1e-9), so a full step can "raise" the variance by
 # round-off alone: on the S^5 K-means clusters of the benchmark, by 1-3 eps
-# relative. A strict test halved such steps 338-5393 times per fit without
+# relative. A strict test halved such steps hundreds of times per fit without
 # lowering the variance; with this slack those fits never halve.
 _DECREASE_SLACK = 16 * np.finfo(float).eps
 
@@ -100,7 +99,8 @@ def _average(sq, weights):
 
 def frechet_variance(metric, points, mean, weights=None):
     """Weighted average of squared distances from ``mean`` to ``points``."""
-    return _average(metric.squared_dist(mean, points), weights)
+    sq = metric._checked("squared_dist", metric._squared_dist, (mean, "point"), (points, "point"))
+    return _average(sq, weights)
 
 
 def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1e-7,
@@ -176,13 +176,14 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
         if len(unknown):
             evaluate(unknown)
         # ``logs`` lives on through the line search. Freed before it, the
-        # allocator trims the heap and refaults it: the benchmark's SPD(5)
-        # mean then took 15.1k page faults per call instead of 3.9k, ~10% slower.
+        # allocator trims the heap and refaults it on every search.
         logs = [seg_logs[s] for s in live]
         tangents = np.stack(
             [np.sum(norm_weights[s][expand] * log, axis=0) for s, log in zip(live, logs)]
         )
-        norms = metric.norm(step_size * tangents, estimates[live])
+        scaled = step_size * tangents
+        norms = np.sqrt(metric._apply("inner_product", metric._inner_product, scaled, scaled,
+                                      estimates[live]))
         # A grown mean log after a halving: the start step overshoots.
         first_steps[live[halved[live] & (norms > step_norms[live])]] *= 0.5
         step_norms[live] = norms
@@ -199,11 +200,12 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
                 estimates[search],
                 tangents,
             )
-            tangents[positive] = directions[positive]
+            tangents[positive] = metric._result("Newton step", directions[positive])
         base, base_var = estimates[search], current_var[search]
         steps = first_steps[search]
         pending = np.arange(len(search))
-        estimates[search] = project(metric.exp(steps[expand] * tangents, base))
+        step = steps[expand] * tangents
+        estimates[search] = project(metric._apply("exp", metric._exp, step, base, tangent=(step,)))
         for _ in range(_MAX_HALVINGS):
             evaluate(search[pending])
             var = current_var[search[pending]]
@@ -213,8 +215,9 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
                 break
             steps[pending] *= 0.5
             halved[search[pending]] = True
+            step = steps[pending][expand] * tangents[pending]
             estimates[search[pending]] = project(
-                metric.exp(steps[pending][expand] * tangents[pending], base[pending])
+                metric._apply("exp", metric._exp, step, base[pending], tangent=(step,))
             )
             current_var[search[pending]] = np.nan
     return FrechetMeanResult(

@@ -17,7 +17,8 @@ emptied cluster is re-seeded with the farthest point from its old centroid.
 
 Point-to-centroid distances (seeding, assignment, ``predict`` and the
 online update) broadcast the centroids against the points: one
-``squared_dist`` call for few points, one per centroid for large batches.
+``_squared_dist`` call for few points, one per centroid for large batches.
+``fit`` and ``predict`` check their points once, then call only hooks.
 
 Online version: the streaming Riemannian mean update
 ``c <- exp_c(log_c(x) / (n + 1))``, the manifold counterpart of the running
@@ -34,6 +35,9 @@ from ..errors import CutLocusError, DomainError, ShapeError
 from ..geometry.base import _one_point
 from .frechet import karcher_flow
 
+# The Karcher flow's limits for the centroid updates.
+_MEAN_MAX_ITER = 64
+_MEAN_TOL = 1e-9
 
 # Size cap, in array elements, of the (centroids, points, *point_shape)
 # temporaries of one broadcast ``squared_dist`` call. On S^5, 8 centroids
@@ -44,7 +48,7 @@ _BROADCAST_ELEMENTS = 2**15
 
 
 def _pairwise_sq_dist(metric, points, centroids):
-    """Squared distances, shape (n_points, n_centroids).
+    """Squared distances, shape (n_points, n_centroids), of checked arrays.
 
     Each call broadcasts as many centroids against all points as keep its
     temporaries under ``_BROADCAST_ELEMENTS``: one call for all centroids
@@ -58,7 +62,7 @@ def _pairwise_sq_dist(metric, points, centroids):
     for start in range(0, len(centroids), per_call):
         group = centroids[start : start + per_call]
         group = group.reshape(group.shape[:1] + (1,) * len(batch_shape) + point_shape)
-        columns.append(metric.squared_dist(group, points))
+        columns.append(metric._apply("squared_dist", metric._squared_dist, group, points))
     return np.moveaxis(np.concatenate(columns), 0, -1)
 
 
@@ -70,15 +74,12 @@ class RiemannianKMeans:
     ``converged_``.
     """
 
-    def __init__(self, metric, n_clusters, max_iter=100, tol=1e-6, seed=0,
-                 mean_max_iter=64, mean_tol=1e-9):
+    def __init__(self, metric, n_clusters, max_iter=100, tol=1e-6, seed=0):
         self.metric = metric
         self.n_clusters = n_clusters
         self.max_iter = max_iter
         self.tol = tol
         self.seed = seed
-        self.mean_max_iter = mean_max_iter
-        self.mean_tol = mean_tol
 
     def _seed_centroids(self, points, rng):
         """k-means++ on geodesic distances, deterministic per seed."""
@@ -99,6 +100,8 @@ class RiemannianKMeans:
         n = points.shape[0]
         if not 1 <= self.n_clusters <= n:
             raise ValueError("n_clusters must be between 1 and the number of points")
+        metric = self.metric
+        (points,) = metric._inputs("k-means", (points, "point"))
         rng = np.random.default_rng(self.seed)
         centroids = self._seed_centroids(points, rng)
 
@@ -108,7 +111,7 @@ class RiemannianKMeans:
         labels = np.zeros(n, dtype=int)
         for _ in range(self.max_iter):
             n_iter += 1
-            sq = _pairwise_sq_dist(self.metric, points, centroids)
+            sq = _pairwise_sq_dist(metric, points, centroids)
             labels = np.argmin(sq, axis=-1)
             history.append(float(np.sum(np.min(sq, axis=-1))))
 
@@ -117,20 +120,21 @@ class RiemannianKMeans:
             counts = np.bincount(labels, minlength=self.n_clusters)
             filled = counts > 0
             new_centroids[filled] = karcher_flow(
-                self.metric,
+                metric,
                 points[np.argsort(labels, kind="stable")],
                 np.concatenate([[0], np.cumsum(counts[filled])]),
                 centroids[filled],
-                max_iter=self.mean_max_iter,
-                tol=self.mean_tol,
+                max_iter=_MEAN_MAX_ITER,
+                tol=_MEAN_TOL,
             ).estimate
-            movement = float(np.max(self.metric.dist(centroids, new_centroids)))
+            moved = metric._apply("squared_dist", metric._squared_dist, centroids, new_centroids)
+            movement = float(np.sqrt(np.max(np.abs(moved))))
             centroids = new_centroids
             if movement < self.tol:
                 converged = True
                 break
 
-        sq = _pairwise_sq_dist(self.metric, points, centroids)
+        sq = _pairwise_sq_dist(metric, points, centroids)
         labels = np.argmin(sq, axis=-1)
         history.append(float(np.sum(np.min(sq, axis=-1))))
 
@@ -143,8 +147,8 @@ class RiemannianKMeans:
         return self
 
     def predict(self, points):
-        sq = _pairwise_sq_dist(self.metric, np.asarray(points, dtype=float), self.centroids_)
-        return np.argmin(sq, axis=-1)
+        (points,) = self.metric._inputs("k-means", (points, "point"))
+        return np.argmin(_pairwise_sq_dist(self.metric, points, self.centroids_), axis=-1)
 
 
 class OnlineKMeans:
@@ -155,9 +159,9 @@ class OnlineKMeans:
     manifold. A sample whose logarithm does not exist at its nearest
     centroid (cut locus), or whose step is not tangent or not finite, is
     skipped and tallied in ``n_rejected_``. ``fit`` checks its whole batch
-    once, before any update, with the public ops' errors; the updates then
-    call the metric's hooks, keeping the step's tangency check and each
-    result's finiteness check.
+    once, before any update, and ``predict`` its points; the updates then
+    call the metric's hooks through its ``_apply``, which checks the step's
+    tangency and each result's finiteness.
     """
 
     def __init__(self, metric, n_clusters):
@@ -189,20 +193,21 @@ class OnlineKMeans:
         metric = self.metric
         if self.centroids_ is None:
             self.centroids_ = np.zeros((self.n_clusters,) + point.shape)
-        if np.any(self.counts_ == 0):
+        if not self.counts_.all():
             slot = int(np.argmin(self.counts_ > 0))
             self.centroids_[slot] = point
             self.counts_[slot] += 1
             return
         # The operand shapes, and so the bits, of ``_pairwise_sq_dist``.
-        sq = metric._squared_dist(self.centroids_[:, None], point[None])
-        nearest = int(np.argmin(metric._result("squared_dist", sq)[:, 0]))
+        sq = metric._apply(
+            "squared_dist", metric._squared_dist, self.centroids_[:, None], point[None]
+        )
+        nearest = int(np.argmin(sq[:, 0]))
         centroid = self.centroids_[nearest]
         try:
-            step = metric._result("log", metric._log(point, centroid))
+            step = metric._apply("log", metric._log, point, centroid)
             step = step / (self.counts_[nearest] + 1.0)
-            metric._require_tangent(step, centroid)
-            moved = metric._result("exp", metric._exp(step, centroid))
+            moved = metric._apply("exp", metric._exp, step, centroid, tangent=(step,))
             self.centroids_[nearest] = metric.manifold.project(moved)
             self.counts_[nearest] += 1
         except (CutLocusError, DomainError):
@@ -213,5 +218,6 @@ class OnlineKMeans:
         filled = np.flatnonzero(self.counts_)
         if filled.size == 0:
             raise ValueError("online k-means predict needs at least one fitted sample")
-        sq = _pairwise_sq_dist(self.metric, np.asarray(points, dtype=float), self.centroids_[filled])
+        (points,) = self.metric._inputs("online k-means", (points, "point"))
+        sq = _pairwise_sq_dist(self.metric, points, self.centroids_[filled])
         return filled[np.argmin(sq, axis=-1)]

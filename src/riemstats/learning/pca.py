@@ -5,6 +5,7 @@ mean), expressed in a metric-orthonormal basis, centered at its tangent
 mean, and eigendecomposed. With a flat metric and the arithmetic mean as
 base point this reproduces classical PCA exactly; the recentering makes
 that hold for any base-point choice.
+Each method checks what it is given once, then calls only the metric's hooks.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ class TangentPCA:
             )
 
         basis = orthonormal_tangent_basis(metric, base_point)
-        logs = metric.log(points, base_point)
-        coords = metric.inner_product(logs[:, None], basis[None], base_point)
+        (points,) = metric._inputs("tangent pca", (points, "point"))
+        logs = metric._apply("log", metric._log, points, base_point)
+        coords = metric._apply("inner_product", metric._inner_product, logs[:, None], basis[None],
+                               base_point)
         mean_coords = np.mean(coords, axis=0)
         centered = coords - mean_coords
         cov = centered.T @ centered / coords.shape[0]
@@ -81,14 +84,15 @@ class TangentPCA:
 
     def transform(self, points):
         """Coefficients of the centered log-lifted data on the components."""
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == len(self.metric.manifold.point_shape)
+        metric = self.metric
+        (points,) = metric._inputs("tangent pca", (points, "point"))
+        single = points.ndim == len(metric.manifold.point_shape)
         if single:
             points = points[None]
-        logs = self.metric.log(points, self.base_point_)
-        centered = logs - self.mean_tangent_
-        coords = self.metric.inner_product(
-            centered[:, None], self.components_[None], self.base_point_
+        centered = metric._apply("log", metric._log, points, self.base_point_) - self.mean_tangent_
+        coords = metric._apply(
+            "inner_product", metric._inner_product, centered[:, None], self.components_[None],
+            self.base_point_,
         )
         return coords[0] if single else coords
 
@@ -98,4 +102,7 @@ class TangentPCA:
         tangent = self.mean_tangent_ + np.tensordot(
             coefficients, self.components_, axes=([-1], [0])
         )
-        return self.metric.exp(tangent, self.base_point_)
+        (tangent,) = self.metric._inputs("tangent pca", (tangent, "tangent vector"))
+        return self.metric._apply(
+            "exp", self.metric._exp, tangent, self.base_point_, tangent=(tangent,)
+        )

@@ -125,26 +125,26 @@ class TestFrechetMean:
         assert not result.converged
 
     def test_variance_evaluated_once_per_candidate(self, monkeypatch):
-        calls = {"exp": 0, "_log_and_squared_dist": 0}
+        calls = {"_exp": 0, "_log_and_squared_dist": 0}
         metric = Hypersphere(2).metric
-        plain_exp, plain_fused = metric.exp, metric._log_and_squared_dist
+        plain_exp, plain_fused = metric._exp, metric._log_and_squared_dist
 
         def exp(vec, base):
-            calls["exp"] += 1
+            calls["_exp"] += 1
             return plain_exp(vec, base)
 
         def fused(*args):
             calls["_log_and_squared_dist"] += 1
             return plain_fused(*args)
 
-        monkeypatch.setattr(metric, "exp", exp)
+        monkeypatch.setattr(metric, "_exp", exp)
         monkeypatch.setattr(metric, "_log_and_squared_dist", fused)
         rng = np.random.default_rng(8)
         data = sphere_cap(SPHERE.random_point(rng=rng), 1.2, 40, rng)
         result = frechet_mean(metric, data)
         assert result.converged and result.n_iter > 2
         # One evaluation at the start point, then one per line-search candidate.
-        assert calls["_log_and_squared_dist"] == calls["exp"] + 1
+        assert calls["_log_and_squared_dist"] == calls["_exp"] + 1
 
     @pytest.mark.parametrize("n_seg", [3, 5])
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
@@ -175,7 +175,7 @@ class TestFrechetMean:
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
 
-        calls = {"exp": 0, "log": 0, "squared_dist": 0, "_log_and_squared_dist": 0}
+        calls = {"_exp": 0, "log": 0, "squared_dist": 0, "_log_and_squared_dist": 0}
         for name in calls:
             plain = getattr(metric, name)
 
@@ -191,9 +191,9 @@ class TestFrechetMean:
             assert result.converged.all() and len(set(result.n_iter)) > 1
         else:
             # Steps beyond twice the mean tangent overshoot, so rounds halve.
-            assert calls["exp"] > result.n_iter.max()
+            assert calls["_exp"] > result.n_iter.max()
         assert calls["log"] == calls["squared_dist"] == 0
-        assert calls["_log_and_squared_dist"] == calls["exp"] + 1
+        assert calls["_log_and_squared_dist"] == calls["_exp"] + 1
         for s, mean in enumerate(expected):
             np.testing.assert_array_equal(result.estimate[s], mean.estimate)
             assert result.n_iter[s] == mean.n_iter
@@ -222,7 +222,7 @@ class TestFrechetMean:
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
 
-        calls = {"exp": 0, "log": 0, "squared_dist": 0, "_log_and_squared_dist": 0}
+        calls = {"_exp": 0, "log": 0, "squared_dist": 0, "_log_and_squared_dist": 0}
         for name in calls:
             plain = getattr(metric, name)
 
@@ -236,9 +236,9 @@ class TestFrechetMean:
         if step_size == 1.0:
             assert result.converged.all() and len(set(result.n_iter)) > 1
         else:
-            assert calls["exp"] > result.n_iter.max()
+            assert calls["_exp"] > result.n_iter.max()
         assert calls["log"] == calls["squared_dist"] == 0
-        assert calls["_log_and_squared_dist"] == calls["exp"] + 1
+        assert calls["_log_and_squared_dist"] == calls["_exp"] + 1
         for s, mean in enumerate(expected):
             np.testing.assert_array_equal(result.estimate[s], mean.estimate)
             assert result.n_iter[s] == mean.n_iter
@@ -300,11 +300,11 @@ class TestFrechetMean:
         # round-off; the line search must not halve them.
         sphere = Hypersphere(5)
         metric = sphere.metric
-        calls = {"exp": 0}
-        plain_exp = metric.exp
+        calls = {"_exp": 0}
+        plain_exp = metric._exp
 
         def exp(vec, base):
-            calls["exp"] += 1
+            calls["_exp"] += 1
             return plain_exp(vec, base)
 
         rng = np.random.default_rng(0)
@@ -312,11 +312,11 @@ class TestFrechetMean:
         vecs = metric.random_tangent(center, 200, rng)
         vecs *= (rng.uniform(0.1, 1.0, 200) / metric.norm(vecs, center))[:, None]
         data = metric.exp(vecs, center)
-        monkeypatch.setattr(metric, "exp", exp)
+        monkeypatch.setattr(metric, "_exp", exp)
         result = frechet_mean(metric, data, tol=1e-9)
         assert result.converged and result.n_iter > 2
         # One candidate per iteration that did not stop.
-        assert calls["exp"] == result.n_iter - 1
+        assert calls["_exp"] == result.n_iter - 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hyperboloid_mean_converges_on_the_manifold(self, seed):
@@ -728,8 +728,8 @@ class TestKMeans:
                         metric,
                         members,
                         init=previous.centroids_[k],
-                        tol=current.mean_tol,
-                        max_iter=current.mean_max_iter,
+                        tol=kmeans._MEAN_TOL,
+                        max_iter=kmeans._MEAN_MAX_ITER,
                     ).estimate
                 np.testing.assert_array_equal(current.centroids_[k], expected)
             previous = current

@@ -19,7 +19,13 @@ from riemstats import linalg
 from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError, TangencyError
 from riemstats.geometry import Manifold, RiemannianMetric, SPDMatrices, numerical
 from riemstats.geometry.base import ATOL, orthonormal_tangent_basis
-from riemstats.learning import OnlineKMeans, frechet_mean, riemannian_gradient_descent
+from riemstats.learning import (
+    OnlineKMeans,
+    RiemannianKMeans,
+    TangentPCA,
+    frechet_mean,
+    riemannian_gradient_descent,
+)
 from riemstats.learning.frechet import karcher_flow
 
 from conftest import ALL_CASES
@@ -229,31 +235,6 @@ def test_poincare_ball_never_reaches_the_hyperboloid(monkeypatch):
     np.testing.assert_allclose(metric.geodesic(base, end_point=end)(1.0), end, atol=1e-12)
 
 
-def test_streaming_estimators_never_reach_the_public_ops(space_case, monkeypatch):
-    """Online K-means and gradient descent check their data once, then call the
-    hooks: no public op runs per sample or per iteration."""
-    metric, manifold = space_case.metric, space_case.manifold
-    rng = np.random.default_rng(65)
-    points = space_case.random_points(12, rng)
-    start = space_case.random_point(rng)
-    a = rng.standard_normal(manifold.point_shape)
-
-    def public(*args, **kwargs):
-        raise AssertionError("a public op ran")
-
-    for op in ("exp", "log", "squared_dist", "inner_product"):
-        monkeypatch.setattr(metric, op, public)
-    model = OnlineKMeans(metric, 2).fit(points)
-    assert model.counts_.sum() + model.n_rejected_ == len(points)
-    if metric.tangent_shape != manifold.point_shape or not space_case.true_metric:
-        return  # descent follows an ambient gradient under a positive-definite metric
-    result = riemannian_gradient_descent(
-        manifold, lambda x: float(np.sum(a * x)), lambda x: a, start, metric=metric,
-        learning_rate=0.01, max_iter=3,
-    )
-    assert result.n_iter >= 1
-
-
 def _point_cloud(case, n, seed, radius=0.3):
     """``n`` points within ``radius`` of one random base point."""
     rng = np.random.default_rng(seed)
@@ -261,24 +242,57 @@ def _point_cloud(case, n, seed, radius=0.3):
     return case.metric.exp(case.scaled_tangents(base, n, rng, radius=radius), base)
 
 
-@pytest.mark.parametrize("case", [c for c in ALL_CASES if c.true_metric], ids=str)
-def test_karcher_flow_never_reaches_the_public_log_or_squared_dist(case, monkeypatch):
-    """The Karcher flow checks its data once, then takes each iteration's logs
-    and variances from ``_log_and_squared_dist``: the public ``log`` and
-    ``squared_dist`` never run, for one segment or several. (Its step norm
-    needs a positive-definite metric.)"""
-    metric = case.metric
-    points = _point_cloud(case, 12, 69)
+@pytest.mark.parametrize(
+    "estimator",
+    ["karcher_flow", "kmeans", "online_kmeans", "descent", "tangent_pca", "tangent_basis"],
+)
+def test_estimators_never_reach_the_public_ops(space_case, estimator, monkeypatch):
+    """Every estimator checks its data once, then calls the hooks through the
+    metric's ``_apply``: with the public ``exp``, ``log``, ``squared_dist``,
+    ``dist``, ``inner_product`` and ``parallel_transport`` set to raise, it
+    still runs. Online K-means runs on every space. The others need a
+    positive-definite metric (for the flow's step norm and the tangent
+    basis), and descent follows an ambient gradient."""
+    metric, manifold = space_case.metric, space_case.manifold
+    if estimator != "online_kmeans" and not space_case.true_metric:
+        pytest.skip("needs a positive-definite metric")
+    if estimator == "descent" and metric.tangent_shape != manifold.point_shape:
+        pytest.skip("descent follows an ambient gradient")
+    points = _point_cloud(space_case, 12, 69)
+    rng = np.random.default_rng(65)
+    start = space_case.random_point(rng)
+    a = rng.standard_normal(manifold.point_shape)
 
     def public(*args, **kwargs):
         raise AssertionError("a public op ran")
 
-    for op in ("log", "squared_dist"):
+    for op in ("exp", "log", "squared_dist", "dist", "inner_product", "parallel_transport"):
         monkeypatch.setattr(metric, op, public)
-    result = karcher_flow(metric, points, [0, 5, 12], points[[0, 5]], max_iter=5)
-    assert result.estimate.shape == (2,) + case.manifold.point_shape
-    assert np.all(result.n_iter >= 1)
-    assert frechet_mean(metric, points, max_iter=5).n_iter >= 1
+    if estimator == "karcher_flow":
+        result = karcher_flow(metric, points, [0, 5, 12], points[[0, 5]], max_iter=5)
+        assert result.estimate.shape == (2,) + manifold.point_shape
+        assert np.all(result.n_iter >= 1)
+        assert frechet_mean(metric, points, max_iter=5).n_iter >= 1
+    elif estimator == "kmeans":
+        model = RiemannianKMeans(metric, 2, max_iter=3).fit(points)
+        np.testing.assert_array_equal(model.predict(points), model.labels_)
+    elif estimator == "online_kmeans":
+        model = OnlineKMeans(metric, 2).fit(points)
+        assert model.counts_.sum() + model.n_rejected_ == len(points)
+        assert model.predict(points).shape == (len(points),)
+    elif estimator == "descent":
+        result = riemannian_gradient_descent(
+            manifold, lambda x: float(np.sum(a * x)), lambda x: a, start, metric=metric,
+            learning_rate=0.01, max_iter=3,
+        )
+        assert result.n_iter >= 1
+    elif estimator == "tangent_pca":
+        model = TangentPCA(metric, n_components=2).fit(points, base_point=points[0])
+        coefficients = model.transform(points)
+        assert model.inverse_transform(coefficients).shape == points.shape
+    else:
+        basis = orthonormal_tangent_basis(metric, points[0])
+        assert basis.shape == (metric.tangent_dim,) + metric.tangent_shape
 
 
 def test_log_and_squared_dist_is_the_log_and_the_squared_dist(space_case):
@@ -394,6 +408,22 @@ def test_no_np_linalg_eigvals_outside_linalg():
     assert offenders == []
 
 
+def test_no_estimator_calls_a_public_metric_op():
+    """The estimators check their data once and then call the hooks, so no
+    module under ``learning/`` calls a public metric op, which would check
+    again what the estimator computed itself."""
+    public = re.compile(
+        r"metric\.(exp|log|squared_dist|dist|inner_product|squared_norm|norm"
+        r"|parallel_transport|geodesic|mean)\("
+    )
+    offenders = [
+        f"{path.relative_to(SRC)}: {match.group(0)}"
+        for path in sorted((SRC / "learning").rglob("*.py"))
+        for match in public.finditer(path.read_text())
+    ]
+    assert offenders == []
+
+
 def test_symmetric_operands_and_the_membership_tolerance_are_decided_once():
     """SPD and Grassmann operands are checked by ``base._symmetric``, at the
     membership tolerance ``base.ATOL``, which no other module defines again."""
@@ -414,20 +444,20 @@ def test_symmetric_operands_and_the_membership_tolerance_are_decided_once():
 
 def test_orthonormal_tangent_basis(space_case, monkeypatch):
     """Two passes over Gram matrices built in blocks of rows: at most two
-    ``inner_product`` calls per direction, each broadcasting at most twice
+    ``_inner_product`` calls per direction, each broadcasting at most twice
     as many entries as the projected frame has. The basis is orthonormal in
     the metric and the same bits on every call. Minkowski's indefinite
     metric has none."""
     metric = space_case.metric
     base = space_case.random_point(np.random.default_rng(55))
     broadcasts = []
-    inner_product = metric.inner_product
+    inner_product = metric._inner_product
 
     def counted(vec_a, vec_b, base_point):
         broadcasts.append(np.broadcast_shapes(np.shape(vec_a), np.shape(vec_b)))
         return inner_product(vec_a, vec_b, base_point)
 
-    monkeypatch.setattr(metric, "inner_product", counted)
+    monkeypatch.setattr(metric, "_inner_product", counted)
     if space_case.name == "minkowski3":
         with pytest.raises(GeometryError, match="got 2 of 3 directions"):
             orthonormal_tangent_basis(metric, base)
