@@ -197,7 +197,8 @@ class RiemannianMetric(ABC):
     # call with the base repeated per row. Batched estimators read it.
     prefers_shared_base = False
 
-    # Metrics with a closed-form Hessian of the Frechet function define
+    # Metrics with a closed-form Hessian of the Frechet function (the sphere
+    # and the affine-invariant SPD metric) define
     # ``_newton_directions(logs, weights, base_points, gradients)``: the
     # Newton directions of the Karcher-flow segments still searching, one
     # call per flow iteration, and the mask of the segments whose Hessian is

@@ -16,6 +16,16 @@ works with S = sym(L^-1 X L^-T):
 
 Each of exp, log and transport makes one symmetric eigendecomposition.
 
+The Karcher flow takes Newton steps under this metric. With the logs of the
+data at P written in its frame as L^-1 log_P(Q_i) L^-T = U_i diag(l_i) U_i^T,
+the Hessian of 1/2 sum_i w_i d^2(., Q_i) at P acts on a direction V, with
+V~ = L^-1 V L^-T, as sum_i w_i U_i ((U_i^T V~ U_i) o K_i) U_i^T (o the entrywise
+product), where K_i[j, k] = x coth x at x = (l_ij - l_ik) / 2 and 1 where
+x = 0 (Groisser, Adv. Appl. Math. 2004; Bini and Iannazzo, Linear Algebra
+Appl. 2013). Every K >= 1, so the Hessian is at least the identity, positive
+definite at every P. The Newton hook takes (l_i, U_i) from the
+``_log_and_squared_dist`` call that returned the flow's log array.
+
 Log-Euclidean: the pullback of the flat Frobenius metric through the matrix
 logarithm chart; distance ||logm P - logm Q||_F. The chart shares its
 eigenvectors with the point (Arsigny, Fillard, Pennec and Ayache, SIAM J.
@@ -25,6 +35,8 @@ differential of expm at the chart point, which is taken at (log w, V).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -99,6 +111,39 @@ def _spectral(w, v):
     return (v * w[..., None, :]) @ linalg.transpose(v)
 
 
+# Entries of the (points, n, n^2) products ``_frechet_hessian`` forms at a
+# time, 256 kB of float64: formed for all points at once, two of them would
+# set the peak memory of an SPD(5) Karcher flow over 2000 points.
+_HESSIAN_BLOCK = 2**15
+
+
+def _frechet_hessian(log_w, v, weights):
+    """Hessian of ``1/2 sum_i w_i d^2(., P_i)`` at the identity, on vec(V).
+
+    The logs of the P_i at the identity are v_i diag(l_i) v_i^T, with
+    ``log_w[i]`` = l_i. The Hessian maps a symmetric V to
+    ``sum_i w_i v_i ((v_i^T V v_i) * K_i) v_i^T`` with
+    K_i[p, q] = x coth x at x = (l_ip - l_iq) / 2, and 1 where x = 0.
+    With R_i[p, (j, a)] = v_i[j, p] v_i[a, p], its entry ((j, l), (a, b)) is
+    ``sum_i w_i (R_i^T K_i R_i)[(j, a), (l, b)]``: one GEMM over the points
+    and p per block of points.
+    """
+    n = log_w.shape[-1]
+    columns = linalg.transpose(v)
+    hessian = np.zeros((n * n, n * n))
+    size = max(1, _HESSIAN_BLOCK // n**3)
+    for start in range(0, len(v), size):
+        rows = slice(start, start + size)
+        half_gap = 0.5 * (log_w[rows, :, None] - log_w[rows, None, :])
+        kernel = np.ones_like(half_gap)
+        np.divide(half_gap, np.tanh(half_gap), out=kernel, where=half_gap != 0.0)
+        kernel *= weights[rows, None, None]
+        block = columns[rows]
+        outer = (block[:, :, :, None] * block[:, :, None, :]).reshape(-1, n, n * n)
+        hessian += (kernel @ outer).reshape(-1, n * n).T @ outer.reshape(-1, n * n)
+    return hessian.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 class SPDMatrices(Manifold):
     """Symmetric matrices with strictly positive spectrum."""
 
@@ -146,6 +191,13 @@ class SPDAffineMetric(RiemannianMetric):
 
     prefers_shared_base = True  # each base point is Cholesky-factored
 
+    def __init__(self, manifold):
+        super().__init__(manifold)
+        # id(log) -> (weak reference to the log, its base point, the whitened
+        # eigenpairs (log w, v) it was built from), until a Newton step takes
+        # them or the log dies.
+        self._eigenpairs = {}
+
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         _, inv_low = _base_frame(base_point)
         return _trace_product(_congruence(inv_low, tangent_vec_a),
@@ -157,15 +209,63 @@ class SPDAffineMetric(RiemannianMetric):
         return low @ middle @ linalg.transpose(low)
 
     def _log(self, point, base_point):
-        return self._log_and_squared_dist(point, base_point)[0]
+        return self._log_with_eigenpairs(point, base_point)[0]
 
-    def _log_and_squared_dist(self, point, base_point):
-        """L logm(S) L^T and sum_i log^2 lambda_i(S) from one frame and one ``eigh``."""
+    def _log_with_eigenpairs(self, point, base_point):
+        """L logm(S) L^T and the eigenpairs (log w, v) of logm(S): one frame, one ``eigh``."""
         low, inv_low = _base_frame(base_point)
         w, v = _frame_eig(inv_low, _symmetric(point, "point"))
         _require_positive(w, "point")
         log_w = np.log(w)
-        return low @ _spectral(log_w, v) @ linalg.transpose(low), linalg.inner(log_w, log_w)
+        return low @ _spectral(log_w, v) @ linalg.transpose(low), log_w, v
+
+    def _log_and_squared_dist(self, point, base_point):
+        """L logm(S) L^T and sum_i log^2 lambda_i(S) from one frame and one ``eigh``.
+
+        At a single base point the eigenpairs of the whitened log are kept
+        for one ``_newton_directions`` call on the returned log, as long as
+        that log lives.
+        """
+        log, log_w, v = self._log_with_eigenpairs(point, base_point)
+        if np.ndim(base_point) == 2:
+            key, memo = id(log), self._eigenpairs
+            # The callback runs when the log dies, before its id can be reused.
+            alive = weakref.ref(log, lambda _, key=key: memo.pop(key, None))
+            memo[key] = (alive, np.copy(base_point), log_w, v)
+        return log, linalg.inner(log_w, log_w)
+
+    def _newton_directions(self, logs, weights, base_points, gradients):
+        """Newton directions of Karcher-flow segments; every Hessian is positive definite.
+
+        In the frame of X = ``base_points[s]`` (X = L L^T), the logs of the
+        segment's points are L W_i L^T with W_i = v_i diag(l_i) v_i^T. The
+        Hessian of ``1/2 sum_i w_i d^2(., P_i)`` there is the (n^2, n^2)
+        matrix of ``_frechet_hessian``; solving it against L^-1 g L^-T, for g
+        = ``gradients[s]``, gives the direction D~, and L D~ L^T is the Newton
+        direction. The (l_i, v_i) come from the ``_log_and_squared_dist``
+        call that returned the very log array at that base point, and are
+        dropped once used, so the flow holds no eigenvectors through its line
+        search; any other log, or the same one again, is decomposed again.
+        Each segment is solved on its own, so its direction does not depend
+        on the other segments.
+
+        Returns ``(directions, positive_definite)``, the mask all True.
+        """
+        directions = np.empty_like(gradients)
+        for s, (log, weight, base) in enumerate(zip(logs, weights, base_points)):
+            low, inv_low = _base_frame(base)
+            entry = self._eigenpairs.pop(id(log), None)
+            if entry is not None and entry[0]() is log and np.array_equal(entry[1], base):
+                log_w, v = entry[2], entry[3]
+            else:
+                log_w, v = _frame_eig(inv_low, log)
+            n = log_w.shape[-1]
+            whitened = np.linalg.solve(
+                _frechet_hessian(log_w, v, weight),
+                _congruence(inv_low, gradients[s]).reshape(n * n),
+            ).reshape(n, n)
+            directions[s] = linalg.sym(low @ whitened @ linalg.transpose(low))
+        return directions, np.ones(len(logs), dtype=bool)
 
     def _squared_dist(self, point_a, point_b):
         _, inv_low = linalg._spd_frame(_symmetric(point_a, "point"), "point")
@@ -222,11 +322,16 @@ class SPDLogEuclideanMetric(RiemannianMetric):
         return linalg.sym_function(chart, np.exp)
 
     def _log(self, point, base_point):
+        return self._log_and_squared_dist(point, base_point)[0]
+
+    def _log_and_squared_dist(self, point, base_point):
+        """``dexp`` at the base of the chart difference, and its squared
+        Frobenius norm, from one eigendecomposition of each operand."""
         w_point, v_point = _spd_eig(point, "point")
         w, v = _spd_eig(base_point, "base point")
         log_w = np.log(w)
         chart_diff = _spectral(np.log(w_point), v_point) - _spectral(log_w, v)
-        return self._dexp(chart_diff, log_w, v)
+        return self._dexp(chart_diff, log_w, v), linalg.inner(chart_diff, chart_diff, axes=2)
 
     def _squared_dist(self, point_a, point_b):
         w_a, v_a = _spd_eig(point_a, "point")

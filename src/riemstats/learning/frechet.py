@@ -20,16 +20,17 @@ that never halves keeps ``step_size`` throughout.
 
 A metric with a closed-form Hessian of the Frechet function defines the
 hook ``_newton_directions(logs, weights, base_points, gradients)`` (the
-sphere does; ``RiemannianMetric`` sets it to None). The flow reads it once
-per call and calls it once per iteration for all segments still searching,
-with the logarithms the iteration already holds. It returns their Newton
-directions and the mask of segments whose Hessian is positive definite; a
-masked segment's mean logarithm becomes its Newton direction, and
-``step_size`` scales that direction as it scaled the gradient. Newton's
-method converges quadratically near the mean (Groisser, Adv. Appl. Math.
-2004). Where a segment's Hessian is not positive definite (on the sphere,
-points past pi/2 can make it so) that segment takes the gradient step.
-The line search and the projection apply to both steps. Every other metric
+sphere and the affine-invariant SPD metric do; ``RiemannianMetric`` sets it
+to None). The flow reads it once per call and calls it once per iteration
+for all segments still searching, with the logarithms the iteration already
+holds. It returns their Newton directions and the mask of segments whose
+Hessian is positive definite; a masked segment's mean logarithm becomes its
+Newton direction, and ``step_size`` scales that direction as it scaled the
+gradient. Newton's method converges quadratically near the mean (Groisser,
+Adv. Appl. Math. 2004). Where a segment's Hessian is not positive definite
+(on the sphere, points past pi/2 can make it so) that segment takes the
+gradient step; on SPD, where the curvature is nonpositive, every Hessian is
+positive definite. The line search and the projection apply to both steps. Every other metric
 takes gradient steps only.
 
 The flow is written once, in :func:`karcher_flow`, for several means at

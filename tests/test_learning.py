@@ -538,6 +538,97 @@ class TestSphereNewton:
         assert result.converged and result.n_iter <= 5
 
 
+def spd_newton_inputs(metric, base, points, weights):
+    """The Newton hook's inputs for one segment, the logs from the flow's hook."""
+    logs = metric._log_and_squared_dist(points, base)[0]
+    return [logs], [weights], base[None], np.tensordot(weights, logs, axes=1)[None]
+
+
+class TestSPDNewton:
+    def test_commuting_data_lands_in_one_step(self):
+        """Diagonal points seen from a diagonal start, with repeated
+        eigenvalues: the Hessian is the identity on diagonal directions, so
+        one step lands on exp(mean log), and the next iteration stops."""
+        spd = SPDMatrices(4)
+        rng = np.random.default_rng(46)
+        spectra = np.exp(rng.uniform(-1.0, 1.0, (25, 4)))
+        spectra[:, 1] = spectra[:, 0]
+        spectra[::3, 3] = spectra[::3, 2]
+        weights = rng.uniform(0.2, 2.0, 25)
+        init = np.diag([2.0, 2.0, 0.5, 0.5])
+        result = frechet_mean(
+            spd.affine_invariant_metric, spectra[:, None, :] * np.eye(4), weights, init=init
+        )
+        expected = np.diag(np.exp(np.average(np.log(spectra), axis=0, weights=weights)))
+        assert result.converged and result.n_iter == 2
+        np.testing.assert_allclose(
+            result.estimate, expected, rtol=0, atol=1e-13 * np.abs(expected).max()
+        )
+
+    def test_directions_are_congruence_equivariant(self):
+        """P -> A P A^T is an isometry, so it maps the Newton direction D at X
+        to the one at A X A^T: A D A^T."""
+        spd = SPDMatrices(4)
+        metric = spd.affine_invariant_metric
+        rng = np.random.default_rng(47)
+        points = spd.random_point(30, rng)
+        base = spd.random_point(1, rng)
+        weights = rng.uniform(0.2, 2.0, 30)
+        weights /= np.sum(weights)
+        a = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
+        direction = metric._newton_directions(*spd_newton_inputs(metric, base, points, weights))[0]
+        moved = metric._newton_directions(
+            *spd_newton_inputs(metric, a @ base @ a.T, a @ points @ a.T, weights)
+        )[0]
+        expected = a @ direction[0] @ a.T
+        assert np.linalg.norm(moved[0] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_newton_mean_matches_a_tight_gradient_mean(self, monkeypatch):
+        spd = SPDMatrices(5)
+        metric = spd.affine_invariant_metric
+        points = spd.random_point(200, np.random.default_rng(48))
+        result = frechet_mean(metric, points)
+        monkeypatch.setattr(metric, "_newton_directions", None)
+        reference = frechet_mean(metric, points, tol=1e-12, max_iter=200)
+        assert result.converged and reference.converged
+        assert result.n_iter <= 5 < reference.n_iter
+        assert float(metric.dist(result.estimate, reference.estimate)) <= 1e-10
+
+    def test_hook_reuses_the_decomposition_of_the_log_it_returned(self, monkeypatch):
+        """The eigenpairs behind a log from ``_log_and_squared_dist`` at one
+        base point serve one Newton hook call on that very array: no ``eigh``.
+        A copy, or the same array a second time, is decomposed again, to the
+        same direction. Eigenpairs no call took are dropped when their log
+        dies."""
+        spd = SPDMatrices(5)
+        metric = spd.affine_invariant_metric
+        rng = np.random.default_rng(49)
+        points = spd.random_point(40, rng)
+        base = spd.random_point(1, rng)
+        weights = np.full(40, 1.0 / 40)
+        inputs = spd_newton_inputs(metric, base, points, weights)
+        calls = []
+        plain = np.linalg.eigh
+
+        def counted(mat, *args, **kwargs):
+            calls.append(np.shape(mat))
+            return plain(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        kept = metric._newton_directions(*inputs)[0]
+        assert calls == []
+        for logs in ([inputs[0][0].copy()], inputs[0]):
+            again = metric._newton_directions(logs, *inputs[1:])[0]
+            np.testing.assert_allclose(again, kept, rtol=0, atol=1e-12 * np.abs(kept).max())
+        assert calls == [(40, 5, 5)] * 2
+        monkeypatch.undo()
+        assert metric._eigenpairs == {}
+        log = metric._log_and_squared_dist(points, base)[0]
+        assert list(metric._eigenpairs) == [id(log)]
+        del log
+        assert metric._eigenpairs == {}
+
+
 class TestFrechetVariance:
     def test_zero_when_all_equal(self):
         point = SPHERE.random_point(rng=8)

@@ -10,6 +10,7 @@ projection.
 
 import inspect
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from riemstats.learning import (
     RiemannianKMeans,
     TangentPCA,
     frechet_mean,
+    frechet_variance,
     riemannian_gradient_descent,
 )
 from riemstats.learning.frechet import karcher_flow
@@ -307,6 +309,61 @@ def test_log_and_squared_dist_is_the_log_and_the_squared_dist(space_case):
         log, sq = metric._log_and_squared_dist(point, base_point)
         np.testing.assert_array_equal(log, metric._log(point, base_point))
         np.testing.assert_allclose(sq, metric._squared_dist(base_point, point), rtol=1e-14, atol=0)
+
+
+NEWTON_CASES = [case for case in ALL_CASES if case.metric._newton_directions is not None]
+
+
+def test_newton_cases():
+    assert [case.name for case in NEWTON_CASES] == ["sphere2", "sphere4", "spd3_affine"]
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES, ids=str)
+def test_newton_directions_solve_the_finite_difference_newton_system(case):
+    """``_newton_directions`` on two weighted segments, each holding its own
+    base point (a zero log): one mask entry per segment, finite tangent
+    directions and no float warning, since the Karcher flow calls the hook
+    outside ``np.errstate``. Each direction solves the Newton system of
+    1/2 sum_i w_i d^2(., p_i), whose Hessian comes from central differences
+    of the Frechet variance in normal coordinates at the base point."""
+    metric = case.metric
+    rng = np.random.default_rng(71)
+    clouds = [_point_cloud(case, 9, seed) for seed in (72, 73)]
+    bases = np.stack([cloud[0] for cloud in clouds])
+    weights = [w / np.sum(w) for w in rng.uniform(0.2, 2.0, (2, 9))]
+    logs = [metric._log_and_squared_dist(cloud, base)[0] for cloud, base in zip(clouds, bases)]
+    gradients = np.stack([np.tensordot(w, log, axes=1) for w, log in zip(weights, logs)])
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        directions, positive = metric._newton_directions(logs, weights, bases, gradients)
+    assert positive.tolist() == [True, True]
+    assert np.isfinite(directions).all()
+    assert np.all(metric.is_tangent(directions, bases))
+
+    h = 1e-3
+    for cloud, w, base, gradient, direction in zip(clouds, weights, bases, gradients, directions):
+        basis = orthonormal_tangent_basis(metric, base)
+
+        def half_variance(coords, cloud=cloud, w=w, base=base, basis=basis):
+            point = metric.exp(np.tensordot(coords, basis, axes=1), base)
+            return 0.5 * frechet_variance(metric, cloud, point, w)
+
+        steps = h * np.eye(len(basis))
+        hessian = np.array(
+            [
+                [
+                    half_variance(a + b) - half_variance(a - b)
+                    - half_variance(b - a) + half_variance(-a - b)
+                    for b in steps
+                ]
+                for a in steps
+            ]
+        ) / (4.0 * h**2)
+        coords = np.linalg.solve(hessian, metric.inner_product(basis, gradient, base))
+        expected = np.tensordot(coords, basis, axes=1)
+        np.testing.assert_allclose(
+            direction, expected, rtol=0, atol=1e-6 * np.linalg.norm(expected)
+        )
 
 
 def test_srv_exp_and_transport_skip_the_tangency_pass(monkeypatch):

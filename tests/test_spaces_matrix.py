@@ -23,6 +23,7 @@ from riemstats.geometry import (
     transport_by_ladder,
     vee,
 )
+from riemstats.geometry import spd as spd_module
 from riemstats.geometry.spd import SPDMatrices
 
 
@@ -398,6 +399,27 @@ def test_spd_ops_factor_each_operand_once(monkeypatch, family, op):
 
     call()
     assert (counts["eigh"], counts["eigvalsh"]) == SPD_EIG_CALLS[family, op]
+
+
+def test_log_euclidean_log_and_squared_dist_decomposes_each_operand_once(monkeypatch):
+    """The Karcher flow's log-Euclidean logs and variance terms come from one
+    eigendecomposition of the points and one of the base."""
+    spd = SPDMatrices(3)
+    metric = spd.log_euclidean_metric
+    points = spd.random_point(11, np.random.default_rng(33))
+    calls = []
+    plain = spd_module._spd_eig
+
+    def counted(operand, what):
+        calls.append((np.shape(operand), what))
+        return plain(operand, what)
+
+    monkeypatch.setattr(spd_module, "_spd_eig", counted)
+    log, sq = metric._log_and_squared_dist(points[1:], points[0])
+    assert calls == [((10, 3, 3), "point"), ((3, 3), "base point")]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(log, metric._log(points[1:], points[0]))
+    np.testing.assert_array_equal(sq, metric._squared_dist(points[0], points[1:]))
 
 
 class TestRotationVector:
