@@ -24,7 +24,11 @@ product), where K_i[j, k] = x coth x at x = (l_ij - l_ik) / 2 and 1 where
 x = 0 (Groisser, Adv. Appl. Math. 2004; Bini and Iannazzo, Linear Algebra
 Appl. 2013). Every K >= 1, so the Hessian is at least the identity, positive
 definite at every P. The Newton hook takes (l_i, U_i) from the
-``_log_and_squared_dist`` call that returned the flow's log array.
+``_log_and_squared_dist`` call that returned the flow's log array and solves
+the Newton system by conjugate gradients, applying the Hessian from them
+without forming it: each product costs O(n^3) per point, as a log does, and
+the solve keeps a few (points, n, n) arrays, so the step scales with n as the
+gradient step does.
 
 Log-Euclidean: the pullback of the flat Frobenius metric through the matrix
 logarithm chart; distance ||logm P - logm Q||_F. The chart shares its
@@ -111,37 +115,54 @@ def _spectral(w, v):
     return (v * w[..., None, :]) @ linalg.transpose(v)
 
 
-# Entries of the (points, n, n^2) products ``_frechet_hessian`` forms at a
-# time, 256 kB of float64: formed for all points at once, two of them would
-# set the peak memory of an SPD(5) Karcher flow over 2000 points.
-_HESSIAN_BLOCK = 2**15
+# Relative residual at which ``_frechet_newton_solve`` stops. The Hessian is
+# at least the identity and at most the largest x coth x of the data, so the
+# relative error of the direction is at most that factor times this.
+_NEWTON_RTOL = 1e-13
 
 
-def _frechet_hessian(log_w, v, weights):
-    """Hessian of ``1/2 sum_i w_i d^2(., P_i)`` at the identity, on vec(V).
+def _frechet_newton_solve(log_w, v, weights, rhs):
+    """Solve H D = ``rhs`` for the Hessian H of ``1/2 sum_i w_i d^2(., P_i)`` at the identity.
 
     The logs of the P_i at the identity are v_i diag(l_i) v_i^T, with
-    ``log_w[i]`` = l_i. The Hessian maps a symmetric V to
-    ``sum_i w_i v_i ((v_i^T V v_i) * K_i) v_i^T`` with
-    K_i[p, q] = x coth x at x = (l_ip - l_iq) / 2, and 1 where x = 0.
-    With R_i[p, (j, a)] = v_i[j, p] v_i[a, p], its entry ((j, l), (a, b)) is
-    ``sum_i w_i (R_i^T K_i R_i)[(j, a), (l, b)]``: one GEMM over the points
-    and p per block of points.
+    ``log_w[i]`` = l_i. H maps a symmetric D to
+    ``sum_i w_i v_i ((v_i^T D v_i) * K_i) v_i^T`` with
+    K_i[p, q] = x coth x at x = (l_ip - l_iq) / 2, and 1 where x = 0. It is
+    self-adjoint under the Frobenius product and at least ``sum_i w_i`` times
+    the identity, so conjugate gradients solve it without forming it: each
+    product costs four matrix products per point, like a log.
     """
     n = log_w.shape[-1]
-    columns = linalg.transpose(v)
-    hessian = np.zeros((n * n, n * n))
-    size = max(1, _HESSIAN_BLOCK // n**3)
-    for start in range(0, len(v), size):
-        rows = slice(start, start + size)
-        half_gap = 0.5 * (log_w[rows, :, None] - log_w[rows, None, :])
-        kernel = np.ones_like(half_gap)
-        np.divide(half_gap, np.tanh(half_gap), out=kernel, where=half_gap != 0.0)
-        kernel *= weights[rows, None, None]
-        block = columns[rows]
-        outer = (block[:, :, :, None] * block[:, :, None, :]).reshape(-1, n, n * n)
-        hessian += (kernel @ outer).reshape(-1, n * n).T @ outer.reshape(-1, n * n)
-    return hessian.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    kernel = 0.5 * (log_w[:, :, None] - log_w[:, None, :])  # x, then w_i x coth x
+    gap = kernel != 0.0
+    np.divide(kernel, np.tanh(kernel), out=kernel, where=gap)
+    kernel[~gap] = 1.0
+    kernel *= weights[:, None, None]
+    columns = np.ascontiguousarray(linalg.transpose(v))  # v_i^T
+    rows = columns.reshape(-1, n)  # [(i, p), j] = v_i[j, p]
+
+    def hessian(direction):
+        middle = (rows @ direction).reshape(v.shape) @ v
+        middle *= kernel
+        return linalg.sym(rows.T @ (middle @ columns).reshape(-1, n))
+
+    solution = np.zeros_like(rhs)
+    residual = rhs.copy()
+    search = rhs.copy()
+    size = linalg.inner(residual, residual, axes=2)
+    stop = size * _NEWTON_RTOL**2
+    # In exact arithmetic, conjugate gradients end within the dimension of
+    # the symmetric matrices.
+    for _ in range(n * (n + 1) // 2):
+        if size <= stop:
+            break
+        image = hessian(search)
+        step = size / linalg.inner(search, image, axes=2)
+        solution += step * search
+        residual -= step * image
+        size, previous = linalg.inner(residual, residual, axes=2), size
+        search = residual + (size / previous) * search
+    return solution
 
 
 class SPDMatrices(Manifold):
@@ -238,10 +259,10 @@ class SPDAffineMetric(RiemannianMetric):
         """Newton directions of Karcher-flow segments; every Hessian is positive definite.
 
         In the frame of X = ``base_points[s]`` (X = L L^T), the logs of the
-        segment's points are L W_i L^T with W_i = v_i diag(l_i) v_i^T. The
-        Hessian of ``1/2 sum_i w_i d^2(., P_i)`` there is the (n^2, n^2)
-        matrix of ``_frechet_hessian``; solving it against L^-1 g L^-T, for g
-        = ``gradients[s]``, gives the direction D~, and L D~ L^T is the Newton
+        segment's points are L W_i L^T with W_i = v_i diag(l_i) v_i^T.
+        ``_frechet_newton_solve`` solves the Newton system of
+        ``1/2 sum_i w_i d^2(., P_i)`` there against L^-1 g L^-T, for g =
+        ``gradients[s]``, for the direction D~, and L D~ L^T is the Newton
         direction. The (l_i, v_i) come from the ``_log_and_squared_dist``
         call that returned the very log array at that base point, and are
         dropped once used, so the flow holds no eigenvectors through its line
@@ -259,11 +280,9 @@ class SPDAffineMetric(RiemannianMetric):
                 log_w, v = entry[2], entry[3]
             else:
                 log_w, v = _frame_eig(inv_low, log)
-            n = log_w.shape[-1]
-            whitened = np.linalg.solve(
-                _frechet_hessian(log_w, v, weight),
-                _congruence(inv_low, gradients[s]).reshape(n * n),
-            ).reshape(n, n)
+            whitened = _frechet_newton_solve(
+                log_w, v, weight, _congruence(inv_low, gradients[s])
+            )
             directions[s] = linalg.sym(low @ whitened @ linalg.transpose(low))
         return directions, np.ones(len(logs), dtype=bool)
 

@@ -594,6 +594,52 @@ class TestSPDNewton:
         assert result.n_iter <= 5 < reference.n_iter
         assert float(metric.dist(result.estimate, reference.estimate)) <= 1e-10
 
+    def test_directions_solve_the_explicit_hessian(self):
+        """The matrix-free solve against the Hessian written out as an
+        (n^2, n^2) matrix from the same formula, on spread SPD(6) data at a
+        point away from their mean."""
+        spd = SPDMatrices(6)
+        metric = spd.affine_invariant_metric
+        rng = np.random.default_rng(50)
+        points = spd.random_point(40, rng)
+        base = spd.random_point(1, rng)
+        weights = rng.uniform(0.2, 2.0, 40)
+        weights /= np.sum(weights)
+        inputs = spd_newton_inputs(metric, base, points, weights)
+        direction = metric._newton_directions(*inputs)[0][0]
+
+        low = np.linalg.cholesky(base)
+        inv_low = np.linalg.inv(low)
+        log_w, v = np.linalg.eigh(inv_low @ inputs[0][0] @ inv_low.T)
+        half_gap = 0.5 * (log_w[:, :, None] - log_w[:, None, :])
+        safe = np.where(half_gap == 0.0, 1.0, half_gap)
+        kernel = np.where(half_gap == 0.0, 1.0, safe / np.tanh(safe))
+        # vec(v_i^T D v_i) = kron(v_i, v_i)^T vec(D), row-major vec.
+        kron = np.einsum("iap,ibq->iabpq", v, v).reshape(40, 36, 36)
+        hessian = np.einsum("i,iap,ip,ibp->ab", weights, kron, kernel.reshape(40, 36), kron)
+        rhs = inv_low @ inputs[3][0] @ inv_low.T
+        expected = low @ np.linalg.solve(hessian, rhs.reshape(36)).reshape(6, 6) @ low.T
+        assert np.linalg.norm(direction - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_hook_memory_is_linear_in_the_points_times_n_squared(self):
+        """On SPD(40) a Hessian written out would take (1600, 1600) floats,
+        20 MB; the hook's peak stays within a few (points, n, n) arrays."""
+        import tracemalloc
+
+        spd = SPDMatrices(40)
+        metric = spd.affine_invariant_metric
+        rng = np.random.default_rng(51)
+        points = spd.random_point(20, rng)
+        inputs = spd_newton_inputs(metric, spd.random_point(1, rng), points, np.full(20, 0.05))
+        tracemalloc.start()
+        try:
+            directions = metric._newton_directions(*inputs)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(directions).all()
+        assert peak <= 12 * points.nbytes
+
     def test_hook_reuses_the_decomposition_of_the_log_it_returned(self, monkeypatch):
         """The eigenpairs behind a log from ``_log_and_squared_dist`` at one
         base point serve one Newton hook call on that very array: no ``eigh``.
