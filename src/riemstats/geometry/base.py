@@ -186,9 +186,10 @@ class RiemannianMetric(ABC):
     not tangent, runs the hook with float warnings silenced, and ``_result``
     raises DomainError unless its output is finite. A metric built on
     another calls the hooks; an estimator checks its data once through
-    ``_inputs``, then calls ``_apply``. ``dist`` is ``sqrt(squared_dist)``;
-    Minkowski space alone overrides it, because its squared interval is
-    negative on timelike separations, which have no real distance.
+    ``_inputs``, then calls ``_apply``. Each hook takes only its operands.
+    ``dist`` is ``sqrt(squared_dist)``, with one rule for a negative squared
+    distance, which only an indefinite metric such as Minkowski's gives
+    beyond round-off.
     """
 
     # True when an op's work on a base point (a factorization or transform
@@ -274,22 +275,22 @@ class RiemannianMetric(ABC):
             raise DomainError(f"{self.manifold.name} {op} overflows: the result is not finite")
         return out
 
-    def _checked(self, op, hook, *operands, tangent=False, **kwargs):
+    def _checked(self, op, hook, *operands, tangent=False):
         """``_apply`` of ``hook`` to the ``(array, role)`` operands that pass
         ``_inputs``; with ``tangent``, to their tangent vectors and direction."""
         arrays = self._inputs(op, *operands)
         if tangent:
             tangent = [a for a, (_, role) in zip(arrays, operands) if role in _TANGENT_ROLES]
-        return self._apply(op, hook, *arrays, tangent=tangent or (), **kwargs)
+        return self._apply(op, hook, *arrays, tangent=tangent or ())
 
-    def _apply(self, op, hook, *arrays, tangent=(), **kwargs):
+    def _apply(self, op, hook, *arrays, tangent=()):
         """``_result`` of ``hook(*arrays)`` with float warnings silenced, on
         finite arrays that passed ``_inputs`` or were computed from them; each
         array in ``tangent`` must be tangent at the base point ``arrays[1]``."""
         with np.errstate(all="ignore"):
             for step in tangent:
                 self._require_tangent(step, arrays[1])
-            return self._result(op, hook(*arrays, **kwargs))
+            return self._result(op, hook(*arrays))
 
     def random_tangent(self, base_point, n_samples=1, rng=None):
         """Gaussian ambient noise projected to the tangent space."""
@@ -315,6 +316,9 @@ class RiemannianMetric(ABC):
         return self.inner_product(tangent_vec, tangent_vec, base_point)
 
     def norm(self, tangent_vec, base_point):
+        """``sqrt(squared_norm)``. A timelike vector of an indefinite metric gets
+        NaN with a RuntimeWarning, not ``dist``'s DomainError: the tangent
+        rescaling of the tests and the benchmark replaces that NaN."""
         return np.sqrt(self.squared_norm(tangent_vec, base_point))
 
     def exp(self, tangent_vec, base_point):
@@ -324,15 +328,13 @@ class RiemannianMetric(ABC):
             tangent=True,
         )
 
-    def log(self, point, base_point, **kwargs):
+    def log(self, point, base_point):
         """Initial velocity of the geodesic from ``base_point`` to ``point``.
 
-        The iterative logs (Stiefel, shooting) take ``max_iter`` and ``tol``
-        as ``kwargs``.
+        An iterative log (Stiefel, invariant metrics) stops at its module's
+        step limit and tolerance.
         """
-        return self._checked(
-            "log", self._log, (point, "point"), (base_point, "base point"), **kwargs
-        )
+        return self._checked("log", self._log, (point, "point"), (base_point, "base point"))
 
     @abstractmethod
     def _exp(self, tangent_vec, base_point):
@@ -365,9 +367,15 @@ class RiemannianMetric(ABC):
         """``sqrt(squared_dist)``.
 
         ``sqrt(x * x) == x`` in float64, so a ``_squared_dist`` hook that
-        squares a closed-form distance gives ``dist`` that form's bits.
+        squares a closed-form distance gives ``dist`` that form's bits. A
+        squared distance below ``-1e-12`` (timelike, in Minkowski space) raises
+        DomainError; one in ``[-1e-12, 0)`` is round-off and gives 0.
         """
-        return np.sqrt(self.squared_dist(point_a, point_b))
+        sq = self.squared_dist(point_a, point_b)
+        lowest = np.min(sq, initial=0.0)
+        if lowest < -1e-12:
+            raise DomainError(f"negative squared distance: no real {self.manifold.name} distance")
+        return np.sqrt(np.maximum(sq, 0.0) if lowest < 0.0 else sq)
 
     def geodesic(self, initial_point, initial_tangent_vec=None, end_point=None):
         """Constant-speed geodesic curve, as a callable of the time parameter."""
@@ -411,12 +419,6 @@ class RiemannianMetric(ABC):
     def injectivity_radius(self, base_point):
         """Conservative lower bound on the injectivity radius at a point."""
         return np.inf
-
-    def mean(self, points, weights=None):
-        """Frechet mean estimate of a batch of points (convenience wrapper)."""
-        from ..learning.frechet import frechet_mean
-
-        return frechet_mean(self, points, weights=weights).estimate
 
 
 class Geodesic:

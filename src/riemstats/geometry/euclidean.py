@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError
 from ..linalg import inner
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
@@ -74,16 +73,10 @@ class Minkowski(Euclidean):
 class MinkowskiMetric(EuclideanMetric):
     """Flat metric of signature (-, +, ..., +): exp is addition, log subtraction.
 
-    ``squared_dist`` is the signed squared interval; ``dist`` is only defined
-    for spacelike (or null) separations and raises :class:`DomainError` on
-    timelike ones, so it is the one metric that overrides a public op.
+    ``squared_dist`` is the signed squared interval. ``dist`` is only defined
+    for spacelike (or null) separations: the base rule raises
+    :class:`DomainError` on timelike ones.
     """
 
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
         return minkowski_inner(tangent_vec_a, tangent_vec_b)
-
-    def dist(self, point_a, point_b):
-        sq = self.squared_dist(point_a, point_b)
-        if np.any(sq < -1e-12):
-            raise DomainError("timelike separation has no real Minkowski distance")
-        return np.sqrt(np.clip(sq, 0.0, None))

@@ -15,11 +15,9 @@ from .. import linalg
 from ..errors import DomainError
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
-_DET_ATOL = 1e-10
-
 
 class GeneralLinear(Manifold):
-    """Square matrices with |det| above tolerance."""
+    """Square matrices invertible by ``linalg.is_singular``'s scale-free singular-value rule."""
 
     def __init__(self, n):
         super().__init__(n * n, (n, n), "general_linear")
@@ -36,7 +34,7 @@ class GeneralLinear(Manifold):
         return np.linalg.inv(np.asarray(point, dtype=float))
 
     def _membership_residual(self, point):
-        return np.where(np.abs(np.linalg.det(point)) > _DET_ATOL, 0.0, np.inf)
+        return np.where(linalg.is_singular(np.linalg.svd(point, compute_uv=False)), np.inf, 0.0)
 
     def lie_algebra_basis(self):
         eye = np.eye(self.n * self.n)

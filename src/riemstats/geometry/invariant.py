@@ -18,6 +18,9 @@ from ..errors import DomainError
 from .base import RiemannianMetric, _symmetric
 from .numerical import dormand_prince, log_by_shooting
 
+_LOG_MAX_ITER = 100
+_LOG_TOL = 1e-8
+
 
 class InvariantMetric(RiemannianMetric):
     """Invariant metric on a matrix Lie group.
@@ -112,8 +115,9 @@ class InvariantMetric(RiemannianMetric):
             return np.einsum("...ij,mjk->...mik", base_point, self.basis)
         return np.einsum("mij,...jk->...mik", self.basis, base_point)
 
-    def _log(self, point, base_point, max_iter=100, tol=1e-8):
-        """Shooting log: Gauss-Newton on the integrated-exp residual."""
+    def _log(self, point, base_point):
+        """Shooting log: Gauss-Newton on the integrated-exp residual, to ``_LOG_TOL``
+        in at most ``_LOG_MAX_ITER`` steps."""
         init = self.manifold.to_tangent(point - base_point, base_point)
         return log_by_shooting(
             self._exp,
@@ -121,8 +125,8 @@ class InvariantMetric(RiemannianMetric):
             point,
             tangent_basis=self._tangent_basis_at(base_point),
             initial_tangent=init,
-            max_iter=max_iter,
-            tol=tol,
+            max_iter=_LOG_MAX_ITER,
+            tol=_LOG_TOL,
             point_ndim=2,
         )
 

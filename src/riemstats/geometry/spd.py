@@ -53,18 +53,9 @@ def _trace_product(a, b):
     return np.einsum("...ij,...ji->...", a, b)
 
 
-def _singular(w):
-    """Whether a descending spectrum is not numerically positive.
-
-    An eigenvalue within ``n eps`` of the largest one is round-off away from
-    zero, so a singular matrix cannot pass as a positive-definite one.
-    """
-    return w[..., -1] <= w.shape[-1] * np.finfo(float).eps * w[..., 0]
-
-
 def _require_positive(w, what):
     """DomainError unless a descending spectrum is numerically positive."""
-    if np.any(_singular(w)):
+    if np.any(linalg.is_singular(w)):
         raise DomainError(f"{what} is not positive definite")
 
 
@@ -88,7 +79,7 @@ def _base_frame(base_point):
     round-off, such as ``diag(1, 1e-17, 2)``, which ``belongs`` rejects.
     ``tr(P) tr(P^-1) = |L|_F^2 |L^-1|_F^2`` bounds the condition number of
     P = L L^T from above, so a batch it keeps 1000 times below the singular
-    threshold of ``_singular`` is positive without its eigenvalues.
+    threshold of ``linalg.is_singular`` is positive without its eigenvalues.
     """
     base_point = _symmetric(base_point, "base point")
     low, inv_low = linalg._spd_frame(base_point, "base point")
@@ -180,7 +171,7 @@ class SPDMatrices(Manifold):
         """
         asym = np.max(np.abs(point - linalg.transpose(point)), axis=(-2, -1))
         eigvals = np.linalg.eigvalsh(linalg.sym(point))[..., ::-1]
-        return np.where(_singular(eigvals), np.inf, asym)
+        return np.where(linalg.is_singular(eigvals), np.inf, asym)
 
     def to_tangent(self, vector, base_point):
         return linalg.sym(vector)

@@ -15,6 +15,9 @@ from .. import linalg
 from ..errors import ConvergenceError
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
+_LOG_MAX_ITER = 100
+_LOG_TOL = 1e-9
+
 
 class Stiefel(Manifold):
     """n x p matrices with orthonormal columns (p <= n)."""
@@ -89,22 +92,22 @@ class StiefelCanonicalMetric(RiemannianMetric):
         first_cols = linalg.matrix_exp(block)[..., :p]
         return base_point @ first_cols[..., :p, :] + q @ first_cols[..., p:, :]
 
-    def _log(self, point, base_point, max_iter=100, tol=1e-9):
+    def _log(self, point, base_point):
         """Zimmermann's algorithm: the log as the block of a rotation log.
 
         With M = U0^T U1 and Q N the normal part U1 - U0 M, in an orthonormal
         basis Q of min(p, n - p) columns orthogonal to U0, the columns
         [M; N] are completed to a rotation V whose last columns are
         chosen by the Procrustes step of section 3. Each step takes
-        log V = [[A, -B^T], [B, C]] and stops where ||C||_F <= ``tol``;
+        log V = [[A, -B^T], [B, C]] and stops where ||C||_F <= ``_LOG_TOL``;
         otherwise V's last columns are right-multiplied by expm(-C). The log
         is U0 A + Q B (Zimmermann, "A matrix-algebraic algorithm for the
         Riemannian logarithm on the Stiefel manifold under the canonical
         metric", SIAM J. Matrix Anal. Appl. 38, 2017). For skew L and L0,
         ||e^L - e^L0||_2 <= ||L - L0||_2, so the exp of the returned tangent
-        misses the point by at most ``tol`` in every entry, up to round-off.
+        misses the point by at most ``_LOG_TOL`` in every entry, up to round-off.
         The iteration converges locally; a target that needs more than
-        ``max_iter`` steps raises :class:`ConvergenceError` with the largest
+        ``_LOG_MAX_ITER`` steps raises :class:`ConvergenceError` with the largest
         ||C||_F left. Converged members are frozen, so a batch gives each
         member the steps of its element-wise run.
         """
@@ -121,18 +124,18 @@ class StiefelCanonicalMetric(RiemannianMetric):
 
         logs = np.empty_like(rot)
         active = np.arange(len(rot))
-        for step in range(max_iter + 1):
+        for step in range(_LOG_MAX_ITER + 1):
             log = linalg.skew(linalg.matrix_log(rot[active]))
             corner = log[:, p:, p:]
             residual = linalg.norm(corner, axes=2)
-            done = residual <= tol
+            done = residual <= _LOG_TOL
             logs[active[done]] = log[done]
             active, corner = active[~done], corner[~done]
             if active.size == 0:
                 break
-            if step == max_iter:
+            if step == _LOG_MAX_ITER:
                 raise ConvergenceError(
-                    f"Stiefel log failed to reach tol={tol} in {max_iter} steps",
+                    f"Stiefel log failed to reach tol={_LOG_TOL} in {_LOG_MAX_ITER} steps",
                     residual=float(residual.max()),
                 )
             rot[active, :, p:] = rot[active, :, p:] @ linalg.matrix_exp(-corner)

@@ -88,6 +88,7 @@ class FrechetMeanResult:
     n_iter: int
     converged: bool
     final_step_norm: float
+    variance: float
 
 
 def _average(sq, weights):
@@ -115,7 +116,7 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
     ``tol`` or after ``max_iter`` iterations; the others go on without it.
 
     Returns a :class:`FrechetMeanResult` whose fields are arrays with one
-    entry per segment.
+    entry per segment; each variance is the flow's own at the estimate.
     """
     (points,) = metric._inputs("karcher flow", (points, "point"))
     (inits,) = metric._inputs("karcher flow", (inits, "initial estimate"))
@@ -221,9 +222,9 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
                 metric._apply("exp", metric._exp, step, base[pending], tangent=(step,))
             )
             current_var[search[pending]] = np.nan
-    return FrechetMeanResult(
-        estimate=estimates, n_iter=n_iter, converged=converged, final_step_norm=step_norms
-    )
+    if np.isnan(current_var).any():  # a last line search ran out of halvings, or max_iter is 0
+        evaluate(np.flatnonzero(np.isnan(current_var)))
+    return FrechetMeanResult(estimates, n_iter, converged, step_norms, current_var)
 
 
 def frechet_mean(
@@ -280,10 +281,8 @@ def frechet_mean(
         metric, points, [0, n_points], start[None], weights, max_iter, tol, step_size
     )
     return FrechetMeanResult(
-        estimate=result.estimate[0],
-        n_iter=int(result.n_iter[0]),
-        converged=bool(result.converged[0]),
-        final_step_norm=float(result.final_step_norm[0]),
+        result.estimate[0], int(result.n_iter[0]), bool(result.converged[0]),
+        float(result.final_step_norm[0]), float(result.variance[0]),
     )
 
 
@@ -313,5 +312,5 @@ class FrechetMean:
         self.n_iter_ = result.n_iter
         self.converged_ = result.converged
         self.final_step_norm_ = result.final_step_norm
-        self.variance_ = frechet_variance(self.metric, points, result.estimate, weights)
+        self.variance_ = result.variance
         return self

@@ -161,6 +161,13 @@ def check_symmetric(mat):
     return mat
 
 
+def is_singular(spectrum):
+    """Whether a descending spectrum (eigenvalues or singular values) is not
+    numerically positive: its last value is within ``n eps`` of the first, for
+    ``n`` values, round-off away from zero at any scale."""
+    return spectrum[..., -1] <= spectrum.shape[-1] * np.finfo(float).eps * spectrum[..., 0]
+
+
 def sym_eig(mat):
     """Eigendecomposition of a symmetric matrix.
 

@@ -345,6 +345,48 @@ class TestFrechetMean:
             float(np.mean(np.sum((data - data.mean(0)) ** 2, axis=1))), rel=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "metric, rtol",
+        [(SPHERE.metric, 0.0), (Hyperboloid(2).metric, 0.0),
+         (SPDMatrices(3).log_euclidean_metric, 0.0),
+         (SPDMatrices(3).affine_invariant_metric, 1e-14)],
+        ids=["sphere", "hyperboloid", "spd_log_euclidean", "spd_affine"],
+    )
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("max_iter", [64, 0], ids=["converged", "no_step"])
+    def test_fit_takes_the_variance_from_the_flow(self, monkeypatch, metric, rtol, weighted,
+                                                  max_iter):
+        """``variance_`` is the flow's variance at the estimate, with no
+        distance call after the flow: ``frechet_variance``'s value, bit for
+        bit where the flow's fused hook shares ``_squared_dist``'s
+        arithmetic. The affine SPD hook takes it from ``eigh``'s eigenvalues,
+        ``_squared_dist`` from ``eigvalsh``'s."""
+        from riemstats.learning import frechet
+
+        rng = np.random.default_rng(31)
+        center = metric.manifold.random_point(rng=rng)
+        vecs = metric.random_tangent(center, 25, rng)
+        scales = rng.uniform(0.1, 0.8, 25) / metric.norm(vecs, center)
+        points = metric.exp(vecs * scales.reshape((-1,) + (1,) * center.ndim), center)
+        weights = rng.uniform(0.2, 2.0, 25) if weighted else None
+        plain_flow = frechet.karcher_flow
+
+        def no_distance(*args):
+            raise AssertionError("a distance after the flow")
+
+        def flow(*args, **kwargs):
+            result = plain_flow(*args, **kwargs)
+            for name in ("squared_dist", "_squared_dist", "_log_and_squared_dist"):
+                monkeypatch.setattr(metric, name, no_distance)
+            return result
+
+        monkeypatch.setattr(frechet, "karcher_flow", flow)
+        model = FrechetMean(metric, max_iter=max_iter).fit(points, weights)
+        monkeypatch.undo()
+        assert model.converged_ == (max_iter > 0)
+        expected = frechet_variance(metric, points, model.estimate_, weights)
+        np.testing.assert_allclose(model.variance_, expected, rtol=rtol, atol=0.0)
+
     def test_bad_weights_rejected(self):
         data = np.zeros((3, 3))
         with pytest.raises(ValueError):

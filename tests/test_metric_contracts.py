@@ -413,11 +413,10 @@ def test_tangency_check_is_the_residual_rule_over_the_whole_call(case):
 
 def test_no_metric_overrides_exp_or_log():
     """Closed forms go in the ``_exp``, ``_log``, ``_squared_dist`` and
-    ``_inner_product`` hooks, behind the base checks.
+    ``_inner_product`` hooks, behind the base checks, and ``dist`` is the
+    base rule for every metric, Minkowski's included.
 
     Binding the inherited method itself under the subclass is not an override.
-    Minkowski's ``dist`` is the one exception: its squared interval is
-    negative on timelike separations, which have no real distance.
     """
     offenders = [
         f"{sub.__qualname__}.{op}"
@@ -425,7 +424,56 @@ def test_no_metric_overrides_exp_or_log():
         for op in ("exp", "log", "squared_dist", "dist", "inner_product")
         if vars(sub).get(op, vars(RiemannianMetric)[op]) is not vars(RiemannianMetric)[op]
     ]
-    assert offenders == ["MinkowskiMetric.dist"]
+    assert offenders == []
+
+
+_HOOKS = ("_inner_product", "_exp", "_log", "_squared_dist", "_log_and_squared_dist",
+          "_transport", "_transport_to")
+
+
+def test_metric_hooks_take_exactly_their_operands():
+    """Every hook has the signature of its base definition, so a public op
+    has no keyword to forward: a tolerance of an iterative hook is a module
+    constant."""
+    operands = {hook: inspect.signature(getattr(RiemannianMetric, hook)) for hook in _HOOKS}
+    offenders = [
+        f"{sub.__qualname__}.{hook}"
+        for sub in _all_subclasses(RiemannianMetric)
+        for hook in _HOOKS
+        if hook in vars(sub) and inspect.signature(vars(sub)[hook]) != operands[hook]
+    ]
+    assert offenders == []
+
+
+def test_geometry_does_not_import_learning():
+    """Estimators live in ``learning/``, on top of the metrics; no module under
+    ``geometry/`` reaches up into them."""
+    upward = re.compile(r"riemstats\.learning|from \.\.learning|from \.\. import [\w, ]*learning")
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted((SRC / "geometry").rglob("*.py"))
+        if upward.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("sq, expected", [(-1e-13, 0.0), ([4.0, -1e-12], [2.0, 0.0])])
+def test_round_off_negative_squared_distance_gives_zero(space_case, sq, expected, monkeypatch):
+    """``dist`` clips a squared distance in ``[-1e-12, 0)`` to 0, silently."""
+    metric = space_case.metric
+    point = space_case.random_points(1, np.random.default_rng(81))
+    monkeypatch.setattr(metric, "_squared_dist", lambda point_a, point_b: np.asarray(sq))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(metric.dist(point, point), expected)
+
+
+def test_negative_squared_distance_beyond_round_off_raises(space_case, monkeypatch):
+    metric = space_case.metric
+    point = space_case.random_points(1, np.random.default_rng(82))
+    monkeypatch.setattr(metric, "_squared_dist", lambda point_a, point_b: np.asarray([1.0, -1e-11]))
+    with pytest.raises(DomainError, match="^negative squared distance: "):
+        metric.dist(point, point)
 
 
 def test_no_manifold_overrides_membership_residual_or_belongs():

@@ -408,6 +408,13 @@ class TestMinkowski:
     def test_spacelike_distance(self):
         assert self.metric.dist(np.zeros(3), np.array([0.0, 3.0, 4.0])) == pytest.approx(5.0)
 
+    def test_timelike_norm_is_nan_with_a_warning(self):
+        """``norm`` is ``sqrt(squared_norm)`` with no rule for a negative
+        squared norm: a timelike vector's norm is NaN, with a RuntimeWarning."""
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            norm = self.metric.norm(np.array([[2.0, 0.1, 0.0], [0.0, 3.0, 4.0]]), np.zeros(3))
+        assert np.isnan(norm[0]) and norm[1] == 5.0
+
 
 class TestEuclidean:
     metric = Euclidean(3).metric

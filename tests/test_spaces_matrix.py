@@ -24,6 +24,7 @@ from riemstats.geometry import (
     vee,
 )
 from riemstats.geometry import spd as spd_module
+from riemstats.geometry import stiefel as stiefel_module
 from riemstats.geometry.spd import SPDMatrices
 
 
@@ -708,6 +709,20 @@ class TestGeneralLinear:
         assert self.gl3.belongs(np.eye(3))
         assert not self.gl3.belongs(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e-2, 1.0, 1e4, 1e8])
+    def test_membership_does_not_depend_on_scale(self, scale):
+        """A member's smallest singular value is above ``n eps`` times its
+        largest, so a multiple of I belongs at every scale and a singular
+        matrix at none."""
+        rank_one = np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0])
+        assert self.gl3.belongs(scale * np.eye(3))
+        assert self.gl3.membership_residual(scale * np.eye(3)) == 0.0
+        assert not self.gl3.belongs(scale * rank_one)
+        assert self.gl3.membership_residual(scale * rank_one) == np.inf
+
+    def test_exp_of_a_contraction_belongs(self):
+        assert self.gl3.belongs(self.metric.exp(-8.0 * np.eye(3), np.eye(3)))
+
     def test_group_exp_log_round_trip(self):
         rng = np.random.default_rng(18)
         algebra = 0.5 * rng.standard_normal((10, 3, 3))
@@ -799,13 +814,14 @@ class TestStiefel:
             atol=1e-10,
         )
 
-    def test_log_small_perturbation(self):
+    def test_log_small_perturbation(self, monkeypatch):
+        monkeypatch.setattr(stiefel_module, "_LOG_TOL", 1e-10)
         rng = np.random.default_rng(25)
         base = self.stiefel.random_point(rng=rng)
         vec = self.metric.random_tangent(base, rng=rng)
         vec = 1e-3 * vec / float(self.metric.norm(vec, base))
         target = self.metric.exp(vec, base)
-        np.testing.assert_allclose(self.metric.log(target, base, tol=1e-10), vec, atol=1e-8)
+        np.testing.assert_allclose(self.metric.log(target, base), vec, atol=1e-8)
 
     def test_log_round_trip(self):
         rng = np.random.default_rng(26)
@@ -822,14 +838,16 @@ class TestStiefel:
         base = self.stiefel.random_point(rng=rng)
         np.testing.assert_allclose(self.metric.log(base, base), np.zeros((4, 2)), atol=1e-12)
 
-    def test_non_convergence_raises_with_residual(self):
+    def test_non_convergence_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(stiefel_module, "_LOG_MAX_ITER", 1)
+        monkeypatch.setattr(stiefel_module, "_LOG_TOL", 1e-14)
         rng = np.random.default_rng(32)
         base = self.stiefel.random_point(rng=rng)
         vec = self.metric.random_tangent(base, rng=rng)
         vec = vec / float(self.metric.norm(vec, base))
         target = self.metric.exp(vec, base)
         with pytest.raises(ConvergenceError) as info:
-            self.metric.log(target, base, max_iter=1, tol=1e-14)
+            self.metric.log(target, base)
         assert info.value.residual is not None and info.value.residual > 1e-14
 
 
@@ -852,9 +870,10 @@ class TestStiefelLog:
     """Zimmermann's log against its stopping bound, its loop and the shooting log."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-11])
-    def test_exp_residual_within_tol(self, n, p, tol):
+    def test_exp_residual_within_tol(self, n, p, tol, monkeypatch):
+        monkeypatch.setattr(stiefel_module, "_LOG_TOL", tol)
         _, metric, base, target = _stiefel_pairs(n, p, 61)
-        log = metric.log(target, base, tol=tol)
+        log = metric.log(target, base)
         assert np.max(np.abs(metric.exp(log, base) - target)) <= tol
 
     def test_batch_equals_loop(self, n, p):
