@@ -65,6 +65,15 @@ def _one_point(metric, op, array, role):
     return array
 
 
+def _one_batch(metric, op, array, role):
+    """``array`` checked by ``metric._inputs``; ShapeError unless it is one
+    batch of shape ``(n, *point_shape)``."""
+    (array,) = metric._inputs(op, (array, role))
+    if array.ndim != len(metric.manifold.point_shape) + 1:
+        raise ShapeError(f"{op} fit takes one batch of {role}s, got {array.shape}")
+    return array
+
+
 class Manifold(ABC):
     """A smooth manifold with an explicit point representation.
 
@@ -205,6 +214,16 @@ class RiemannianMetric(ABC):
     # call per flow iteration, and the mask of the segments whose Hessian is
     # positive definite. None here: the flow takes gradient steps.
     _newton_directions = None
+
+    # A metric whose nearest centroids follow from a cheaper product than
+    # the distances defines ``_nearest(points, centroids)`` on a checked
+    # batch ``(n, *point_shape)`` and finite centroids: each point's nearest
+    # centroid and the mask of the rows where that label is certain, that
+    # is, where ``_squared_dist`` as computed is strictly least at it. The
+    # sphere does, from one Gram product and a rounding bound derived in its
+    # docstring. K-means sends the other rows through the distances. None
+    # here: every row takes the distances.
+    _nearest = None
 
     def __init__(self, manifold):
         self.manifold = manifold

@@ -12,6 +12,10 @@ from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 _SERIES_THRESHOLD = 1e-7
 # Angles this close to pi count as the cut locus.
 _ANTIPODAL_ATOL = 1e-7
+# ``_nearest`` certifies no row once a point's or a centroid's squared norm is
+# this far from 1: its bound assumes norms near 1.
+_NEAREST_MAX_DRIFT = 1e-3
+_EPS = np.finfo(float).eps
 
 
 class Hypersphere(Manifold):
@@ -130,3 +134,39 @@ class SphereMetric(RiemannianMetric):
             base_points[positive],
         )
         return directions, positive
+
+    def _nearest(self, points, centroids):
+        """Nearest centroids of a batch ``(n, d)`` by one Gram product, and where it is certain.
+
+        The centroid of largest ``<x, c_j>`` is x's nearest, and its row is
+        certain when that entry beats every other by more than
+        ``B = 32 (eta + 2 d eps)``. Here eta is the largest computed
+        ``|<v, v> - 1|`` over the points and centroids, capped at
+        ``_NEAREST_MAX_DRIFT``, so every norm is within ``e = eta + 2 d u``
+        of 1 (u = eps / 2, d the ambient dimension). A certain row's label
+        is where ``_squared_dist(c_j, x)``, as computed, is strictly least,
+        by three steps, with theta_j the exact angle between x and c_j:
+
+        1. ``_squared_dist`` squares ``a_j = atan2(s, t)``, with t the
+           clipped ``<c_j, x>`` and s the norm of ``x - t c_j``. (t, s) lies
+           within ``7 e + 3 d u + 5 u`` of ``|x| (cos theta_j, sin theta_j)``
+           (the products' rounding, the clip, ``|c_j| != 1`` and the
+           rounding of ``x - t c_j`` and its norm), so with 4 ulp for
+           ``arctan2``, ``|a_j - theta_j| <= 12 e + 5 d u + 34 u``.
+        2. The entries of the product are within ``1.01 d u`` of
+           ``|x| |c_j| cos theta_j``, so an entry gap above B leaves
+           ``cos theta_* - cos theta_j > B - 3 e - 3 d u``, and
+           ``theta_j - theta_*`` is at least that, as ``|cos'| <= 1``.
+        3. That exceeds twice the bound of step 1 plus 4 u, by
+           ``5 eta + 25 d u`` at least (d >= 2), so ``a_j - a_* > 4 u``:
+           more than the rounding of the square can close.
+
+        Returns ``(labels, certain)``; no row is certain past the cap.
+        """
+        sq_norms = np.concatenate([inner(points, points), inner(centroids, centroids)])
+        eta = float(abs(sq_norms - 1.0).max())
+        if not eta <= _NEAREST_MAX_DRIFT:
+            return np.zeros(len(points), dtype=int), np.zeros(len(points), dtype=bool)
+        gram = centroids @ points.T
+        near = gram >= gram.max(axis=0) - 32.0 * (eta + 2 * points.shape[-1] * _EPS)
+        return near.argmax(axis=0), near.sum(axis=0) == 1

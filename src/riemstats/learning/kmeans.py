@@ -15,10 +15,22 @@ warm-started centroid converges in a few flow iterations. Each centroid
 equals ``frechet_mean(members, init=previous centroid)`` bit for bit. An
 emptied cluster is re-seeded with the farthest point from its old centroid.
 
-Point-to-centroid distances (seeding, assignment, ``predict`` and the
-online update) broadcast the centroids against the points: one
-``_squared_dist`` call for few points, one per centroid for large batches.
-``fit`` and ``predict`` check their points once, then call only hooks.
+The nearest centroids (assignment, ``predict`` and the online update) come
+from one helper, ``_nearest_centroids``. A metric that defines the hook
+``_nearest(points, centroids)`` (the sphere, by one Gram product: the
+spherical k-means of Dhillon and Modha, 2001) labels the rows whose nearest
+centroid it can certify, those whose ``_squared_dist`` minimum no rounding
+can move. The other rows, and all rows of a metric without the hook, take
+``_pairwise_sq_dist``, which broadcasts the centroids against the points:
+one ``_squared_dist`` call for few points, one per centroid for large
+batches. Either way each label is the ``argmin`` of ``_pairwise_sq_dist``,
+ties to the lowest index. On the hook's path the inertia takes one
+``_squared_dist`` call at the labels, and the distances to a centroid are
+all computed only when its cluster empties, for the farthest-point re-seed.
+The k-means++ seeding (Arthur and Vassilvitskii, 2007) keeps a running
+minimum of the distances to the chosen centres: one ``_squared_dist`` call
+per centre. ``fit`` and ``predict`` check their points once, then call only
+hooks.
 
 Online version: the streaming Riemannian mean update
 ``c <- exp_c(log_c(x) / (n + 1))``, the manifold counterpart of the running
@@ -31,8 +43,8 @@ import math
 
 import numpy as np
 
-from ..errors import CutLocusError, DomainError, ShapeError
-from ..geometry.base import _one_point
+from ..errors import CutLocusError, DomainError
+from ..geometry.base import _one_batch, _one_point
 from .frechet import karcher_flow
 
 # The Karcher flow's limits for the centroid updates.
@@ -66,6 +78,44 @@ def _pairwise_sq_dist(metric, points, centroids):
     return np.moveaxis(np.concatenate(columns), 0, -1)
 
 
+def _nearest_centroids(metric, points, centroids):
+    """``(labels, sq)`` of a checked batch ``(n, *point_shape)``: the index of
+    each point's nearest centroid, ties to the lowest, and the squared
+    distances to them, or None where the metric's ``_nearest`` hook ran.
+
+    The hook labels the rows it certifies; the other rows, and every row of
+    a metric without the hook, take ``_pairwise_sq_dist``. Either way a
+    label is the ``argmin`` of ``_pairwise_sq_dist``.
+    """
+    if metric._nearest is None:
+        sq = _pairwise_sq_dist(metric, points, centroids)
+        return np.argmin(sq, axis=-1), np.min(sq, axis=-1)
+    labels, certain = metric._nearest(points, centroids)
+    if not certain.all():
+        uncertain = ~certain
+        rest = _pairwise_sq_dist(metric, points[uncertain], centroids)
+        labels[uncertain] = np.argmin(rest, axis=-1)
+    return labels, None
+
+
+def _assign(metric, points, centroids):
+    """``_nearest_centroids`` with the squared distances: where the hook ran,
+    one ``_squared_dist`` call at the labels."""
+    labels, sq = _nearest_centroids(metric, points, centroids)
+    if sq is None:
+        sq = metric._apply("squared_dist", metric._squared_dist, centroids[labels], points)
+    return labels, sq
+
+
+def _predict(metric, op, points, centroids):
+    """``_nearest_centroids`` labels of ``points``, checked, with any batch axes."""
+    (points,) = metric._inputs(op, (points, "point"))
+    point_shape = centroids.shape[1:]
+    batch_shape = points.shape[: points.ndim - len(point_shape)]
+    labels, _ = _nearest_centroids(metric, points.reshape((-1,) + point_shape), centroids)
+    return labels.reshape(batch_shape)[()]
+
+
 class RiemannianKMeans:
     """Lloyd's algorithm under a Riemannian metric.
 
@@ -82,11 +132,15 @@ class RiemannianKMeans:
         self.seed = seed
 
     def _seed_centroids(self, points, rng):
-        """k-means++ on geodesic distances, deterministic per seed."""
+        """k-means++ on geodesic distances, deterministic per seed: each pass
+        takes the distances to the latest centre into a running minimum."""
+        metric = self.metric
         n = points.shape[0]
         chosen = [int(rng.integers(n))]
+        sq = np.full(n, np.inf)
         for _ in range(self.n_clusters - 1):
-            sq = _pairwise_sq_dist(self.metric, points, points[chosen]).min(axis=-1)
+            latest = metric._apply("squared_dist", metric._squared_dist, points[chosen[-1]], points)
+            sq = np.minimum(sq, latest)
             total = float(np.sum(sq))
             if total <= 0.0:
                 probs = np.full(n, 1.0 / n)
@@ -96,29 +150,30 @@ class RiemannianKMeans:
         return points[chosen].copy()
 
     def fit(self, points):
-        points = np.asarray(points, dtype=float)
+        """Cluster ``points``, one batch of shape ``(n, *point_shape)``."""
+        metric = self.metric
+        points = _one_batch(metric, "k-means", points, "point")
         n = points.shape[0]
         if not 1 <= self.n_clusters <= n:
             raise ValueError("n_clusters must be between 1 and the number of points")
-        metric = self.metric
-        (points,) = metric._inputs("k-means", (points, "point"))
         rng = np.random.default_rng(self.seed)
         centroids = self._seed_centroids(points, rng)
 
         history = []
         converged = False
         n_iter = 0
-        labels = np.zeros(n, dtype=int)
         for _ in range(self.max_iter):
             n_iter += 1
-            sq = _pairwise_sq_dist(metric, points, centroids)
-            labels = np.argmin(sq, axis=-1)
-            history.append(float(np.sum(np.min(sq, axis=-1))))
+            labels, sq = _assign(metric, points, centroids)
+            history.append(float(np.sum(sq)))
 
             # Re-seed emptied clusters at the farthest point; flow the rest.
-            new_centroids = points[np.argmax(sq, axis=0)]
             counts = np.bincount(labels, minlength=self.n_clusters)
             filled = counts > 0
+            new_centroids = np.empty_like(centroids)
+            if not filled.all():
+                emptied = _pairwise_sq_dist(metric, points, centroids[~filled])
+                new_centroids[~filled] = points[np.argmax(emptied, axis=0)]
             new_centroids[filled] = karcher_flow(
                 metric,
                 points[np.argsort(labels, kind="stable")],
@@ -134,9 +189,8 @@ class RiemannianKMeans:
                 converged = True
                 break
 
-        sq = _pairwise_sq_dist(metric, points, centroids)
-        labels = np.argmin(sq, axis=-1)
-        history.append(float(np.sum(np.min(sq, axis=-1))))
+        labels, sq = _assign(metric, points, centroids)
+        history.append(float(np.sum(sq)))
 
         self.centroids_ = centroids
         self.labels_ = labels
@@ -147,8 +201,8 @@ class RiemannianKMeans:
         return self
 
     def predict(self, points):
-        (points,) = self.metric._inputs("k-means", (points, "point"))
-        return np.argmin(_pairwise_sq_dist(self.metric, points, self.centroids_), axis=-1)
+        """Index of the nearest centroid of each point; ``points`` may carry any batch axes."""
+        return _predict(self.metric, "k-means", points, self.centroids_)
 
 
 class OnlineKMeans:
@@ -180,9 +234,7 @@ class OnlineKMeans:
     def fit(self, points):
         """Update with each point of ``points``, shape ``(n, *point_shape)``, in order."""
         metric = self.metric
-        (points,) = metric._inputs("online k-means", (points, "point"))
-        if points.ndim != len(metric.manifold.point_shape) + 1:
-            raise ShapeError(f"online k-means fit takes one batch of points, got {points.shape}")
+        points = _one_batch(metric, "online k-means", points, "point")
         with np.errstate(all="ignore"):
             for point in points:
                 self._update(point)
@@ -198,11 +250,8 @@ class OnlineKMeans:
             self.centroids_[slot] = point
             self.counts_[slot] += 1
             return
-        # The operand shapes, and so the bits, of ``_pairwise_sq_dist``.
-        sq = metric._apply(
-            "squared_dist", metric._squared_dist, self.centroids_[:, None], point[None]
-        )
-        nearest = int(np.argmin(sq[:, 0]))
+        labels, _ = _nearest_centroids(metric, point[None], self.centroids_)
+        nearest = int(labels[0])
         centroid = self.centroids_[nearest]
         try:
             step = metric._apply("log", metric._log, point, centroid)
@@ -218,6 +267,4 @@ class OnlineKMeans:
         filled = np.flatnonzero(self.counts_)
         if filled.size == 0:
             raise ValueError("online k-means predict needs at least one fitted sample")
-        (points,) = self.metric._inputs("online k-means", (points, "point"))
-        sq = _pairwise_sq_dist(self.metric, points, self.centroids_[filled])
-        return filled[np.argmin(sq, axis=-1)]
+        return filled[_predict(self.metric, "online k-means", points, self.centroids_[filled])]

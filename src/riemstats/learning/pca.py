@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import linalg
 from ..errors import ConvergenceError, ShapeError
-from ..geometry.base import orthonormal_tangent_basis
+from ..geometry.base import _one_batch, orthonormal_tangent_basis
 from .frechet import frechet_mean
 
 
@@ -39,8 +39,9 @@ class TangentPCA:
         self.n_components = n_components
 
     def fit(self, points, base_point=None):
+        """Fit to ``points``, one batch of shape ``(n, *point_shape)``."""
         metric = self.metric
-        points = np.asarray(points, dtype=float)
+        points = _one_batch(metric, "tangent pca", points, "point")
         if base_point is None:
             mean = frechet_mean(metric, points)
             if not mean.converged:
@@ -59,7 +60,6 @@ class TangentPCA:
             )
 
         basis = orthonormal_tangent_basis(metric, base_point)
-        (points,) = metric._inputs("tangent pca", (points, "point"))
         logs = metric._apply("log", metric._log, points, base_point)
         coords = metric._apply("inner_product", metric._inner_product, logs[:, None], basis[None],
                                base_point)

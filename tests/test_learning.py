@@ -10,6 +10,7 @@ from riemstats.geometry import (
     SpecialOrthogonal,
     orthonormal_tangent_basis,
 )
+from riemstats.geometry.sphere import SphereMetric
 from riemstats.learning import (
     FrechetMean,
     OnlineKMeans,
@@ -818,6 +819,11 @@ class TestTangentPCA:
         with pytest.raises(ShapeError):
             TangentPCA(S_METRIC, n_components=3).fit(SPHERE.random_point(4, rng=18))
 
+    def test_fit_takes_one_batch(self):
+        """A single point raised a numpy broadcast ValueError."""
+        with pytest.raises(ShapeError):
+            TangentPCA(S_METRIC, 1).fit(SPHERE.random_point(rng=33))
+
 
 class TestKMeans:
     def test_single_cluster_is_frechet_mean(self):
@@ -869,6 +875,17 @@ class TestKMeans:
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError):
             RiemannianKMeans(S_METRIC, 5).fit(SPHERE.random_point(3, rng=25))
+
+    @pytest.mark.parametrize(
+        "n_clusters, points",
+        [(2, SPHERE.random_point(rng=30)), (1, SPHERE.random_point(rng=31)),
+         (2, SPHERE.random_point(6, rng=32).reshape(2, 3, 3))],
+        ids=["point-k2", "point-k1", "two-batch-axes"],
+    )
+    def test_fit_takes_one_batch(self, n_clusters, points):
+        """A single point raised TypeError or ValueError, a (2, 3, 3) batch ValueError."""
+        with pytest.raises(ShapeError):
+            RiemannianKMeans(S_METRIC, n_clusters).fit(points)
 
     @pytest.mark.parametrize(
         "manifold, metric",
@@ -927,6 +944,145 @@ def test_pairwise_sq_dist_broadcast_equals_loop(space_case, per_call, monkeypatc
     broadcast = kmeans._pairwise_sq_dist(space_case.metric, points, centroids)
     assert broadcast.shape == (7, 3)
     assert np.array_equal(broadcast, loop)
+
+
+def _labels_everywhere(metric, points, centroids):
+    """The nearest-centroid labels of ``fit`` (seeded at ``centroids``, no
+    Lloyd step), ``predict`` and ``OnlineKMeans``, with the ``argmin`` of
+    ``_pairwise_sq_dist``, for each of ``points``."""
+    k = len(centroids)
+    model = RiemannianKMeans(metric, k, max_iter=0)
+    model._seed_centroids = lambda points, rng: centroids.copy()
+    model.fit(points)
+    online = []
+    for point in points:
+        stream = OnlineKMeans(metric, k)
+        stream.centroids_ = centroids.copy()
+        stream.counts_[:] = 1
+        stream.partial_fit(point)
+        assert stream.n_rejected_ == 0
+        online.append(int(np.argmax(stream.counts_)))
+    expected = np.argmin(kmeans._pairwise_sq_dist(metric, points, centroids), axis=-1)
+    return expected, [model.labels_, model.predict(points), np.array(online)]
+
+
+class TestNearestCentroids:
+    """The sphere's Gram-product ``_nearest`` never changes a label: fit,
+    predict and online K-means take the ``argmin`` of ``_pairwise_sq_dist``,
+    ties to the lowest index, whatever the hook certifies."""
+
+    def test_norm_drift_that_reverses_the_gram_order(self):
+        """c1 = (1 + 5e-9) x and c2 at 1e-9 rad from x both belong; the Gram
+        product prefers c1 by 5e-9, the distances prefer c2."""
+        x = np.array([1.0, 0.0, 0.0])
+        centroids = np.array([(1.0 + 5e-9) * x, [np.cos(1e-9), np.sin(1e-9), 0.0]])
+        assert np.all(SPHERE.belongs(centroids))
+        assert np.argmax(centroids @ x) == 0
+        _, certain = S_METRIC._nearest(x[None], centroids)
+        assert not certain[0]
+        points = np.stack([x, SPHERE.random_point(rng=40)])
+        expected, found = _labels_everywhere(S_METRIC, points, centroids)
+        assert expected[0] == 1
+        for labels in found:
+            np.testing.assert_array_equal(labels, expected)
+
+    def test_duplicate_centroids_go_to_the_lowest_index(self):
+        rng = np.random.default_rng(41)
+        a, b = SPHERE.random_point(2, rng)
+        points = np.concatenate([SPHERE.random_point(20, rng), [a, -a, b]])
+        expected, found = _labels_everywhere(S_METRIC, points, np.stack([a, b, a]))
+        assert 2 not in expected and 0 in expected
+        for labels in found:
+            np.testing.assert_array_equal(labels, expected)
+
+    def test_near_ties(self):
+        """Points whose two Gram entries differ by 1e-17 to 1e-11: the bound
+        on S^2 is near 5e-14, so some rows are certain and some are not."""
+        rng = np.random.default_rng(42)
+        a, b = SPHERE.random_point(2, rng)
+        offsets = np.geomspace(1e-17, 1e-11, 24) * np.where(np.arange(24) % 2, 1.0, -1.0)
+        points = SPHERE.project((a + b) + offsets[:, None] * (a - b) / np.dot(a - b, a - b))
+        gaps = np.abs(points @ a - points @ b)
+        assert gaps.min() < 1e-15 and gaps.max() > 1e-12
+        _, certain = S_METRIC._nearest(points, np.stack([a, b]))
+        assert certain.any() and not certain.all()
+        expected, found = _labels_everywhere(S_METRIC, points, np.stack([a, b]))
+        for labels in found:
+            np.testing.assert_array_equal(labels, expected)
+
+    def test_one_centroid(self):
+        rng = np.random.default_rng(43)
+        points = SPHERE.random_point(6, rng)
+        expected, found = _labels_everywhere(S_METRIC, points, SPHERE.random_point(1, rng)[None])
+        for labels in found:
+            np.testing.assert_array_equal(labels, expected)
+            assert not labels.any()
+
+    def test_antipodal_sample(self):
+        rng = np.random.default_rng(44)
+        x, c = SPHERE.random_point(2, rng)
+        points = np.stack([x, -c])
+        expected, found = _labels_everywhere(S_METRIC, points, np.stack([-x, c]))
+        np.testing.assert_array_equal(expected, [1, 0])
+        for labels in found:
+            np.testing.assert_array_equal(labels, expected)
+
+    def test_certain_rows_under_norm_drift(self):
+        """Centroids whose norms drift by up to 1e-9 (they still belong),
+        points near every bisector: each certain row is the ``argmin``."""
+        space = Hypersphere(5)
+        rng = np.random.default_rng(45)
+        centroids = space.random_point(4, rng) * (1.0 + rng.uniform(-1e-9, 1e-9, (4, 1)))
+        pairs = rng.integers(4, size=(600, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        a, b = centroids[pairs[:, 0]], centroids[pairs[:, 1]]
+        signs = rng.choice([-1.0, 1.0], (len(pairs), 1))
+        offsets = signs * 10.0 ** rng.uniform(-17, -3, (len(pairs), 1))
+        points = space.project(a + b + offsets * (a - b))
+        labels, certain = space.metric._nearest(points, centroids)
+        expected = np.argmin(kmeans._pairwise_sq_dist(space.metric, points, centroids), axis=-1)
+        assert 0.1 < certain.mean() < 0.9
+        np.testing.assert_array_equal(labels[certain], expected[certain])
+
+    def test_no_row_is_certain_off_the_sphere(self):
+        """A point of norm 2 makes every row go through the distances."""
+        points = np.array([[2.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+        centroids = np.eye(3)[:2]
+        _, certain = S_METRIC._nearest(points, centroids)
+        assert not certain.any()
+        expected = np.argmin(kmeans._pairwise_sq_dist(S_METRIC, points, centroids), axis=-1)
+        model = RiemannianKMeans(S_METRIC, 2, max_iter=0)
+        model._seed_centroids = lambda points, rng: centroids.copy()
+        np.testing.assert_array_equal(model.fit(points).labels_, expected)
+        np.testing.assert_array_equal(model.predict(points), expected)
+
+    @pytest.mark.parametrize("empty_start", [False, True], ids=["seeded", "emptied"])
+    def test_hook_path_equals_the_distance_path_bit_for_bit(self, empty_start, monkeypatch):
+        space = Hypersphere(5)
+        rng = np.random.default_rng(46)
+        data = space.random_point(300, rng)
+        stream = space.random_point(120, rng)
+
+        def run():
+            model = RiemannianKMeans(space.metric, 4, seed=2)
+            if empty_start:
+                # The fourth centroid is a copy of the first, so ties leave it empty.
+                model._seed_centroids = lambda points, _: points[[0, 1, 2, 0]].copy()
+            model.fit(data)
+            online = OnlineKMeans(space.metric, 4).fit(stream)
+            return model, [
+                model.centroids_, model.labels_, model.inertia_history_, model.predict(stream),
+                online.centroids_, online.counts_, online.predict(data),
+            ]
+
+        model, hook = run()
+        assert model.n_iter_ > 1
+        assert space.metric._nearest(data, model.centroids_)[1].mean() > 0.9
+        monkeypatch.setattr(SphereMetric, "_nearest", None)
+        _, distances = run()
+        for a, b in zip(hook, distances):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 class TestOnlineKMeans:

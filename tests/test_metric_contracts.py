@@ -8,7 +8,10 @@ the input contract of the public point ops (shape, finiteness) and the
 projection.
 """
 
+import ast
+import importlib
 import inspect
+import pkgutil
 import re
 import warnings
 from pathlib import Path
@@ -18,6 +21,7 @@ import pytest
 
 from riemstats import linalg
 from riemstats.errors import DomainError, GeometryError, MembershipError, ShapeError, TangencyError
+from riemstats import geometry
 from riemstats.geometry import Manifold, RiemannianMetric, SPDMatrices, numerical
 from riemstats.geometry.base import ATOL, orthonormal_tangent_basis
 from riemstats.learning import (
@@ -526,6 +530,36 @@ def test_no_estimator_calls_a_public_metric_op():
         for path in sorted((SRC / "learning").rglob("*.py"))
         for match in public.finditer(path.read_text())
     ]
+    assert offenders == []
+
+
+def test_learning_names_no_geometry_class():
+    """Estimators see a space only through its metric's hooks: no module under
+    ``learning/`` imports a class of ``geometry/``, or names one in its code,
+    as in an ``isinstance`` test. A space-specific shortcut, such as the
+    sphere's Gram-product ``_nearest``, then stays behind a hook."""
+    classes = set()
+    for info in pkgutil.iter_modules(geometry.__path__):
+        module = importlib.import_module(f"riemstats.geometry.{info.name}")
+        classes |= {
+            name for name, obj in vars(module).items()
+            if inspect.isclass(obj) and obj.__module__.startswith("riemstats.geometry")
+        }
+    assert {"SphereMetric", "Hypersphere", "RiemannianMetric"} <= classes
+    offenders = []
+    for path in sorted((SRC / "learning").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named = [alias.name.rpartition(".")[2] for alias in node.names]
+            elif isinstance(node, ast.Name):
+                named = [node.id]
+            elif isinstance(node, ast.Attribute):
+                named = [node.attr]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}:{node.lineno}: {name}" for name in named if name in classes
+            ]
     assert offenders == []
 
 
