@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import Hyperboloid, hyperboloid_to_ball, rotation_part, translation_part
+from .. import geometry
 from ..learning import riemannian_gradient_descent
 from ..linalg import norm
 from ._specs import SchemaError, read_array, read_point, resolve_manifold, take_fields
@@ -110,7 +110,7 @@ def poincare_grid(grid_size=5, extent=1.5, num_points=100):
     """
     if grid_size < 1 or num_points < 2:
         raise SchemaError("grid-size must be >= 1 and num-points >= 2")
-    hyperboloid = Hyperboloid(2)
+    hyperboloid = geometry.Hyperboloid(2)
     metric = hyperboloid.metric
     origin = hyperboloid.origin()
     axes = np.eye(3)[1:]  # tangent directions at the origin
@@ -128,7 +128,7 @@ def poincare_grid(grid_size=5, extent=1.5, num_points=100):
                     "family": family,
                     "index": index,
                     "offset": float(offset),
-                    "points": hyperboloid_to_ball(points),
+                    "points": geometry.hyperboloid_to_ball(points),
                 }
             )
     payload = {
@@ -168,13 +168,13 @@ def se3_geodesic(start=None, end=None, num_points=100):
         "times": times,
         "poses": [
             {
-                "rotation": rotation_part(pose),
-                "translation": translation_part(pose),
+                "rotation": geometry.rotation_part(pose),
+                "translation": geometry.translation_part(pose),
             }
             for pose in poses
         ],
     }
-    rot_flat = rotation_part(poses).reshape(num_points, 9)
-    rows = np.column_stack([times, rot_flat, translation_part(poses)])
+    rot_flat = geometry.rotation_part(poses).reshape(num_points, 9)
+    rows = np.column_stack([times, rot_flat, geometry.translation_part(poses)])
     header = "t," + ",".join(f"r{i}{j}" for i in range(3) for j in range(3)) + ",tx,ty,tz"
     return payload, (header, rows)

@@ -134,7 +134,6 @@ def _cmd_learn(args):
         TangentPCA,
         riemannian_gradient_descent,
     )
-    from ._figures import resolve_field
 
     manifold, metric, codec = _manifold_from_args(args)
     estimator = args.estimator
@@ -208,6 +207,8 @@ def _cmd_learn(args):
             }
         )
     else:  # rgrad
+        from ._figures import resolve_field
+
         if args.field is None:
             raise SchemaError("rgrad needs --field")
         field_spec = read_json_source(args.field, "field spec")

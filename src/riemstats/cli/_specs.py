@@ -17,28 +17,8 @@ import sys
 
 import numpy as np
 
+from .. import geometry
 from ..errors import MembershipError
-from ..geometry import (
-    DiscretizedCurves,
-    Euclidean,
-    GeneralLinear,
-    Grassmann,
-    Hyperboloid,
-    Hypersphere,
-    Landmarks,
-    LandmarksMetric,
-    Minkowski,
-    PoincareBall,
-    SPDMatrices,
-    SpecialEuclidean,
-    SpecialOrthogonal,
-    Stiefel,
-    homogeneous_from_parts,
-    matrix_from_rotation_vector,
-    rotation_part,
-    tangent_from_parts,
-    translation_part,
-)
 from ..geometry.base import ATOL
 
 
@@ -137,7 +117,7 @@ class RigidCodec(PointCodec):
             rotation_vector = read_array(fields["rotation_vector"], f"{what} rotation_vector")
             _require(rotation_vector.shape[-1:] == (3,),
                      f"{what} rotation_vector must have length 3")
-            rotation = matrix_from_rotation_vector(rotation_vector)
+            rotation = geometry.matrix_from_rotation_vector(rotation_vector)
         else:
             rotation = read_array(fields["rotation"], f"{what} rotation")
         translation = read_array(fields["translation"], f"{what} translation")
@@ -149,19 +129,19 @@ class RigidCodec(PointCodec):
 
     def decode_point(self, obj):
         if isinstance(obj, dict):
-            return self._from_parts(obj, homogeneous_from_parts, "pose")
+            return self._from_parts(obj, geometry.homogeneous_from_parts, "pose")
         return super().decode_point(obj)
 
     def decode_tangent(self, obj):
         if isinstance(obj, dict):
-            return self._from_parts(obj, tangent_from_parts, "pose velocity")
+            return self._from_parts(obj, geometry.tangent_from_parts, "pose velocity")
         return super().decode_tangent(obj)
 
     def encode(self, arr):
         arr = np.asarray(arr, dtype=float)
         return {
-            "rotation": rotation_part(arr).tolist(),
-            "translation": translation_part(arr).tolist(),
+            "rotation": geometry.rotation_part(arr).tolist(),
+            "translation": geometry.translation_part(arr).tolist(),
         }
 
 
@@ -170,7 +150,7 @@ def resolve_manifold(spec):
     _require(isinstance(spec, dict), "manifold spec must be a JSON object")
     _require(isinstance(spec.get("name"), str), "manifold spec needs a 'name'")
     manifold, metric = _build_manifold(spec["name"], spec)
-    if isinstance(manifold, SpecialEuclidean):
+    if spec["name"] == "se":
         return manifold, metric, RigidCodec(manifold.n)
     return manifold, metric, PointCodec(manifold.point_shape, metric.tangent_shape)
 
@@ -188,17 +168,17 @@ def _build_manifold(name, spec):
         _require(chosen in families, f"metric family must be one of {sorted(families)}")
         return chosen, metric
 
-    flat = {"euclidean": Euclidean, "minkowski": Minkowski, "gl": GeneralLinear}
+    flat = {"euclidean": "Euclidean", "minkowski": "Minkowski", "gl": "GeneralLinear"}
     if name in flat:
         (n,), _ = take(["n"])
-        manifold = flat[name](n)
+        manifold = getattr(geometry, flat[name])(n)
         return manifold, manifold.metric
 
     if name == "hypersphere":
         (n,), fields = take(["n"], ["representation"])
         _require(fields.get("representation", "extrinsic") == "extrinsic",
                  "hypersphere only has the 'extrinsic' representation")
-        manifold = Hypersphere(n)
+        manifold = geometry.Hypersphere(n)
         return manifold, manifold.metric
 
     if name == "hyperbolic":
@@ -206,18 +186,19 @@ def _build_manifold(name, spec):
         representation = fields.get("representation", "hyperboloid")
         _require(representation in ("hyperboloid", "ball"),
                  "hyperbolic representation must be 'hyperboloid' or 'ball'")
-        manifold = Hyperboloid(n) if representation == "hyperboloid" else PoincareBall(n)
+        space = geometry.Hyperboloid if representation == "hyperboloid" else geometry.PoincareBall
+        manifold = space(n)
         return manifold, manifold.metric
 
     if name in ("stiefel", "grassmann"):
         (n, p), _ = take(["n", "p"])
-        manifold = Stiefel(n, p) if name == "stiefel" else Grassmann(n, p)
+        manifold = (geometry.Stiefel if name == "stiefel" else geometry.Grassmann)(n, p)
         return manifold, manifold.metric
 
     if name == "spd":
         (n,), fields = take(["n"], ["metric"])
         chosen, _ = family(fields, ["affine-invariant", "log-euclidean"])
-        manifold = SPDMatrices(n)
+        manifold = geometry.SPDMatrices(n)
         if chosen == "affine-invariant":
             return manifold, manifold.affine_invariant_metric
         return manifold, manifold.log_euclidean_metric
@@ -225,13 +206,13 @@ def _build_manifold(name, spec):
     if name == "so":
         (n,), fields = take(["n"], ["metric"])
         family(fields, ["bi-invariant"])
-        manifold = SpecialOrthogonal(n)
+        manifold = geometry.SpecialOrthogonal(n)
         return manifold, manifold.bi_invariant_metric
 
     if name == "se":
         (n,), fields = take(["n"], ["metric"])
         chosen, options = family(fields, ["left-invariant", "right-invariant"], ["inner_matrix"])
-        manifold = SpecialEuclidean(n)
+        manifold = geometry.SpecialEuclidean(n)
         inner_matrix = options.get("inner_matrix")
         if inner_matrix is not None:
             inner_matrix = read_array(inner_matrix, "'inner_matrix'", (manifold.dim,) * 2)
@@ -241,7 +222,7 @@ def _build_manifold(name, spec):
     if name == "curves":
         (k, d), fields = take(["k", "d"], ["metric"])
         chosen, _ = family(fields, ["l2", "srv"])
-        manifold = DiscretizedCurves(k, d)
+        manifold = geometry.DiscretizedCurves(k, d)
         return manifold, manifold.l2_metric if chosen == "l2" else manifold.srv_metric
 
     if name == "landmarks":
@@ -249,8 +230,8 @@ def _build_manifold(name, spec):
         base_manifold, base_metric, base_codec = resolve_manifold(fields["base"])
         _require(type(base_codec) is PointCodec,
                  "landmarks on this base manifold are not supported")
-        manifold = Landmarks(base_manifold, _positive_int(fields["k"], "k"))
-        return manifold, LandmarksMetric(manifold, base_metric)
+        manifold = geometry.Landmarks(base_manifold, _positive_int(fields["k"], "k"))
+        return manifold, geometry.LandmarksMetric(manifold, base_metric)
 
     raise SchemaError(f"unknown manifold name '{name}'")
 

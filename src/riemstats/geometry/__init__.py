@@ -1,27 +1,21 @@
-"""Manifolds, metrics, and the numerical fallbacks behind them."""
+"""Manifolds, metrics, and the numerical fallbacks behind them.
 
+Importing this package imports only the generic layer: ``base``,
+``numerical`` and ``invariant`` (and ``hat``/``vee`` from ``linalg``, which
+``base`` imports anyway). Each space module (``sphere``, ``spd``, ``rigid``,
+...) is imported on first use of one of its names, through the module
+``__getattr__`` (PEP 562), so a process that works on one space compiles and
+imports only that space's module. ``invariant`` stays eager because the
+benchmark's tracer (``perfbench/spans.py``) looks ``InvariantMetric`` up in
+``sys.modules`` when it installs, and nothing else in the ``estimators``
+workload imports it.
+"""
+
+from importlib import import_module as _import_module
+
+from ..linalg import hat, vee
 from .base import Geodesic, Manifold, RiemannianMetric, orthonormal_tangent_basis
-from .curves import (
-    CurvesL2Metric,
-    DiscretizedCurves,
-    SRVMetric,
-    srv_inverse,
-    srv_transform,
-)
-from .euclidean import Euclidean, EuclideanMetric, Minkowski, MinkowskiMetric, minkowski_inner
-from .general_linear import GeneralLinear, GLGroupMetric
-from .grassmann import Grassmann, GrassmannMetric, projector_from_basis
-from .hyperbolic import (
-    Hyperboloid,
-    HyperboloidMetric,
-    PoincareBall,
-    PoincareBallMetric,
-    ball_to_hyperboloid,
-    ball_to_hyperboloid_tangent,
-    hyperboloid_to_ball,
-)
 from .invariant import InvariantMetric
-from .landmarks import Landmarks, LandmarksMetric
 from .numerical import (
     ChristoffelField,
     christoffels_from_metric,
@@ -29,78 +23,48 @@ from .numerical import (
     log_by_shooting,
     transport_by_ladder,
 )
-from .rigid import (
-    SECanonicalLeftMetric,
-    SpecialEuclidean,
-    homogeneous_from_parts,
-    rotation_part,
-    tangent_from_parts,
-    translation_part,
-)
-from .rotations import (
-    SOBiInvariantMetric,
-    SpecialOrthogonal,
-    hat,
-    matrix_from_rotation_vector,
-    rotation_vector_from_matrix,
-    vee,
-)
-from .sphere import Hypersphere, SphereMetric
-from .spd import SPDAffineMetric, SPDLogEuclideanMetric, SPDMatrices
-from .stiefel import Stiefel, StiefelCanonicalMetric
 
-__all__ = [
-    "ChristoffelField",
-    "CurvesL2Metric",
-    "DiscretizedCurves",
-    "Euclidean",
-    "EuclideanMetric",
-    "GLGroupMetric",
-    "GeneralLinear",
-    "Geodesic",
-    "Grassmann",
-    "GrassmannMetric",
-    "Hyperboloid",
-    "HyperboloidMetric",
-    "Hypersphere",
-    "InvariantMetric",
-    "Landmarks",
-    "LandmarksMetric",
-    "Manifold",
-    "Minkowski",
-    "MinkowskiMetric",
-    "PoincareBall",
-    "PoincareBallMetric",
-    "RiemannianMetric",
-    "SECanonicalLeftMetric",
-    "SOBiInvariantMetric",
-    "SPDAffineMetric",
-    "SPDLogEuclideanMetric",
-    "SPDMatrices",
-    "SRVMetric",
-    "SphereMetric",
-    "SpecialEuclidean",
-    "SpecialOrthogonal",
-    "Stiefel",
-    "StiefelCanonicalMetric",
-    "ball_to_hyperboloid",
-    "ball_to_hyperboloid_tangent",
-    "christoffels_from_metric",
-    "exp_by_integration",
-    "hat",
-    "homogeneous_from_parts",
-    "hyperboloid_to_ball",
-    "log_by_shooting",
-    "matrix_from_rotation_vector",
-    "minkowski_inner",
-    "orthonormal_tangent_basis",
-    "projector_from_basis",
-    "rotation_part",
-    "rotation_vector_from_matrix",
-    "srv_inverse",
-    "srv_transform",
-    "tangent_from_parts",
-    "translation_part",
-    "transport_by_ladder",
-    "vee",
-]
+# Public name -> the space module that defines it, imported on first use.
+_LAZY = {
+    name: module
+    for module, names in {
+        "curves": ("CurvesL2Metric", "DiscretizedCurves", "SRVMetric", "srv_inverse",
+                   "srv_transform"),
+        "euclidean": ("Euclidean", "EuclideanMetric", "Minkowski", "MinkowskiMetric",
+                      "minkowski_inner"),
+        "general_linear": ("GLGroupMetric", "GeneralLinear"),
+        "grassmann": ("Grassmann", "GrassmannMetric", "projector_from_basis"),
+        "hyperbolic": ("Hyperboloid", "HyperboloidMetric", "PoincareBall", "PoincareBallMetric",
+                       "ball_to_hyperboloid", "ball_to_hyperboloid_tangent",
+                       "hyperboloid_to_ball"),
+        "landmarks": ("Landmarks", "LandmarksMetric"),
+        "rigid": ("SECanonicalLeftMetric", "SpecialEuclidean", "homogeneous_from_parts",
+                  "rotation_part", "tangent_from_parts", "translation_part"),
+        "rotations": ("SOBiInvariantMetric", "SpecialOrthogonal", "matrix_from_rotation_vector",
+                      "rotation_vector_from_matrix"),
+        "sphere": ("Hypersphere", "SphereMetric"),
+        "spd": ("SPDAffineMetric", "SPDLogEuclideanMetric", "SPDMatrices"),
+        "stiefel": ("Stiefel", "StiefelCanonicalMetric"),
+    }.items()
+    for name in names
+}
+
+# The eager names are the public functions and classes bound above (the
+# submodules that the imports bind are not callable).
+__all__ = sorted(
+    [name for name, value in globals().items() if not name.startswith("_") and callable(value)]
+    + list(_LAZY)
+)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -74,7 +74,12 @@ class GLGroupMetric(RiemannianMetric):
         return linalg.inner(inv @ tangent_vec_a, inv @ tangent_vec_b, axes=2)
 
     def _exp(self, tangent_vec, base_point):
-        return base_point @ linalg.matrix_exp(_inverse(base_point, "base point") @ tangent_vec)
+        """The group exp; DomainError where the result is numerically singular
+        (``GeneralLinear``'s membership rule), as it can be far from the base."""
+        out = base_point @ linalg.matrix_exp(_inverse(base_point, "base point") @ tangent_vec)
+        if np.isfinite(out).all() and np.isinf(self.manifold._membership_residual(out)).any():
+            raise DomainError("general_linear exp is numerically singular: it leaves the group")
+        return out
 
     def _log(self, point, base_point):
         return base_point @ linalg.matrix_log(_inverse(base_point, "base point") @ point)

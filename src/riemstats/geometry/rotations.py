@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import linalg
-from ..linalg import hat, vee  # both re-exported by riemstats.geometry
+from ..linalg import hat
 from .base import Manifold, RiemannianMetric, _rng, _sample_shape
 
 # Rotation angles within this of pi sit on the cut locus of the log.

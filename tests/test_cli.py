@@ -18,12 +18,18 @@ def run_geo(args, stdin=None):
     )
 
 
+# Every module of the package, imported before a guard lists sys.modules: the
+# space modules load on first use, and a guard must still see all of them.
+IMPORT_EVERY_MODULE = (
+    "import importlib, pkgutil, sys, riemstats; "
+    "[importlib.import_module(m.name) "
+    "for m in pkgutil.walk_packages(riemstats.__path__, 'riemstats.')]; "
+)
+
+
 def test_import_does_not_load_scipy():
     """scipy is a test-only reference; the library and the CLI run on numpy alone."""
-    code = (
-        "import sys, riemstats, riemstats.cli._main; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
+    code = IMPORT_EVERY_MODULE + "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
@@ -31,13 +37,43 @@ def test_import_does_not_load_scipy():
 
 def test_import_does_not_load_numpy_polynomial():
     """The matrix log's quadrature rule is written out, not built at import."""
-    code = (
-        "import sys, riemstats, riemstats.cli._main; "
+    code = IMPORT_EVERY_MODULE + (
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _modules_after_geo(argv):
+    """The riemstats modules a fresh ``geo`` process has loaded when it exits."""
+    code = (
+        "import json, sys; from riemstats.cli import main; rc = main(json.loads(sys.argv[1])); "
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('riemstats'))]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    rc, modules = json.loads(out.stdout.splitlines()[-1])
+    assert rc == 0, out.stderr
+    return modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["op", "dist", "--manifold-spec", SPHERE, "--inputs",
+     '{"point_a": [1, 0, 0], "point_b": [0, 1, 0]}'],
+    ["validate", "--manifold-spec", SPHERE, "--data", '{"points": [[1, 0, 0], [0, 1, 0]]}'],
+], ids=["op_dist", "validate"])
+def test_cold_geo_loads_only_the_space_it_is_asked_about(argv):
+    loaded = [m for m in _modules_after_geo(argv) if m.startswith("riemstats.geometry.")]
+    assert loaded == [f"riemstats.geometry.{name}"
+                      for name in ("base", "invariant", "numerical", "sphere")]
+
+
+def test_cold_geo_kmeans_does_not_load_the_figures():
+    argv = ["learn", "kmeans", "--manifold-spec", SPHERE, "--n-clusters", "2",
+            "--data", '{"points": [[1, 0, 0], [0.8, 0.6, 0], [-1, 0, 0], [-0.8, 0, 0.6]]}']
+    assert "riemstats.cli._figures" not in _modules_after_geo(argv)
 
 
 def test_dist_spot_value():

@@ -723,6 +723,28 @@ class TestGeneralLinear:
     def test_exp_of_a_contraction_belongs(self):
         assert self.gl3.belongs(self.metric.exp(-8.0 * np.eye(3), np.eye(3)))
 
+    def test_far_field_exp_belongs_or_raises(self):
+        """Far from the base the group exp can be numerically singular; it then
+        raises DomainError instead of returning a non-member. Seeded scan: 40
+        tangents of norm R at a random base per R."""
+        rng = np.random.default_rng(5)
+        raised = {}
+        for radius in (1.0, 5.0, 20.0, 50.0, 200.0):
+            base = self.gl3.random_point(1, rng)
+            vecs = self.metric.random_tangent(base, 40, rng)
+            vecs *= (radius / self.metric.norm(vecs, base))[:, None, None]
+            raised[radius] = 0
+            for vec in vecs:
+                try:
+                    out = self.metric.exp(vec, base)
+                except DomainError as exc:
+                    assert "numerically singular" in str(exc)
+                    raised[radius] += 1
+                else:
+                    assert self.gl3.belongs(out)
+        assert raised[1.0] == raised[5.0] == 0
+        assert raised[50.0] > 0 and raised[200.0] > 0
+
     def test_group_exp_log_round_trip(self):
         rng = np.random.default_rng(18)
         algebra = 0.5 * rng.standard_normal((10, 3, 3))
