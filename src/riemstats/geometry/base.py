@@ -186,7 +186,11 @@ class RiemannianMetric(ABC):
     log; only a closed form that skips the log overrides it. A log and the
     squared distance of the same pair come together from
     ``_log_and_squared_dist``, which composes the two hooks; a metric whose
-    two share a decomposition overrides it and takes ``_log`` from it. The
+    two share a decomposition overrides it and takes ``_log`` from it. It
+    returns ``(log, squared_dist, *extras)``, the extras being by-products
+    of that decomposition, each with the rows' leading axis, which the flow
+    hands to the metric's ``_newton_directions``, so no metric keeps state
+    between calls. The
     public ``inner_product``, ``exp``, ``log``, ``squared_dist``, ``dist`` and
     ``parallel_transport`` share one rule, ``_checked``: ``_inputs`` raises
     ShapeError on a wrong trailing shape or batch axes that do not
@@ -209,10 +213,12 @@ class RiemannianMetric(ABC):
 
     # Metrics with a closed-form Hessian of the Frechet function (the sphere
     # and the affine-invariant SPD metric) define
-    # ``_newton_directions(logs, weights, base_points, gradients)``: the
-    # Newton directions of the Karcher-flow segments still searching, one
+    # ``_newton_directions(logs, extras, weights, base_points, gradients)``:
+    # the Newton directions of the Karcher-flow segments still searching, one
     # call per flow iteration, and the mask of the segments whose Hessian is
-    # positive definite. None here: the flow takes gradient steps.
+    # positive definite. ``extras[s]`` lists the extras that the
+    # ``_log_and_squared_dist`` call returned with ``logs[s]``. None here:
+    # the flow takes gradient steps.
     _newton_directions = None
 
     # A metric whose nearest centroids follow from a cheaper product than

@@ -23,12 +23,13 @@ V~ = L^-1 V L^-T, as sum_i w_i U_i ((U_i^T V~ U_i) o K_i) U_i^T (o the entrywise
 product), where K_i[j, k] = x coth x at x = (l_ij - l_ik) / 2 and 1 where
 x = 0 (Groisser, Adv. Appl. Math. 2004; Bini and Iannazzo, Linear Algebra
 Appl. 2013). Every K >= 1, so the Hessian is at least the identity, positive
-definite at every P. The Newton hook takes (l_i, U_i) from the
-``_log_and_squared_dist`` call that returned the flow's log array and solves
-the Newton system by conjugate gradients, applying the Hessian from them
+definite at every P. ``_log_and_squared_dist`` returns (l_i, U_i) beside
+the log and the squared distance, and the flow hands them to the Newton
+hook, so the metric holds no state between calls. The hook solves the
+Newton system by conjugate gradients, applying the Hessian from them
 without forming it: each product costs O(n^3) per point, as a log does, and
-the solve keeps a few (points, n, n) arrays, so the step scales with n as the
-gradient step does.
+the solve keeps a few (points, n, n) arrays, so the step scales with n as
+the gradient step does.
 
 Log-Euclidean: the pullback of the flat Frobenius metric through the matrix
 logarithm chart; distance ||logm P - logm Q||_F. The chart shares its
@@ -39,8 +40,6 @@ differential of expm at the chart point, which is taken at (log w, V).
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -72,8 +71,9 @@ def _require_finite_exp(w):
         raise DomainError("spd exp overflows: the end point is not finite")
 
 
-def _base_frame(base_point):
-    """Cholesky frame of a base point; DomainError unless its spectrum is numerically positive.
+def _base_frame(operand, what):
+    """Cholesky frame of the operand ``what``, a base point or a distance's
+    first point; DomainError unless its spectrum is numerically positive.
 
     The factorization alone succeeds on some points that are singular to
     round-off, such as ``diag(1, 1e-17, 2)``, which ``belongs`` rejects.
@@ -81,11 +81,11 @@ def _base_frame(base_point):
     P = L L^T from above, so a batch it keeps 1000 times below the singular
     threshold of ``linalg.is_singular`` is positive without its eigenvalues.
     """
-    base_point = _symmetric(base_point, "base point")
-    low, inv_low = linalg._spd_frame(base_point, "base point")
+    operand = _symmetric(operand, what)
+    low, inv_low = linalg._spd_frame(operand, what)
     bound = linalg.inner(low, low, axes=2) * linalg.inner(inv_low, inv_low, axes=2)
     if not np.all(bound * low.shape[-1] * np.finfo(float).eps < 1e-3):
-        _require_positive(np.linalg.eigvalsh(base_point)[..., ::-1], "base point")
+        _require_positive(np.linalg.eigvalsh(operand)[..., ::-1], what)
     return low, inv_low
 
 
@@ -203,74 +203,46 @@ class SPDAffineMetric(RiemannianMetric):
 
     prefers_shared_base = True  # each base point is Cholesky-factored
 
-    def __init__(self, manifold):
-        super().__init__(manifold)
-        # id(log) -> (weak reference to the log, its base point, the whitened
-        # eigenpairs (log w, v) it was built from), until a Newton step takes
-        # them or the log dies.
-        self._eigenpairs = {}
-
     def _inner_product(self, tangent_vec_a, tangent_vec_b, base_point):
-        _, inv_low = _base_frame(base_point)
+        _, inv_low = _base_frame(base_point, "base point")
         return _trace_product(_congruence(inv_low, tangent_vec_a),
                               _congruence(inv_low, tangent_vec_b))
 
     def _exp(self, tangent_vec, base_point):
-        low, inv_low = _base_frame(base_point)
+        low, inv_low = _base_frame(base_point, "base point")
         middle = linalg._eig_function(*_frame_eig(inv_low, tangent_vec), np.exp)
         return low @ middle @ linalg.transpose(low)
 
     def _log(self, point, base_point):
-        return self._log_with_eigenpairs(point, base_point)[0]
+        return self._log_and_squared_dist(point, base_point)[0]
 
-    def _log_with_eigenpairs(self, point, base_point):
-        """L logm(S) L^T and the eigenpairs (log w, v) of logm(S): one frame, one ``eigh``."""
-        low, inv_low = _base_frame(base_point)
+    def _log_and_squared_dist(self, point, base_point):
+        """L logm(S) L^T, sum_i log^2 lambda_i(S) and the whitened eigenpairs
+        (log w, v) of logm(S), for ``_newton_directions``: one frame, one ``eigh``."""
+        low, inv_low = _base_frame(base_point, "base point")
         w, v = _frame_eig(inv_low, _symmetric(point, "point"))
         _require_positive(w, "point")
         log_w = np.log(w)
-        return low @ _spectral(log_w, v) @ linalg.transpose(low), log_w, v
+        log = low @ _spectral(log_w, v) @ linalg.transpose(low)
+        return log, linalg.inner(log_w, log_w), log_w, v
 
-    def _log_and_squared_dist(self, point, base_point):
-        """L logm(S) L^T and sum_i log^2 lambda_i(S) from one frame and one ``eigh``.
-
-        At a single base point the eigenpairs of the whitened log are kept
-        for one ``_newton_directions`` call on the returned log, as long as
-        that log lives.
-        """
-        log, log_w, v = self._log_with_eigenpairs(point, base_point)
-        if np.ndim(base_point) == 2:
-            key, memo = id(log), self._eigenpairs
-            # The callback runs when the log dies, before its id can be reused.
-            alive = weakref.ref(log, lambda _, key=key: memo.pop(key, None))
-            memo[key] = (alive, np.copy(base_point), log_w, v)
-        return log, linalg.inner(log_w, log_w)
-
-    def _newton_directions(self, logs, weights, base_points, gradients):
+    def _newton_directions(self, logs, extras, weights, base_points, gradients):
         """Newton directions of Karcher-flow segments; every Hessian is positive definite.
 
         In the frame of X = ``base_points[s]`` (X = L L^T), the logs of the
-        segment's points are L W_i L^T with W_i = v_i diag(l_i) v_i^T.
-        ``_frechet_newton_solve`` solves the Newton system of
+        segment's points are L W_i L^T with W_i = v_i diag(l_i) v_i^T, and
+        ``extras[s]`` is ``(l, v)`` as ``_log_and_squared_dist`` returned it
+        with those logs. ``_frechet_newton_solve`` solves the Newton system of
         ``1/2 sum_i w_i d^2(., P_i)`` there against L^-1 g L^-T, for g =
         ``gradients[s]``, for the direction D~, and L D~ L^T is the Newton
-        direction. The (l_i, v_i) come from the ``_log_and_squared_dist``
-        call that returned the very log array at that base point, and are
-        dropped once used, so the flow holds no eigenvectors through its line
-        search; any other log, or the same one again, is decomposed again.
-        Each segment is solved on its own, so its direction does not depend
-        on the other segments.
+        direction. Each segment is solved on its own, so its direction does
+        not depend on the other segments.
 
         Returns ``(directions, positive_definite)``, the mask all True.
         """
         directions = np.empty_like(gradients)
-        for s, (log, weight, base) in enumerate(zip(logs, weights, base_points)):
-            low, inv_low = _base_frame(base)
-            entry = self._eigenpairs.pop(id(log), None)
-            if entry is not None and entry[0]() is log and np.array_equal(entry[1], base):
-                log_w, v = entry[2], entry[3]
-            else:
-                log_w, v = _frame_eig(inv_low, log)
+        for s, ((log_w, v), weight, base) in enumerate(zip(extras, weights, base_points)):
+            low, inv_low = _base_frame(base, "base point")
             whitened = _frechet_newton_solve(
                 log_w, v, weight, _congruence(inv_low, gradients[s])
             )
@@ -278,7 +250,7 @@ class SPDAffineMetric(RiemannianMetric):
         return directions, np.ones(len(logs), dtype=bool)
 
     def _squared_dist(self, point_a, point_b):
-        _, inv_low = linalg._spd_frame(_symmetric(point_a, "point"), "point")
+        _, inv_low = _base_frame(point_a, "point")
         congruent = _congruence(inv_low, _symmetric(point_b, "point"))
         w = np.linalg.eigvalsh(linalg._as_matrix(congruent, "symmetric matrix"))[..., ::-1]
         _require_positive(w, "point")
@@ -287,7 +259,7 @@ class SPDAffineMetric(RiemannianMetric):
 
     def _transport(self, tangent_vec, base_point, direction):
         """V -> E V E^T with E = L expm(S/2) L^-1, X the direction."""
-        low, inv_low = _base_frame(base_point)
+        low, inv_low = _base_frame(base_point, "base point")
         w, v = _frame_eig(inv_low, direction)
         _require_finite_exp(w)
         shifter = low @ _spectral(np.exp(0.5 * w), v) @ inv_low
@@ -295,7 +267,7 @@ class SPDAffineMetric(RiemannianMetric):
 
     def _transport_to(self, tangent_vec, base_point, end_point):
         """V -> E V E^T with E = L S^1/2 L^-1, X the end point: no log needed."""
-        low, inv_low = _base_frame(base_point)
+        low, inv_low = _base_frame(base_point, "base point")
         w, v = _frame_eig(inv_low, _symmetric(end_point, "end point"))
         _require_positive(w, "end point")
         shifter = low @ _spectral(np.sqrt(w), v) @ inv_low

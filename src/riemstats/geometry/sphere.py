@@ -93,13 +93,14 @@ class SphereMetric(RiemannianMetric):
     def injectivity_radius(self, base_point):
         return np.pi
 
-    def _newton_directions(self, logs, weights, base_points, gradients):
+    def _newton_directions(self, logs, extras, weights, base_points, gradients):
         """Newton directions of Karcher-flow segments, and where they exist.
 
         Segment s holds the logs ``u_i = logs[s][i]`` of its points at
         ``x = base_points[s]``, their normalized ``weights[s]`` and its mean
-        log ``gradients[s]``. With theta_i = |u_i| and c_i = theta_i cot
-        theta_i, the Hessian of ``1/2 sum_i w_i d^2(., p_i)`` at x is
+        log ``gradients[s]``; ``extras[s]`` is empty. With theta_i = |u_i|
+        and c_i = theta_i cot theta_i, the Hessian of
+        ``1/2 sum_i w_i d^2(., p_i)`` at x is
         ``H = sum_i w_i [(1 - c_i) u_i u_i^T / theta_i^2 + c_i (I - x x^T)]``:
         1 along the geodesic to p_i and c_i across it (Groisser 2004).
         ``H + x x^T`` is H on T_x and the identity along x, so it is positive

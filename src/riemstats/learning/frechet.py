@@ -18,39 +18,42 @@ shows it, so restarting at the full step let the mean logarithm grow back
 each time. The mean logarithm is accurate where the variance is not. A run
 that never halves keeps ``step_size`` throughout.
 
-A metric with a closed-form Hessian of the Frechet function defines the
-hook ``_newton_directions(logs, weights, base_points, gradients)`` (the
+A metric with a closed-form Hessian of the Frechet function defines the hook
+``_newton_directions(logs, extras, weights, base_points, gradients)`` (the
 sphere and the affine-invariant SPD metric do; ``RiemannianMetric`` sets it
 to None). The flow reads it once per call and calls it once per iteration
 for all segments still searching, with the logarithms the iteration already
-holds. It returns their Newton directions and the mask of segments whose
-Hessian is positive definite; a masked segment's mean logarithm becomes its
-Newton direction, and ``step_size`` scales that direction as it scaled the
-gradient. Newton's method converges quadratically near the mean (Groisser,
-Adv. Appl. Math. 2004). Where a segment's Hessian is not positive definite
-(on the sphere, points past pi/2 can make it so) that segment takes the
-gradient step; on SPD, where the curvature is nonpositive, every Hessian is
-positive definite. The line search and the projection apply to both steps. Every other metric
-takes gradient steps only.
+holds and the extras that ``_log_and_squared_dist`` returned with them
+(SPD's whitened eigenpairs), popped as they are passed, so no line search
+holds its segment's extras. It returns their Newton directions and the mask
+of segments whose Hessian is positive definite; a masked segment's mean
+logarithm becomes its Newton direction, and ``step_size`` scales that
+direction as it scaled the gradient. Newton's method converges quadratically
+near the mean (Groisser, Adv. Appl. Math. 2004). Where a segment's Hessian
+is not positive definite (on the sphere, points past pi/2 can make it so)
+that segment takes the gradient step; on SPD, where the curvature is
+nonpositive, every Hessian is positive definite. The line search and the
+projection apply to both steps. Every other metric takes gradient steps
+only.
 
 The flow is written once, in :func:`karcher_flow`, for several means at
 once: the points are sorted into contiguous segments, one mean per segment.
 It checks its points and starting estimates once, through the metric's
 ``_inputs``, and then calls only hooks. Logs and variances come from the
-``_log_and_squared_dist`` hook (float warnings silenced, ``_result`` on both
-outputs): one call over the rows of all segments, each row at its own
-segment's estimate, at the start, and one per line-search round over the
-rows of the segments whose test is pending, after one batched ``_exp`` for
-the segments still searching. Only their steps are halved, and a segment
-that has converged is frozen. An accepted candidate's logs are the next
-iteration's, so each point is decomposed once per candidate; a segment that
-ran out of halvings makes one call at its next iteration. The candidates'
-``_exp`` and the step norms go through the metric's ``_apply``, after a
-finiteness check of the Newton directions. Two cases call once per segment
-instead, passing its estimate once: a call that covers a single segment,
-and a metric whose ``prefers_shared_base`` is set (SPD, SRV), which factors
-or transforms every base row it is given, so a repeated base would cost a
-factorization per row.
+``_log_and_squared_dist`` hook (float warnings silenced, ``_result`` on the
+logs and squared distances): one call over the rows of all segments, each
+row at its own segment's estimate, at the start, and one per line-search
+round over the rows of the segments whose test is pending, after one batched
+``_exp`` for the segments still searching. Only their steps are halved, and
+a segment that has converged is frozen. An accepted candidate's logs are the
+next iteration's, so each point is decomposed once per candidate; a segment
+that ran out of halvings makes one call at its next iteration. The
+candidates' ``_exp`` and the step norms go through the metric's ``_apply``,
+after a finiteness check of the Newton directions. Two cases call once per
+segment instead, passing its estimate once: a call that covers a single
+segment, and a metric whose ``prefers_shared_base`` is set (SPD, SRV), which
+factors or transforms every base row it is given, so a repeated base would
+cost a factorization per row.
 Per-segment sums and variances are taken on contiguous slices with the
 reductions of a lone segment, and the metrics the flow batches give the
 same bits for a repeated base as for a shared one, so each segment's
@@ -135,8 +138,8 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
 
     def evaluate(segs):
         """For each of the ascending ``segs``, the logs of its rows at its
-        estimate into ``seg_logs`` and its Frechet variance there into
-        ``current_var``.
+        estimate into ``seg_logs``, the hook's extras for them into
+        ``seg_extras`` and its Frechet variance there into ``current_var``.
 
         One ``_log_and_squared_dist`` call over the rows of all of ``segs``,
         each row at its own segment's estimate, split back into segments; one
@@ -145,19 +148,20 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
         """
         with np.errstate(all="ignore"):
             if len(segs) == 1 or metric.prefers_shared_base:
-                pairs = [
+                outputs = [
                     metric._log_and_squared_dist(points[bounds[s] : bounds[s + 1]], estimates[s])
                     for s in segs
                 ]
             else:
-                logs, sqs = metric._log_and_squared_dist(
+                fused = metric._log_and_squared_dist(
                     np.concatenate([points[bounds[s] : bounds[s + 1]] for s in segs]),
                     np.repeat(estimates[segs], sizes[segs], axis=0),
                 )
                 cuts = np.cumsum(sizes[segs])[:-1]
-                pairs = zip(np.split(logs, cuts), np.split(sqs, cuts))
-            for s, (log, sq) in zip(segs, pairs):
+                outputs = zip(*(np.split(out, cuts) for out in fused))
+            for s, (log, sq, *extras) in zip(segs, outputs):
                 seg_logs[s] = metric._result("log", log)
+                seg_extras[s] = extras
                 current_var[s] = _average(metric._result("squared_dist", sq), seg_weights[s])
 
     estimates = np.array(inits)
@@ -169,6 +173,7 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
     # iteration.
     current_var = np.full(n_seg, np.nan)
     seg_logs = [None] * n_seg
+    seg_extras = {}  # segment -> the extras beside its logs, until a Newton step takes them
     first_steps = np.full(n_seg, float(step_size))  # where each line search starts
     halved = np.zeros(n_seg, dtype=bool)  # a line search of the segment has halved
     for _ in range(max_iter):
@@ -198,6 +203,7 @@ def karcher_flow(metric, points, bounds, inits, weights=None, max_iter=64, tol=1
         if newton is not None:
             directions, positive = newton(
                 [log for log, kept in zip(logs, keep) if kept],
+                [seg_extras.pop(s) for s in search],
                 [norm_weights[s] for s in search],
                 estimates[search],
                 tangents,

@@ -478,7 +478,9 @@ class TestSphereNewton:
         base = data[0]
         logs = metric.log(data, base)
         gradient = np.sum(weights[:, None] * logs, axis=0)
-        directions, positive = metric._newton_directions([logs], [weights], base[None], gradient[None])
+        directions, positive = metric._newton_directions(
+            [logs], [[]], [weights], base[None], gradient[None]
+        )
         assert positive.tolist() == [True]
         direction = directions[0]
 
@@ -582,9 +584,9 @@ class TestSphereNewton:
 
 
 def spd_newton_inputs(metric, base, points, weights):
-    """The Newton hook's inputs for one segment, the logs from the flow's hook."""
-    logs = metric._log_and_squared_dist(points, base)[0]
-    return [logs], [weights], base[None], np.tensordot(weights, logs, axes=1)[None]
+    """The Newton hook's inputs for one segment, the logs and extras from the flow's hook."""
+    logs, _, *extras = metric._log_and_squared_dist(points, base)
+    return [logs], [extras], [weights], base[None], np.tensordot(weights, logs, axes=1)[None]
 
 
 class TestSPDNewton:
@@ -660,7 +662,7 @@ class TestSPDNewton:
         # vec(v_i^T D v_i) = kron(v_i, v_i)^T vec(D), row-major vec.
         kron = np.einsum("iap,ibq->iabpq", v, v).reshape(40, 36, 36)
         hessian = np.einsum("i,iap,ip,ibp->ab", weights, kron, kernel.reshape(40, 36), kron)
-        rhs = inv_low @ inputs[3][0] @ inv_low.T
+        rhs = inv_low @ inputs[4][0] @ inv_low.T
         expected = low @ np.linalg.solve(hessian, rhs.reshape(36)).reshape(6, 6) @ low.T
         assert np.linalg.norm(direction - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -683,39 +685,42 @@ class TestSPDNewton:
         assert np.isfinite(directions).all()
         assert peak <= 12 * points.nbytes
 
-    def test_hook_reuses_the_decomposition_of_the_log_it_returned(self, monkeypatch):
-        """The eigenpairs behind a log from ``_log_and_squared_dist`` at one
-        base point serve one Newton hook call on that very array: no ``eigh``.
-        A copy, or the same array a second time, is decomposed again, to the
-        same direction. Eigenpairs no call took are dropped when their log
-        dies."""
+    def test_flow_decomposes_each_log_batch_once(self, monkeypatch):
+        """Over a whole ``frechet_mean`` on SPD(5), each ``_log_and_squared_dist``
+        call makes one stacked ``eigh`` of all the points, and
+        ``_newton_directions`` makes none: it takes the eigenpairs that call
+        returned."""
         spd = SPDMatrices(5)
         metric = spd.affine_invariant_metric
-        rng = np.random.default_rng(49)
-        points = spd.random_point(40, rng)
-        base = spd.random_point(1, rng)
-        weights = np.full(40, 1.0 / 40)
-        inputs = spd_newton_inputs(metric, base, points, weights)
-        calls = []
-        plain = np.linalg.eigh
+        points = spd.random_point(40, np.random.default_rng(49))
+        made = {"_log_and_squared_dist": [], "_newton_directions": []}  # eigh shapes per call
+        inside = [None]  # the list of the hook call running, if any
+        plain_eigh = np.linalg.eigh
 
         def counted(mat, *args, **kwargs):
-            calls.append(np.shape(mat))
-            return plain(mat, *args, **kwargs)
+            if inside[0] is not None:
+                inside[0].append(np.shape(mat))
+            return plain_eigh(mat, *args, **kwargs)
 
+        def recorded(name, plain):
+            def hook(*args):
+                made[name].append([])
+                inside[0] = made[name][-1]
+                try:
+                    return plain(*args)
+                finally:
+                    inside[0] = None
+            return hook
+
+        for name in made:
+            monkeypatch.setattr(metric, name, recorded(name, getattr(metric, name)))
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        kept = metric._newton_directions(*inputs)[0]
-        assert calls == []
-        for logs in ([inputs[0][0].copy()], inputs[0]):
-            again = metric._newton_directions(logs, *inputs[1:])[0]
-            np.testing.assert_allclose(again, kept, rtol=0, atol=1e-12 * np.abs(kept).max())
-        assert calls == [(40, 5, 5)] * 2
+        result = frechet_mean(metric, points)
         monkeypatch.undo()
-        assert metric._eigenpairs == {}
-        log = metric._log_and_squared_dist(points, base)[0]
-        assert list(metric._eigenpairs) == [id(log)]
-        del log
-        assert metric._eigenpairs == {}
+        fused, newton = made["_log_and_squared_dist"], made["_newton_directions"]
+        assert result.converged and len(newton) == result.n_iter - 1 >= 2
+        assert fused == [[(40, 5, 5)]] * len(fused)
+        assert newton == [[]] * len(newton)
 
 
 class TestFrechetVariance:

@@ -310,7 +310,7 @@ def test_log_and_squared_dist_is_the_log_and_the_squared_dist(space_case):
     cloud = _point_cloud(space_case, 8, 70, radius=0.8)
     base, points = cloud[0], cloud[1:]
     for point, base_point in ((points, base), (points, cloud[:-1]), (points[0], base)):
-        log, sq = metric._log_and_squared_dist(point, base_point)
+        log, sq, *_ = metric._log_and_squared_dist(point, base_point)
         np.testing.assert_array_equal(log, metric._log(point, base_point))
         np.testing.assert_allclose(sq, metric._squared_dist(base_point, point), rtol=1e-14, atol=0)
 
@@ -335,11 +335,12 @@ def test_newton_directions_solve_the_finite_difference_newton_system(case):
     clouds = [_point_cloud(case, 9, seed) for seed in (72, 73)]
     bases = np.stack([cloud[0] for cloud in clouds])
     weights = [w / np.sum(w) for w in rng.uniform(0.2, 2.0, (2, 9))]
-    logs = [metric._log_and_squared_dist(cloud, base)[0] for cloud, base in zip(clouds, bases)]
+    fused = [metric._log_and_squared_dist(cloud, base) for cloud, base in zip(clouds, bases)]
+    logs, extras = [out[0] for out in fused], [list(out[2:]) for out in fused]
     gradients = np.stack([np.tensordot(w, log, axes=1) for w, log in zip(weights, logs)])
     with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
         warnings.simplefilter("error")
-        directions, positive = metric._newton_directions(logs, weights, bases, gradients)
+        directions, positive = metric._newton_directions(logs, extras, weights, bases, gradients)
     assert positive.tolist() == [True, True]
     assert np.isfinite(directions).all()
     assert np.all(metric.is_tangent(directions, bases))
@@ -445,6 +446,87 @@ def test_metric_hooks_take_exactly_their_operands():
         for sub in _all_subclasses(RiemannianMetric)
         for hook in _HOOKS
         if hook in vars(sub) and inspect.signature(vars(sub)[hook]) != operands[hook]
+    ]
+    assert offenders == []
+
+
+def _state(obj):
+    """``vars(obj)`` as ``{name: (value, contents)}``, with a copy of the
+    contents of an array, dict, list or set value, and None for the others."""
+    state = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            contents = value.copy()
+        elif isinstance(value, dict):
+            contents = list(value.keys()) + list(value.values())
+        elif isinstance(value, (list, set)):
+            contents = list(value)
+        else:
+            contents = None
+        state[name] = (value, contents)
+    return state
+
+
+def _changes(before, after):
+    """Names of the attributes added, removed, rebound or whose contents changed."""
+    changed = sorted(before.keys() ^ after.keys())
+    for name in before.keys() & after.keys():
+        (value, contents), (now, now_contents) = before[name], after[name]
+        if isinstance(contents, np.ndarray):
+            same = np.array_equal(contents, now_contents, equal_nan=True)
+        elif contents is not None:
+            same = len(contents) == len(now_contents) and all(
+                a is b for a, b in zip(contents, now_contents)
+            )
+        else:
+            same = True
+        if now is not value or not same:
+            changed.append(name)
+    return changed
+
+
+def test_metrics_hold_no_state_between_calls(space_case):
+    """A metric is a plain object: calling every hook it defines, with every
+    result still referenced, leaves the metric, and each metric or manifold
+    it holds, with the same attributes bound to the same objects, and each
+    container among them with the same contents."""
+    metric = space_case.metric
+    held = [metric] + [
+        value for value in vars(metric).values() if isinstance(value, (Manifold, RiemannianMetric))
+    ]
+    before = [_state(obj) for obj in held]
+    cloud = _point_cloud(space_case, 7, 74)
+    base, points = cloud[0], cloud[1:]
+    vecs = space_case.scaled_tangents(base, len(points), np.random.default_rng(75), radius=0.3)
+    fused = metric._log_and_squared_dist(points, base)
+    results = [  # every output stays referenced through the check
+        fused,
+        metric._inner_product(vecs, vecs, base),
+        metric._exp(vecs, base),
+        metric._log(points, base),
+        metric._squared_dist(base, points),
+        metric._transport(vecs, base, vecs),
+        metric._transport_to(vecs, base, points),
+    ]
+    if metric._newton_directions is not None:
+        weights = np.full(len(points), 1.0 / len(points))
+        gradient = np.tensordot(weights, fused[0], axes=1)
+        results.append(metric._newton_directions(
+            [fused[0]], [list(fused[2:])], [weights], base[None], gradient[None]
+        ))
+    if metric._nearest is not None:
+        results.append(metric._nearest(points, cloud[:2]))
+    assert [_changes(old, _state(obj)) for old, obj in zip(before, held)] == [[]] * len(held)
+
+
+def test_geometry_keeps_no_object_identities():
+    """No metric keys a cache by ``id`` or watches its results with ``weakref``:
+    what one hook call makes for another is passed to it explicitly."""
+    pattern = re.compile(r"\bweakref\b|\bid\(")
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted((SRC / "geometry").rglob("*.py"))
+        if pattern.search(path.read_text())
     ]
     assert offenders == []
 

@@ -231,6 +231,8 @@ class TestSPDOperands:
             metric.log(points[0], singular)
         with pytest.raises(DomainError, match="not positive definite"):
             metric.dist(points[0], singular)
+        with pytest.raises(DomainError, match="^point is not positive definite$"):
+            metric.dist(singular, singular)
         members = spd.belongs(np.concatenate([points, singular[None]]))
         assert members[:-1].all() and not members[-1]
 
