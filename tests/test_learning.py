@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riemstats.errors import DomainError, ShapeError
+from riemstats.errors import ConvergenceError, DomainError, ShapeError
 from riemstats.geometry import (
     Euclidean,
     Hyperboloid,
@@ -10,6 +10,7 @@ from riemstats.geometry import (
     SpecialOrthogonal,
     orthonormal_tangent_basis,
 )
+from riemstats.geometry.euclidean import EuclideanMetric
 from riemstats.geometry.sphere import SphereMetric
 from riemstats.learning import (
     FrechetMean,
@@ -1187,6 +1188,190 @@ class TestOnlineKMeans:
     def test_predict_before_any_sample_raises_value_error(self):
         with pytest.raises(ValueError, match="at least one fitted sample"):
             OnlineKMeans(S_METRIC, 2).predict(np.array([[0.0, 0.0, 1.0]]))
+
+
+def _per_sample(metric, k, stream, model=None):
+    """The reference fit: ``_update`` on one sample at a time, float warnings silenced."""
+    model = OnlineKMeans(metric, k) if model is None else model
+    with np.errstate(all="ignore"):
+        for point in np.asarray(stream, dtype=float):
+            model._update(point)
+    return model
+
+
+def _assert_same_fit(fitted, reference, points):
+    np.testing.assert_array_equal(fitted.centroids_, reference.centroids_)
+    np.testing.assert_array_equal(fitted.counts_, reference.counts_)
+    assert fitted.n_rejected_ == reference.n_rejected_
+    np.testing.assert_array_equal(fitted.predict(points), reference.predict(points))
+
+
+class _FlaggedRows:
+    """A test metric whose ``_exp`` raises ``error`` when any row steps
+    mostly along the last axis; ``raised`` records the rows of each such call."""
+
+    def __init__(self, manifold, error=DomainError):
+        super().__init__(manifold)
+        self.error = error
+        self.raised = []
+
+    def _exp(self, tangent_vec, base_point):
+        if np.any(tangent_vec[..., -1] > 0.5 * np.linalg.norm(tangent_vec, axis=-1)):
+            self.raised.append(tangent_vec.size // tangent_vec.shape[-1])
+            raise self.error("flagged row")
+        return super()._exp(tangent_vec, base_point)
+
+
+class _FlaggedSphereMetric(_FlaggedRows, SphereMetric):
+    pass
+
+
+class _FlaggedEuclideanMetric(_FlaggedRows, EuclideanMetric):
+    pass
+
+
+def _flagged_stream(space, n, flagged, rng):
+    """``n`` samples of three clusters in the plane of the first two axes;
+    those at index ``flagged`` move off it, so that their step from any
+    centroid in the plane points mostly along the last axis."""
+    angles = rng.choice([0.0, 2.0, 4.0], n) + 0.2 * rng.standard_normal(n)
+    stream = np.stack([np.cos(angles), np.sin(angles), np.zeros(n)], axis=-1)
+    if space == "sphere":
+        stream[flagged] = [0.0, 0.0, 1.0]
+    else:
+        stream *= 10.0
+        stream[flagged, -1] = 100.0
+    return stream
+
+
+_STREAM_SPACES = {"sphere": (SPHERE, _FlaggedSphereMetric), "flat": (FLAT, _FlaggedEuclideanMetric)}
+
+
+def test_online_kmeans_fit_equals_the_per_sample_path(space_case, monkeypatch):
+    """Bit for bit on a seeded stream of every catalog space, and most
+    samples skip the one-row step."""
+    stream = space_case.random_points(150, np.random.default_rng(70))
+    reference = _per_sample(space_case.metric, 4, stream)
+    one_row = []
+    update = OnlineKMeans._update
+    monkeypatch.setattr(OnlineKMeans, "_update", lambda self, x: one_row.append(update(self, x)))
+    fitted = OnlineKMeans(space_case.metric, 4).fit(stream)
+    assert len(one_row) < len(stream) // 4
+    _assert_same_fit(fitted, reference, stream)
+
+
+@pytest.mark.parametrize("space", ["sphere", "flat"])
+class TestOnlineKMeansRounds:
+    """``fit`` in verified rounds equals ``_update`` sample by sample, bit for
+    bit, on streams that make the rounds' guessed labels wrong, stop short
+    of a chunk, or reject samples inside a round."""
+
+    def check(self, metric, k, stream, split=None):
+        fitted = OnlineKMeans(metric, k)
+        for part in np.split(stream, [] if split is None else [split]):
+            fitted.fit(part)
+        _assert_same_fit(fitted, _per_sample(metric, k, stream), stream)
+        return fitted
+
+    def test_near_ties(self, space):
+        """Samples within 1e-17 to 1e-11 of the bisector of the first two
+        centroids, interleaved with random samples."""
+        manifold, _ = _STREAM_SPACES[space]
+        rng = np.random.default_rng(71)
+        a, b = manifold.random_point(2, rng)
+        offsets = np.geomspace(1e-17, 1e-11, 60) * np.where(np.arange(60) % 2, 1.0, -1.0)
+        ties = (a + b) / 2.0 + offsets[:, None] * (a - b)
+        if space == "sphere":
+            ties = SPHERE.project(ties)
+        stream = np.concatenate([[a, b], ties])
+        stream[2::3] = manifold.random_point(len(stream[2::3]), rng)
+        self.check(manifold.metric, 2, stream)
+
+    def test_duplicate_centroids(self, space):
+        """The first and third slots hold the same sample."""
+        manifold, _ = _STREAM_SPACES[space]
+        rng = np.random.default_rng(72)
+        a, b = manifold.random_point(2, rng)
+        near = np.empty((80, 3))
+        if space == "sphere":
+            near[0::2], near[1::2] = sphere_cap(a, 0.3, 40, rng), sphere_cap(b, 0.3, 40, rng)
+        else:
+            near[0::2], near[1::2] = a, b
+            near += 0.1 * rng.standard_normal((80, 3))
+        near[:6:2] = a  # equally near the first and third centroids
+        self.check(manifold.metric, 3, np.concatenate([[a, b, a], near]))
+
+    def test_one_centroid(self, space):
+        manifold, _ = _STREAM_SPACES[space]
+        self.check(manifold.metric, 1, manifold.random_point(70, np.random.default_rng(73)))
+
+    @pytest.mark.parametrize("extra", [-1, 1, 160], ids=["short", "longer", "long"])
+    def test_stream_lengths(self, space, extra):
+        """After the two fills, one sample short of a chunk, one past it, or many chunks."""
+        manifold, _ = _STREAM_SPACES[space]
+        stream = manifold.random_point(2 + kmeans._CHUNK + extra, np.random.default_rng(74))
+        self.check(manifold.metric, 2, stream)
+
+    def test_fill_ends_in_a_later_call(self, space):
+        """The first call fills two of four slots; the second fills the rest, then streams."""
+        manifold, _ = _STREAM_SPACES[space]
+        self.check(manifold.metric, 4, manifold.random_point(90, np.random.default_rng(75)), 2)
+
+    def test_rejections_inside_multi_row_rounds(self, space):
+        manifold, flagged = _STREAM_SPACES[space]
+        stream = _flagged_stream(space, 150, slice(3, None, 4), np.random.default_rng(76))
+        metric = flagged(manifold)
+        fitted = self.check(metric, 3, stream)
+        assert fitted.n_rejected_ >= 30
+        assert max(metric.raised) > 1
+
+    def test_an_uncaught_error_leaves_the_per_sample_state(self, space):
+        """A ``ConvergenceError`` is no rejection: ``fit`` raises it at the
+        sample where the per-sample path does, with that path's state."""
+        manifold, flagged = _STREAM_SPACES[space]
+        stream = _flagged_stream(space, 80, [60], np.random.default_rng(77))
+        reference = OnlineKMeans(flagged(manifold, ConvergenceError), 3)
+        with pytest.raises(ConvergenceError):
+            _per_sample(reference.metric, 3, stream, reference)
+        metric = flagged(manifold, ConvergenceError)
+        fitted = OnlineKMeans(metric, 3)
+        with pytest.raises(ConvergenceError):
+            fitted.fit(stream)
+        assert metric.raised[0] > 1  # first raised inside a round, then replayed
+        assert fitted.counts_.sum() == 60
+        _assert_same_fit(fitted, reference, stream)
+
+
+@pytest.mark.parametrize("k", [64, 128])
+def test_online_kmeans_rounds_memory_stays_within_the_broadcast_cap(k, monkeypatch):
+    """On SPD(16) the ``_BROADCAST_ELEMENTS`` cap allows chunks of two
+    samples with k = 64 and of one with k = 128: the fit still equals the
+    per-sample path, and its tracemalloc peak exceeds that path's by at most
+    the (k, 16, 16) temporaries of the chunk's samples."""
+    import tracemalloc
+
+    spd = SPDMatrices(16)
+    metric = spd.affine_invariant_metric
+    stream = spd.random_point(k + 30, np.random.default_rng(78))
+    chunk = kmeans._BROADCAST_ELEMENTS // (k * 256)
+    rounds = []  # the chunk sizes
+    fit_rounds = OnlineKMeans._rounds
+    monkeypatch.setattr(
+        OnlineKMeans, "_rounds", lambda self, c: rounds.append(len(c)) or fit_rounds(self, c)
+    )
+
+    def peak(fit):
+        tracemalloc.start()
+        try:
+            return fit(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    reference, reference_peak = peak(lambda: _per_sample(metric, k, stream))
+    fitted, fitted_peak = peak(lambda: OnlineKMeans(metric, k).fit(stream))
+    assert max(rounds, default=1) == chunk
+    _assert_same_fit(fitted, reference, stream)
+    assert fitted_peak <= reference_peak + chunk * k * 256 * 8
 
 
 @pytest.mark.filterwarnings("error")
