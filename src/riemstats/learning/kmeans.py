@@ -44,9 +44,10 @@ distances to the centroids the sample would have met in stream order. Where
 no ``_nearest`` hook labelled the chunk, its distances to the starting
 centroids are reused, and only those to centroids that moved are new. The
 samples before the first wrong label are kept, and that sample takes the
-one-row step. The fitted centroids, counts and rejections equal the
-sample-by-sample update bit for bit; so do an error a hook raises and the
-state it leaves.
+one-row step. A chunk in which a hook raises, a rejection included, is
+replayed one sample at a time. The fitted centroids, counts and rejections
+equal the sample-by-sample update bit for bit; so do an error a hook raises
+and the state it leaves.
 """
 
 from __future__ import annotations
@@ -274,8 +275,9 @@ class OnlineKMeans:
                 try:  # a chunk of one sample takes the one-row step
                     kept = self._rounds(chunk) if len(chunk) > 1 else 0
                 except Exception:
-                    # Replayed one sample at a time, the chunk raises the error
-                    # the per-sample path raises, and leaves its state.
+                    # Replayed one sample at a time, the chunk counts the
+                    # rejections and raises the error the per-sample path
+                    # does, and leaves its state.
                     for point in chunk:
                         self._update(point)
                     kept = len(chunk)
@@ -324,21 +326,13 @@ class OnlineKMeans:
         states = np.empty((rounds.max() + 2, k) + chunk.shape[1:])
         states[0] = self.centroids_
         counts = self.counts_.copy()
-        rejected = np.zeros(len(chunk), dtype=bool)
         for r in range(len(states) - 1):
             rows = np.flatnonzero(rounds == r)
             movers = labels[rows]
             states[r + 1] = states[r]
             step_counts = counts[movers].reshape((-1,) + (1,) * len(metric.tangent_shape))
-            try:
-                states[r + 1, movers] = self._step(chunk[rows], states[r, movers], step_counts)
-            except (CutLocusError, DomainError):
-                for row, j in zip(rows, movers):
-                    try:
-                        states[r + 1, j] = self._step(chunk[row], states[r, j], counts[j])
-                    except (CutLocusError, DomainError):
-                        rejected[row] = True
-            counts[movers[~rejected[rows]]] += 1
+            states[r + 1, movers] = self._step(chunk[rows], states[r, movers], step_counts)
+            counts[movers] += 1
         if sq is None:
             seen = states[before, np.arange(k)]
             sq = metric._apply("squared_dist", metric._squared_dist, seen, chunk[:, None])
@@ -349,8 +343,7 @@ class OnlineKMeans:
         wrong = np.flatnonzero(np.argmin(sq, axis=-1) != labels)
         kept = int(wrong[0]) if wrong.size else len(chunk)
         self.centroids_[...] = states[hits[:kept].sum(axis=0), np.arange(k)]
-        self.counts_ += np.bincount(labels[:kept][~rejected[:kept]], minlength=k)
-        self.n_rejected_ += int(rejected[:kept].sum())
+        self.counts_ += np.bincount(labels[:kept], minlength=k)
         return kept
 
     def predict(self, points):
